@@ -108,7 +108,7 @@ _TOP_KEYS = {"mode", "preset", "grid", "model", "sources", "T", "n", "h",
 _GRID_KEYS = {"kind", "n", "length", "nx", "ny", "lx", "ly"}
 _SOURCE_KEYS = {"f", "g", "y0"}
 _STEP_KEYS = {"tol", "lam0", "lam_decay", "lam_min", "max_iter", "optimizer",
-              "use_viscosity", "certificate_tol", "pd_gap", "pd_max_iter"}
+              "certificate_tol", "pd_max_iter"}
 _OPTION_KEYS = {"refinements", "perturbation", "T_long", "n_long", "tol"}
 
 
@@ -185,6 +185,12 @@ def _validate(cfg):
         problems.append("exactly one of 'n' or 'h' must be given")
     if cfg.h is not None and not 0 < cfg.h <= cfg.T:
         problems.append("'h' must lie in (0, T]")
+    elif cfg.h is not None and cfg.n is None:
+        ratio = cfg.T / cfg.h
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            problems.append(f"'h' = {cfg.h:g} does not divide T = {cfg.T:g}; "
+                            f"the effective step would be T/{round(ratio)} = "
+                            f"{cfg.T / round(ratio):.17g}")
     if cfg.n is not None and cfg.n < 1:
         problems.append("'n' must be a positive integer")
     if not cfg.T > 0:

@@ -226,10 +226,10 @@ def run_flow(problem, n, cfg=None, obstacle=False):
         try:
             sol = step(grid, problem.model, i * h, h, w1, w2, cfg, u0=y)
         except StepNonConverged as exc:
-            exc.step_index = i
-            raise StepNonConverged(
-                f"step {i} (t = {i * h:g}) failed: {exc}",
-                residual=exc.residual, log=exc.log) from exc
+            err = StepNonConverged(f"step {i} (t = {i * h:g}) failed: {exc}",
+                                   residual=exc.residual, log=exc.log)
+            err.step_index = i
+            raise err from exc
         y = sol.u
         fields[i] = y
         etas[i - 1] = sol.eta
@@ -524,11 +524,8 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200,
                                    lam=lam if lam is not None else None)
             h_mat = _curv_matrix(grid, curv, 1.0) - sps.diags(m) + sps.diags(eps * m)
             kkt = sps.bmat([[h_mat, c[:, None]], [c[None, :], None]], format="csc")
-            try:
-                sol = spsolve(kkt, np.concatenate([-g, [0.0]]))
-                d = sol[:-1]
-            except Exception:
-                d = -(g - mu * c) / m
+            # a singular KKT matrix yields NaN (with a warning), not an error
+            d = spsolve(kkt, np.concatenate([-g, [0.0]]))[:-1]
             if not np.all(np.isfinite(d)):
                 d = -(g - mu * c) / m
             f0 = value_of(u, lam)

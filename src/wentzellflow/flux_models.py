@@ -246,9 +246,7 @@ class _QuadAxis:
     def prox(self, lam, s):
         return s / (1.0 + lam * self.alpha)
 
-    def yosida(self, lam, s, z=None):
-        if z is None:
-            z = self.prox(lam, s)
+    def yosida(self, lam, s, z):
         return self.alpha * z
 
     def curvature_moreau(self, lam, s, z):
@@ -335,9 +333,7 @@ class _PowerAxis:
             d = d + self.delta_eff
         return d
 
-    def yosida(self, lam, s, z=None):
-        if z is None:
-            z = self.prox(lam, s)
+    def yosida(self, lam, s, z):
         out = self._deriv_smooth(z)
         kink = np.abs(z) <= _KINK_TOL * (1.0 + np.abs(s))
         if np.any(kink):
@@ -405,9 +401,7 @@ class _FracturedAxis:
         th = np.broadcast_to(self.th, z.shape)
         return np.where(at_jump, th, z)
 
-    def yosida(self, lam, s, z=None):
-        if z is None:
-            z = self.prox(lam, s)
+    def yosida(self, lam, s, z):
         out = self.deriv(z)
         lo_e, hi_e = self._jump_edges()
         at_jump = (self.th > 0) & (np.abs(z - self.th) <= _KINK_TOL * (1.0 + self.th))
@@ -454,9 +448,7 @@ class _CustomAxis:
             return (z - s) ** 2 / (2.0 * lam) + self.value(z)
         return _golden_vec(obj, np.minimum(0.0, s) - 1e-9, np.maximum(0.0, s) + 1e-9)
 
-    def yosida(self, lam, s, z=None):
-        if z is None:
-            z = self.prox(lam, s)
+    def yosida(self, lam, s, z):
         return (s - z) / lam
 
     def curvature_moreau(self, lam, s, z):
@@ -568,17 +560,22 @@ class FluxModel:
     def resolvent(self, t, xs, lam, rs):
         raise NotImplementedError
 
-    def yosida(self, t, xs, lam, rs):
+    def envelope_pack(self, t, xs, lam, rs):
+        """Envelope value, regularized flux and curvature in one prox pass."""
         raise NotImplementedError
 
+    def yosida(self, t, xs, lam, rs):
+        return self.envelope_pack(t, xs, lam, rs)[1]
+
     def moreau(self, t, xs, lam, rs):
-        raise NotImplementedError
+        return self.envelope_pack(t, xs, lam, rs)[0]
 
     def conjugate(self, t, xs, ws):
         raise NotImplementedError
 
     def curvature(self, t, xs, rs, lam=None):
-        """Per-cell generalized Hessian data for Newton assembly."""
+        """Per-cell generalized Hessian data for Newton assembly: of the
+        potential for lam=None, of its lam-envelope otherwise."""
         raise NotImplementedError
 
     def fenchel_gap(self, t, xs, rs, ws):
@@ -597,7 +594,6 @@ class _SeparableModel(FluxModel):
         raise NotImplementedError
 
     def envelope_pack(self, t, xs, lam, rs):
-        """Envelope value, regularized flux and curvature in one prox pass."""
         xs, rs = self._batch(xs, rs)
         laws = self._laws(t, xs)
         jl = 0.0
@@ -650,38 +646,18 @@ class _SeparableModel(FluxModel):
         laws = self._laws(t, xs)
         return np.column_stack([law.prox(lam, rs[:, a]) for a, law in enumerate(laws)])
 
-    def yosida(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
-        laws = self._laws(t, xs)
-        return np.column_stack([law.yosida(lam, rs[:, a]) for a, law in enumerate(laws)])
-
-    def moreau(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
-        laws = self._laws(t, xs)
-        out = 0.0
-        for a, law in enumerate(laws):
-            z = law.prox(lam, rs[:, a])
-            y = law.yosida(lam, rs[:, a], z)
-            out = out + law.value(z) + 0.5 * lam * y * y
-        return out
-
     def conjugate(self, t, xs, ws):
         xs, ws = self._batch(xs, ws)
         laws = self._laws(t, xs)
         return sum(law.conj(ws[:, a]) for a, law in enumerate(laws))
 
     def curvature(self, t, xs, rs, lam=None):
+        if lam is not None:
+            return self.envelope_pack(t, xs, lam, rs)[2]
         xs, rs = self._batch(xs, rs)
         laws = self._laws(t, xs)
-        cols = []
-        for a, law in enumerate(laws):
-            s = rs[:, a]
-            if lam is None:
-                cols.append(law.deriv2(s))
-            else:
-                z = law.prox(lam, s)
-                cols.append(law.curvature_moreau(lam, s, z))
-        return ("diag", np.column_stack(cols))
+        return ("diag", np.column_stack([law.deriv2(rs[:, a])
+                                         for a, law in enumerate(laws)]))
 
 
 class _RadialModel(FluxModel):
@@ -750,49 +726,21 @@ class _RadialModel(FluxModel):
         s = law.prox_radius(lam, m)
         return self._unit(rs, m) * s[:, None]
 
-    def yosida(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
-        law = self._law(t, xs)
-        m = self._mag(rs)
-        s = law.prox_radius(lam, m)
-        mag = np.where(s > 0, law.dphi(np.maximum(s, 0.0)), m / lam)
-        return self._unit(rs, m) * mag[:, None]
-
-    def moreau(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
-        law = self._law(t, xs)
-        m = self._mag(rs)
-        s = law.prox_radius(lam, m)
-        ymag = np.where(s > 0, law.dphi(np.maximum(s, 0.0)), m / lam)
-        return law.phi(s) + 0.5 * lam * ymag * ymag
-
     def conjugate(self, t, xs, ws):
         xs, ws = self._batch(xs, ws)
         law = self._law(t, xs)
         return law.conj_scalar(self._mag(ws))
 
     def curvature(self, t, xs, rs, lam=None):
+        if lam is not None:
+            return self.envelope_pack(t, xs, lam, rs)[2]
         xs, rs = self._batch(xs, rs)
         law = self._law(t, xs)
         m = self._mag(rs)
-        if lam is None:
-            c0 = law.d2phi(np.zeros_like(m))
-            cpar = np.where(m > 0, law.d2phi(m), c0)
-            cperp = np.where(m > 0, law.dphi(np.maximum(m, 1e-300)) / np.maximum(m, 1e-300), c0)
-        else:
-            s = law.prox_radius(lam, m)
-            d2 = law.d2phi(np.maximum(s, 0.0))
-            cpar_s = d2 / (1.0 + lam * d2)
-            if law.dphi0 > 0:
-                inside = np.full_like(m, 1.0 / lam)
-            else:
-                c0 = law.d2phi(np.zeros_like(m))
-                inside = c0 / (1.0 + lam * c0)
-            cpar = np.where(s > 0, cpar_s, inside)
-            ymag = np.where(s > 0, law.dphi(np.maximum(s, 0.0)), m / lam)
-            cperp = np.where(m > 0, ymag / np.maximum(m, 1e-300), cpar)
-        rhat = self._unit(rs, m)
-        return ("radial", cpar, cperp, rhat)
+        c0 = law.d2phi(np.zeros_like(m))
+        cpar = np.where(m > 0, law.d2phi(m), c0)
+        cperp = np.where(m > 0, law.dphi(np.maximum(m, 1e-300)) / np.maximum(m, 1e-300), c0)
+        return ("radial", cpar, cperp, self._unit(rs, m))
 
 
 class Quadratic(_SeparableModel):

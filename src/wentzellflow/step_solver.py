@@ -23,10 +23,13 @@ removes the double-precision floor that pure pointwise recovery hits once
 the envelope window shrinks below machine resolution.  The per-cell
 Fenchel gaps j(grad u) + j*(eta) - eta . grad u certify the recovery.
 
-Total-variation steps use a first-order primal-dual method that keeps the
-dual cell variables; its primal iterate is dual-feasible by construction,
-so the weak-form residual vanishes identically and the duality gap is the
-certificate.
+Total-variation steps, and nonsmooth steps whose continuation stalls, go
+through one accelerated dual solver (FISTA with gradient-based adaptive
+restart) that keeps the dual cell variables; its primal iterate is
+dual-feasible by construction, so the weak-form residual vanishes
+identically and the Fenchel gap is the stopping measure.  For total
+variation the per-cell dual prox is the projection onto the rho-ball; for
+the envelope rescue it is the resolvent through the Moreau identity.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 from scipy.optimize import lsq_linear
-from scipy.optimize import minimize as _scipy_minimize
 from scipy.sparse.linalg import spsolve
 
 from . import discretization as disc
@@ -69,11 +71,13 @@ class StepNonConverged(RuntimeError):
 class StepConfig:
     """Solver and continuation parameters for one implicit step.
 
-    ``optimizer`` selects the inner method: "auto" routes total-variation
-    models to "primal_dual" and everything else to "newton"; the explicit
-    choices are "newton" (damped Newton on the sparse generalized
-    Hessian), "quasi_newton" (L-BFGS), "proximal_gradient" (accelerated
-    first order), and "primal_dual" (total-variation models only).
+    ``optimizer`` selects the route: "auto" sends total-variation models
+    to "primal_dual" and everything else to "newton"; the explicit choices
+    are "newton" (damped Newton on the sparse generalized Hessian, with
+    envelope continuation for nonsmooth laws) and "primal_dual" (the
+    accelerated dual solver, total-variation models only).  The dual
+    solver stops once the Fenchel certificate is below
+    ``1e-3 * certificate_tol`` or after ``pd_max_iter`` iterations.
 
     For nonsmooth laws the achievable weak-form residual scales with
     ``lam_min`` (the returned field is the minimizer of the lam_min
@@ -87,9 +91,7 @@ class StepConfig:
     lam_min: float = 1e-6
     max_iter: int = 80
     optimizer: str = "auto"
-    use_viscosity: bool = True
     certificate_tol: float = 1e-6
-    pd_gap: float = 1e-13
     pd_max_iter: int = 400000
 
     def __post_init__(self):
@@ -99,8 +101,7 @@ class StepConfig:
             raise ValueError("BADCONFIG: lam_decay must be in (0, 1)")
         if not (self.tol > 0 and self.certificate_tol > 0):
             raise ValueError("BADCONFIG: tolerances must be positive")
-        if self.optimizer not in ("auto", "newton", "quasi_newton",
-                                  "proximal_gradient", "primal_dual"):
+        if self.optimizer not in ("auto", "newton", "primal_dual"):
             raise ValueError(f"BADCONFIG: unknown optimizer {self.optimizer!r}")
 
     def resolve_optimizer(self, model):
@@ -155,9 +156,15 @@ def _rhs(grid, w1, w2):
     return rhs
 
 
-def _quad_part(grid, w1, w2, u):
+def _quad_part(mass, rhs, u):
+    return 0.5 * float(u @ (mass * u)) - float(rhs @ u)
+
+
+def _weak_residual(grid, h, u, eta, rhs):
+    """Max-norm of the mass-scaled weak-form residual of (u, eta)."""
     m = _mass(grid)
-    return 0.5 * float(u @ (m * u)) - float(_rhs(grid, w1, w2) @ u)
+    res_vec = m * u + h * disc.grad_adjoint(grid, eta) - rhs
+    return float(np.max(np.abs(res_vec) / m))
 
 
 def step_objective(grid, model, t, h, w1, w2, u):
@@ -169,16 +176,14 @@ def step_objective(grid, model, t, h, w1, w2, u):
         raise ValueError("step size h must be positive")
     gu = disc.gradient(grid, u)
     jvals = model.potential(t, grid.cell_centers, gu)
-    return _quad_part(grid, w1, w2, u) + h * float(grid.cell_volumes @ jvals)
+    return (_quad_part(_mass(grid), _rhs(grid, w1, w2), u)
+            + h * float(grid.cell_volumes @ jvals))
 
 
 def step_objective_grad(grid, model, t, h, w1, w2, u):
     """Selection-based gradient of phi (the true gradient on smooth laws)."""
     u = grid.check_field(u)
-    gu = disc.gradient(grid, u)
-    eta = model.select(t, grid.cell_centers, gu)
-    m = _mass(grid)
-    return m * u + h * disc.grad_adjoint(grid, eta) - _rhs(grid, w1, w2)
+    return _StageProblem(grid, model, t, h, w1, w2, None, False).grad(u)
 
 
 def regularized_objective(grid, model, t, h, lam, w1, w2, u, viscosity=True):
@@ -186,23 +191,12 @@ def regularized_objective(grid, model, t, h, lam, w1, w2, u, viscosity=True):
     if not lam > 0:
         raise ValueError("lam must be positive")
     u = grid.check_field(u)
-    gu = disc.gradient(grid, u)
-    jl = model.moreau(t, grid.cell_centers, lam, gu)
-    out = _quad_part(grid, w1, w2, u) + h * float(grid.cell_volumes @ jl)
-    if viscosity:
-        out += lam * float(grid.cell_volumes @ (gu * gu).sum(axis=1))
-    return out
+    return _StageProblem(grid, model, t, h, w1, w2, lam, viscosity).value(u)
 
 
 def regularized_objective_grad(grid, model, t, h, lam, w1, w2, u, viscosity=True):
     u = grid.check_field(u)
-    gu = disc.gradient(grid, u)
-    eta = model.yosida(t, grid.cell_centers, lam, gu)
-    m = _mass(grid)
-    g = m * u + h * disc.grad_adjoint(grid, eta) - _rhs(grid, w1, w2)
-    if viscosity:
-        g += 2.0 * lam * disc.grad_adjoint(grid, gu)
-    return g
+    return _StageProblem(grid, model, t, h, w1, w2, lam, viscosity).grad(u)
 
 
 def _curv_matrix(grid, curv, h, lam=None, viscosity=False):
@@ -233,7 +227,12 @@ def _curv_matrix(grid, curv, h, lam=None, viscosity=False):
 
 class _StageProblem:
     """Objective/gradient/Hessian of one continuation stage (or the smooth
-    problem for lam=None), sharing the envelope evaluation at a given u."""
+    problem for lam=None), sharing the envelope evaluation at a given u.
+
+    This is the one evaluator of the step functional and its regularized
+    forms.  On the smooth problem the potential and the Hessian data are
+    only computed when the value or a Newton step asks for them.
+    """
 
     def __init__(self, grid, model, t, h, w1, w2, lam, viscosity):
         self.grid = grid
@@ -251,31 +250,43 @@ class _StageProblem:
             return self._state
         grid, model = self.grid, self.model
         gu = disc.gradient(grid, u)
+        state = {"gu": gu}
         if self.lam is None:
-            jv = model.potential(self.t, grid.cell_centers, gu)
             eta = model.select(self.t, grid.cell_centers, gu)
-            curv = model.curvature(self.t, grid.cell_centers, gu)
         else:
-            jv, eta, curv = model.envelope_pack(self.t, grid.cell_centers,
-                                                self.lam, gu)
-        quad = 0.5 * float(u @ (self.mass * u)) - float(self.rhs @ u)
-        val = quad + self.h * float(grid.cell_volumes @ jv)
+            state["jv"], eta, state["curv"] = model.envelope_pack(
+                self.t, grid.cell_centers, self.lam, gu)
         g = self.mass * u + self.h * disc.grad_adjoint(grid, eta) - self.rhs
         if self.viscosity and self.lam is not None:
-            val += self.lam * float(grid.cell_volumes @ (gu * gu).sum(axis=1))
             g = g + 2.0 * self.lam * disc.grad_adjoint(grid, gu)
+        state["g"] = g
         self._key = key
-        self._state = (val, g, curv)
-        return self._state
+        self._state = state
+        return state
 
     def value(self, u):
-        return self._eval(u)[0]
+        state = self._eval(u)
+        if "val" not in state:
+            grid, gu = self.grid, state["gu"]
+            jv = state.get("jv")
+            if jv is None:
+                jv = self.model.potential(self.t, grid.cell_centers, gu)
+            val = (_quad_part(self.mass, self.rhs, u)
+                   + self.h * float(grid.cell_volumes @ jv))
+            if self.viscosity and self.lam is not None:
+                val += self.lam * float(grid.cell_volumes @ (gu * gu).sum(axis=1))
+            state["val"] = val
+        return state["val"]
 
     def grad(self, u):
-        return self._eval(u)[1]
+        return self._eval(u)["g"]
 
     def hess(self, u):
-        curv = self._eval(u)[2]
+        state = self._eval(u)
+        curv = state.get("curv")
+        if curv is None:
+            curv = self.model.curvature(self.t, self.grid.cell_centers,
+                                        state["gu"])
         return _curv_matrix(self.grid, curv, self.h, self.lam, self.viscosity)
 
 
@@ -329,66 +340,6 @@ def _minimize_newton(prob, u0, tol, max_iter):
             alpha *= 0.5
         u = un
     return u, res, it
-
-
-def _minimize_lbfgs(prob, u0, tol, max_iter):
-    out = _scipy_minimize(prob.value, u0, jac=prob.grad, method="L-BFGS-B",
-                          options={"maxiter": max(1000, 50 * max_iter),
-                                   "maxcor": 30,
-                                   "gtol": tol * float(prob.mass.min()),
-                                   "ftol": 1e-18})
-    u = out.x
-    res = float(np.max(np.abs(prob.grad(u)) / prob.mass))
-    return u, res, int(out.nit)
-
-
-def _minimize_fista(prob, u0, tol, max_iter):
-    """Accelerated gradient descent in the mass metric, with backtracking
-    and adaptive restart."""
-    m = prob.mass
-    u = u0.copy()
-    v = u.copy()
-    lip = 4.0
-    theta = 1.0
-    f_prev = prob.value(u)
-    total = max(2000, 400 * max_iter)
-    res = np.inf
-    for k in range(total):
-        g = prob.grad(v)
-        fv = prob.value(v)
-        gm2 = float(g @ (g / m))
-        fn = np.inf
-        un = v
-        while True:
-            un = v - g / (lip * m)
-            fn = prob.value(un)
-            if fn <= fv - 0.5 / lip * gm2 + 1e-18 * abs(fv):
-                break
-            lip *= 2.0
-            if lip > 1e18:
-                break
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        v = un + (theta - 1.0) / theta_new * (un - u)
-        if fn > f_prev:  # adaptive restart
-            v = un
-            theta_new = 1.0
-        u, theta, f_prev = un, theta_new, fn
-        lip = max(1e-12, 0.7 * lip)  # let the step length recover
-        if k % 20 == 0:
-            res = float(np.max(np.abs(prob.grad(u)) / m))
-            if res <= tol:
-                return u, res, k
-    return u, float(np.max(np.abs(prob.grad(u)) / m)), total
-
-
-def _stage_minimize(grid, model, t, h, w1, w2, u0, lam, viscosity, cfg, tol,
-                    optimizer):
-    prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
-    if optimizer == "quasi_newton":
-        return _minimize_lbfgs(prob, u0, tol, cfg.max_iter)
-    if optimizer == "proximal_gradient":
-        return _minimize_fista(prob, u0, tol, cfg.max_iter)
-    return _minimize_newton(prob, u0, tol, cfg.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +405,7 @@ def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
     gu = disc.gradient(grid, u)
     gaps = model.fenchel_gap(t, grid.cell_centers, gu, eta)
     total = float(grid.cell_volumes @ gaps)
-    m = _mass(grid)
-    res_vec = m * u + h * disc.grad_adjoint(grid, eta) - _rhs(grid, w1, w2)
-    weak_res = float(np.max(np.abs(res_vec) / m))
+    weak_res = _weak_residual(grid, h, u, eta, _rhs(grid, w1, w2))
     # the constrained step replaces stationarity by complementarity
     residual = weak_res if complementarity is None else complementarity
     objective = step_objective(grid, model, t, h, w1, w2, u)
@@ -482,12 +431,6 @@ def _default_start(grid, w1, w2):
     return _rhs(grid, w1, w2) / _mass(grid)
 
 
-def _weak_residual(grid, model, t, h, u, eta, rhs):
-    m = _mass(grid)
-    res_vec = m * u + h * disc.grad_adjoint(grid, eta) - rhs
-    return float(np.max(np.abs(res_vec) / m))
-
-
 def _prox_scaled_envelope(model, t, xs, lam, s, x):
     """prox of s * j_lam at the rows of x: (lam x + s R_{lam+s}(x)) / (lam+s).
 
@@ -502,23 +445,23 @@ def _prox_scaled_envelope(model, t, xs, lam, s, x):
     return (lam * x + s[:, None] * z) / mus[:, None]
 
 
-def _dual_envelope_solve(grid, model, t, h, w1, w2, lam, cfg, p0=None):
-    """Accelerated dual proximal-gradient solve of the lam-envelope step.
+def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
+                p0=None):
+    """Accelerated dual solve of  min_u 1/2||u||_M^2 - b(u) + V(K u).
 
-    Ascends the dual of  min_u 1/2||u||_M^2 - b(u) + sum_c h vol_c
-    j_lam(grad u); the per-cell dual prox reduces to the resolvent, which
-    handles flux jumps exactly, so this route is immune to the active-set
-    chatter that can stall the Newton stages.  The primal iterate
-    u = M^{-1}(rhs - K^T p) is dual-feasible, making the weak-form
-    residual vanish identically; the Fenchel certificate is the stopping
-    measure.
+    FISTA on the dual with fixed step 1/L and gradient-based adaptive
+    restart (Beck-Teboulle 2009; O'Donoghue-Candes 2015).  The caller
+    supplies the per-cell dual prox ``prox(x, tau) = prox_{tau V*}(x)``
+    and the gap measure ``gap_of(p, K u)``, checked against ``gap_target``
+    after the first iteration (so a converged start exits at once) and
+    then every ``period`` iterations.  The primal iterate
+    u = M^{-1}(rhs - K^T p) is dual-feasible, so the weak-form residual
+    with flux p / (h vol) vanishes identically.  Returns (u, p, gap, iters).
     """
     m = _mass(grid)
     rhs = _rhs(grid, w1, w2)
-    vol = grid.cell_volumes
     ops = grid.grad_ops
     n_ax = len(ops)
-    a = h * vol
 
     def k_apply(u):
         return np.column_stack([g @ u for g in ops])
@@ -529,7 +472,11 @@ def _dual_envelope_solve(grid, model, t, h, w1, w2, lam, cfg, p0=None):
             out += g.T @ p[:, ax]
         return out
 
-    rng = np.random.default_rng(54321)
+    def primal(p):
+        return (rhs - kt_apply(p)) / m
+
+    # Lipschitz constant of the dual gradient K M^{-1} K^T by power iteration.
+    rng = np.random.default_rng(12345)
     z = rng.standard_normal((grid.n_cells, n_ax))
     lip = 1.0
     for _ in range(60):
@@ -539,41 +486,26 @@ def _dual_envelope_solve(grid, model, t, h, w1, w2, lam, cfg, p0=None):
             break
         lip = nz
         z /= nz
-    lip *= 1.05
-    tau = 1.0 / lip
-
-    def prox_dual(x):
-        # prox_{tau V*}(x) = x - tau prox_{V / tau}(x / tau)
-        return x - tau * _prox_scaled_envelope(model, t, grid.cell_centers,
-                                               lam, a / tau, x / tau)
+    tau = 1.0 / (1.05 * lip)
 
     p = np.zeros((grid.n_cells, n_ax)) if p0 is None else p0.copy()
     y = p.copy()
     theta = 1.0
-    gap_target = max(1e-14, 1e-3 * cfg.certificate_tol)
     gap = np.inf
     best_gap = np.inf
     stall = 0
     it = 0
-    u = (rhs - kt_apply(p)) / m
-    for it in range(cfg.pd_max_iter):
-        u = (rhs - kt_apply(y)) / m
-        p_new = prox_dual(y + tau * k_apply(u))
+    for it in range(max_iter):
+        p_new = prox(y + tau * k_apply(primal(y)), tau)
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         y_new = p_new + (theta - 1.0) / theta_new * (p_new - p)
+        # gradient-based adaptive restart
         if float(((y - p_new) * (p_new - p)).sum()) > 0:
             y_new = p_new.copy()
             theta_new = 1.0
         p, y, theta = p_new, y_new, theta_new
-        if it % 200 == 199 or it == cfg.pd_max_iter - 1:
-            u = (rhs - kt_apply(p)) / m
-            eta = p / (h * vol)[:, None]
-            try:
-                gaps = model.fenchel_gap(t, grid.cell_centers,
-                                         k_apply(u), eta)
-                gap = float(vol @ gaps)
-            except fm.UnboundedConjugate:
-                gap = np.inf
+        if it == 0 or it % period == period - 1 or it == max_iter - 1:
+            gap = gap_of(p, k_apply(primal(p)))
             if gap <= gap_target:
                 break
             if gap < best_gap * (1.0 - 1e-9):
@@ -583,12 +515,43 @@ def _dual_envelope_solve(grid, model, t, h, w1, w2, lam, cfg, p0=None):
                 stall += 1
                 if stall > 50:
                     break
-    u = (rhs - kt_apply(p)) / m
-    eta = p / (h * vol)[:, None]
-    return u, eta, gap, it + 1
+    return primal(p), p, gap, it + 1
 
 
-def _continuation(grid, model, t, h, w1, w2, u, cfg, optimizer, log):
+def _gap_target(cfg):
+    """Fenchel total at which the dual solver stops."""
+    return max(1e-14, 1e-3 * cfg.certificate_tol)
+
+
+def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0):
+    """Dual solve of the lam_min-envelope step.
+
+    The per-cell dual prox reduces to the resolvent, which handles flux
+    jumps exactly, so this route is immune to the active-set chatter that
+    can stall the Newton stages.
+    """
+    xs = grid.cell_centers
+    vol = grid.cell_volumes
+    a = h * vol
+    lam = cfg.lam_min
+
+    def prox(x, tau):
+        # prox_{tau V*}(x) = x - tau prox_{V / tau}(x / tau)
+        return x - tau * _prox_scaled_envelope(model, t, xs, lam, a / tau,
+                                               x / tau)
+
+    def gap_of(p, q):
+        try:
+            return float(vol @ model.fenchel_gap(t, xs, q, p / a[:, None]))
+        except fm.UnboundedConjugate:
+            return np.inf
+
+    u, p, gap, it = _dual_solve(grid, w1, w2, prox, gap_of, _gap_target(cfg),
+                                200, cfg.pd_max_iter, p0)
+    return u, p / a[:, None], gap, it
+
+
+def _continuation(grid, model, t, h, w1, w2, u, cfg, log):
     """Run the lam schedule with warm starts; returns (u, eta, clean).
 
     ``clean`` turns False when a stage stalls far above its target (active
@@ -601,13 +564,12 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, optimizer, log):
     clean = True
     for k, lam in enumerate(lams):
         last = k == len(lams) - 1
-        viscosity = cfg.use_viscosity and not last
         stage_tol = cfg.tol if last else inter_tol
-        u, res, it = _stage_minimize(grid, model, t, h, w1, w2, u, lam,
-                                     viscosity, cfg, stage_tol, optimizer)
+        prob = _StageProblem(grid, model, t, h, w1, w2, lam, not last)
+        u, res, it = _minimize_newton(prob, u, stage_tol, cfg.max_iter)
         log.append({"lam": lam, "iters": it, "residual": res,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
-        if res > max(1e-4, 1e3 * stage_tol) and optimizer == "newton":
+        if res > max(1e-4, 1e3 * stage_tol):
             clean = False
             break
     gu = disc.gradient(grid, u)
@@ -631,33 +593,29 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
         raise ValueError("step size h must be positive")
     w1 = grid.check_field(np.asarray(w1, dtype=float), "w1")
     w2 = grid.check_boundary_values(np.asarray(w2, dtype=float), "w2")
-    optimizer = cfg.resolve_optimizer(model)
-    if optimizer == "primal_dual":
+    if cfg.resolve_optimizer(model) == "primal_dual":
         if model.kind != "tv":
             raise ValueError("BADCONFIG: primal_dual optimizer is for the "
                              "total-variation model only")
-        return _solve_tv_primal_dual(grid, model, h, w1, w2, cfg)
+        return _solve_tv(grid, model, h, w1, w2, cfg)
     u = _default_start(grid, w1, w2) if u0 is None else grid.check_field(u0).copy()
     log = []
     if model.is_smooth:
-        u, res, it = _stage_minimize(grid, model, t, h, w1, w2, u, None,
-                                     False, cfg, cfg.tol, optimizer)
+        prob = _StageProblem(grid, model, t, h, w1, w2, None, False)
+        u, res, it = _minimize_newton(prob, u, cfg.tol, cfg.max_iter)
         log.append({"lam": 0.0, "iters": it, "residual": res,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
         gu = disc.gradient(grid, u)
         eta = model.select(t, grid.cell_centers, gu)
     else:
         rhs = _rhs(grid, w1, w2)
-        u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg,
-                                      optimizer, log)
+        u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log)
         if clean:
             eta = _polish_eta(grid, model, t, h, u, eta, rhs)
-        if (not clean
-                or _weak_residual(grid, model, t, h, u, eta, rhs) > cfg.tol):
+        if not clean or _weak_residual(grid, h, u, eta, rhs) > cfg.tol:
             # Newton stages chattered on the jump set; the dual route is exact
             p0 = eta * (h * grid.cell_volumes)[:, None]
-            u, eta, gap, it = _dual_envelope_solve(grid, model, t, h, w1, w2,
-                                                   cfg.lam_min, cfg, p0)
+            u, eta, gap, it = _dual_rescue(grid, model, t, h, w1, w2, cfg, p0)
             log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
                         "rescue": "dual", "certificate": gap,
                         "objective": step_objective(grid, model, t, h, w1, w2, u)})
@@ -676,10 +634,6 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
         raise ValueError("step size h must be positive")
     w1 = grid.check_field(np.asarray(w1, dtype=float), "w1")
     w2 = grid.check_boundary_values(np.asarray(w2, dtype=float), "w2")
-    optimizer = cfg.resolve_optimizer(model)
-    if optimizer not in ("newton", "primal_dual"):
-        raise ValueError("BADCONFIG: the obstacle step supports the newton "
-                         "route only")
     u = np.maximum(_default_start(grid, w1, w2) if u0 is None
                    else grid.check_field(u0).copy(), 0.0)
     log = []
@@ -701,8 +655,7 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
         inter_tol = min(1e-8, max(100.0 * cfg.tol, 1e-12))
         for k, lam in enumerate(lams):
             last = k == len(lams) - 1
-            run_stage(lam, cfg.use_viscosity and not last,
-                      cfg.tol if last else inter_tol)
+            run_stage(lam, not last, cfg.tol if last else inter_tol)
         gu = disc.gradient(grid, u)
         eta = model.yosida(t, grid.cell_centers, cfg.lam_min, gu)
         inactive = u > 1e-12
@@ -764,94 +717,28 @@ def tv_step(grid, rho, h, prev, cfg=None):
     cfg = cfg or StepConfig()
     prev = grid.check_field(prev, "prev")
     model = fm.total_variation(rho, grid.dimension)
-    return _solve_tv_primal_dual(grid, model, h, prev,
-                                 prev[grid.boundary_nodes], cfg)
+    return _solve_tv(grid, model, h, prev, prev[grid.boundary_nodes], cfg)
 
 
-def _solve_tv_primal_dual(grid, model, h, w1, w2, cfg):
-    """Accelerated first-order primal-dual solver for the TV step.
-
-    Ascends the dual of the strongly convex step problem over the per-cell
-    polar balls |p_c| <= rho h vol_c with fixed step 1/L, keeping the
-    dual-feasible primal u = M^{-1}(rhs - K^T p); the weighted duality gap
-    sum_c (w_c |grad u|_c - grad u . p_c) is monitored and equals h times
-    the Fenchel certificate.
-    """
-    rho = model.rho
-    m = _mass(grid)
-    rhs = _rhs(grid, w1, w2)
+def _solve_tv(grid, model, h, w1, w2, cfg):
+    """Total-variation step by the dual solver over the per-cell polar balls
+    |p_c| <= rho h vol_c; the weighted gap sum_c (w_c |grad u|_c -
+    grad u . p_c) equals h times the Fenchel certificate."""
     vol = grid.cell_volumes
-    wc = rho * h * vol
-    ops = grid.grad_ops
-    n_ax = len(ops)
+    wc = model.rho * h * vol
 
-    def k_apply(u):
-        return np.column_stack([g @ u for g in ops])
-
-    def kt_apply(p):
-        out = np.zeros(grid.n_nodes)
-        for a, g in enumerate(ops):
-            out += g.T @ p[:, a]
-        return out
-
-    # Lipschitz constant of the dual gradient K M^{-1} K^T by power iteration.
-    rng = np.random.default_rng(12345)
-    z = rng.standard_normal((grid.n_cells, n_ax))
-    lip = 1.0
-    for _ in range(60):
-        z = k_apply(kt_apply(z) / m)
-        nz = np.sqrt((z * z).sum())
-        if nz == 0:
-            break
-        lip = nz
-        z /= nz
-    lip = 1.05 * lip
-
-    def project(p):
-        mag = np.sqrt((p * p).sum(axis=1))
+    def project(x, tau):
+        mag = np.sqrt((x * x).sum(axis=1))
         scale = np.where(mag > wc, wc / np.where(mag > 0, mag, 1.0), 1.0)
-        return p * scale[:, None]
+        return x * scale[:, None]
 
-    def primal(p):
-        return (rhs - kt_apply(p)) / m
-
-    def gap_of(p):
-        u = primal(p)
-        q = k_apply(u)
+    def gap_of(p, q):
         mags = np.sqrt((q * q).sum(axis=1))
-        return float((wc * mags - (q * p).sum(axis=1)).sum()), u
+        return float((wc * mags - (q * p).sum(axis=1)).sum())
 
-    p = np.zeros((grid.n_cells, n_ax))
-    y = p.copy()
-    theta = 1.0
-    gap_target = max(cfg.pd_gap, 1e-3 * h * cfg.certificate_tol)
-    best_gap = np.inf
-    stall = 0
-    gap = np.inf
-    it = 0
-    for it in range(cfg.pd_max_iter):
-        u = primal(y)
-        p_new = project(y + k_apply(u) / lip)
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        y_new = p_new + (theta - 1.0) / theta_new * (p_new - p)
-        # gradient-based adaptive restart
-        if float(((y - p_new) * (p_new - p)).sum()) > 0:
-            y_new = p_new.copy()
-            theta_new = 1.0
-        p, y, theta = p_new, y_new, theta_new
-        if it % 50 == 0:
-            gap, _ = gap_of(p)
-            if gap <= gap_target:
-                break
-            if gap < best_gap * (1.0 - 1e-9):
-                best_gap = gap
-                stall = 0
-            else:
-                stall += 1
-                if stall > 60:
-                    break
-    gap, u = gap_of(p)
+    u, p, gap, it = _dual_solve(grid, w1, w2, project, gap_of,
+                                h * _gap_target(cfg), 50, cfg.pd_max_iter)
     eta = p / (h * vol)[:, None]
-    log = [{"lam": 0.0, "iters": it + 1, "residual": 0.0, "pd_gap": gap,
+    log = [{"lam": 0.0, "iters": it, "residual": 0.0, "pd_gap": gap,
             "objective": step_objective(grid, model, 0.0, h, w1, w2, u)}]
     return _finish(grid, model, 0.0, h, w1, w2, u, eta, cfg, log, dual=p)

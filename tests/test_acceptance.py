@@ -57,7 +57,7 @@ def catalog_models():
         (fm.fractured_medium(4.0, thresholds=0.5),
          ss.StepConfig(tol=1e-10, lam_min=1e-11, lam_decay=0.1)),
         (fm.log_growth(1.0), TIGHT),
-        (fm.total_variation(1.0), ss.StepConfig(pd_gap=1e-16)),
+        (fm.total_variation(1.0), ss.StepConfig()),
     ]
 
 
@@ -127,7 +127,7 @@ def test_criterion_3_self_convergence():
     prob_tv = fd.ProblemData(g, y0_step, None, None, 0.2,
                              fm.total_variation(1.0))
     tab_tv = fd.convergence_study(prob_tv, [5, 10, 20, 40],
-                                  ss.StepConfig(pd_gap=1e-15))
+                                  ss.StepConfig())
     tv_ok = all(b < a for a, b in zip(tab_tv.distances[:-1],
                                       tab_tv.distances[1:]))
 
@@ -152,7 +152,7 @@ def test_criterion_4_contraction():
     cases = [
         (fm.quadratic(1), TIGHT),
         (fm.anisotropic_p_laplacian(4.0), TIGHT),
-        (fm.total_variation(1.0), ss.StepConfig(pd_gap=1e-16)),
+        (fm.total_variation(1.0), ss.StepConfig()),
     ]
     for model, cfg in cases:
         prob = fd.ProblemData(g, y0, None, None, 0.5, model)
@@ -272,7 +272,7 @@ def test_criterion_8_asymptotics():
     oracle_mean = orc.tv_prox_1d(y0_step, 1e7, m)[0]
     prob_tv = fd.ProblemData(g, y0_step, None, None, 4.0,
                              fm.total_variation(1.0))
-    traj = fd.run_flow(prob_tv, 40, ss.StepConfig(pd_gap=1e-16))
+    traj = fd.run_flow(prob_tv, 40, ss.StepConfig())
     errs = [float(np.max(np.abs(traj.fields[i] - mean)))
             for i in range(traj.n_steps + 1)]
     hit = next((i for i, e in enumerate(errs) if e < 1e-9), None)
@@ -327,7 +327,7 @@ def test_criterion_10_tv_steps_match_exact_prox():
         rho = float(10 ** rng.uniform(-1, 0.5))
         h = float(10 ** rng.uniform(-2.5, -0.5))
         sol = ss.tv_step(g, rho, h, prev,
-                         ss.StepConfig(pd_gap=1e-16, certificate_tol=1e-4))
+                         ss.StepConfig(certificate_tol=1e-4))
         m = g.node_weights + g.boundary_mass_full
         ref = orc.tv_prox_1d(prev, rho * h, m)
         worst = max(worst, float(np.max(np.abs(sol.u - ref))))

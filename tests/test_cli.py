@@ -64,11 +64,21 @@ def test_parse_rejects_both_n_and_h():
         cli.parse_config(cfg_text(h=0.1))
 
 
+def test_parse_rejects_h_not_dividing_T():
+    # constant-1d has T = 0.2: h = 0.03 would silently become T/7
+    with pytest.raises(cli.ConfigError, match=r"T/7 = 0\.0285714"):
+        cli.parse_config(cfg_text(n=None, h=0.03))
+    assert cli.parse_config(cfg_text(n=None, h=0.02)).n_steps == 10
+
+
 def test_parse_rejects_unknown_keys_with_location():
     with pytest.raises(cli.ConfigError, match="grid"):
         cli.parse_config(cfg_text(grid={"kind": "interval", "n": 4, "junk": 1}))
     with pytest.raises(cli.ConfigError, match="top level"):
         cli.parse_config(json.dumps({"bogus": 1}))
+    for key in ("pd_gap", "use_viscosity"):
+        with pytest.raises(cli.ConfigError, match="step"):
+            cli.parse_config(cfg_text(step={key: 1}))
 
 
 def test_parse_rejects_unknown_mode_and_preset():

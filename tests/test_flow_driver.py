@@ -102,8 +102,9 @@ def test_flow_propagates_nonconvergence_with_step_index():
     rng = np.random.default_rng(2)
     prob = fd.ProblemData(g, rng.standard_normal(9), None, None, 0.5,
                           fm.anisotropic_p_laplacian(4.0))
-    with pytest.raises(ss.StepNonConverged, match="step 1"):
+    with pytest.raises(ss.StepNonConverged, match="step 1") as excinfo:
         fd.run_flow(prob, 5, ss.StepConfig(tol=1e-15, max_iter=1))
+    assert excinfo.value.step_index == 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def test_convergence_tv_distances_decrease():
     y0 = np.where(g.nodes[:, 0] > 0.5, 1.0, 0.0)
     prob = fd.ProblemData(g, y0, None, None, 0.2, fm.total_variation(1.0))
     tab = fd.convergence_study(prob, [5, 10, 20, 40],
-                               ss.StepConfig(pd_gap=1e-15))
+                               ss.StepConfig())
     assert tab.r == 1.0
     assert all(b < a for a, b in zip(tab.distances[:-1], tab.distances[1:]))
 
@@ -229,7 +230,7 @@ def test_semigroup_nonexpansive_every_time():
         prob = fd.ProblemData(g, y0, None, None, 0.3, model)
         prob2 = fd.ProblemData(g, y0 + 0.2 * rng.standard_normal(9), None,
                                None, 0.3, model)
-        cfg = ss.StepConfig(tol=1e-10, lam_min=1e-10, pd_gap=1e-15)
+        cfg = ss.StepConfig(tol=1e-10, lam_min=1e-10)
         rep = fd.contraction_check(prob, prob2, 6, cfg)
         assert np.all(rep.distances[1:] <= rep.distances[0] * (1 + 1e-8))
 
@@ -267,7 +268,7 @@ def test_energy_tv_flow_nonincreasing_vs_oracle():
     g = disc.interval_grid(16)
     y0 = np.where(g.nodes[:, 0] > 0.5, 1.0, 0.0)
     prob = fd.ProblemData(g, y0, None, None, 0.2, fm.total_variation(1.0))
-    traj = fd.run_flow(prob, 10, ss.StepConfig(pd_gap=1e-16))
+    traj = fd.run_flow(prob, 10, ss.StepConfig())
     rep = fd.energy_trace(traj)
     assert rep.monotone_pass and rep.dissipation_pass
     # oracle replay with the exact DP prox
@@ -295,7 +296,7 @@ def test_energy_dissipation_inequality_all_models():
         (fm.fractured_medium(4.0, thresholds=0.5),
          ss.StepConfig(tol=1e-10, lam_min=1e-11)),
         (fm.log_growth(1.0), TIGHT),
-        (fm.total_variation(1.0), ss.StepConfig(pd_gap=1e-16)),
+        (fm.total_variation(1.0), ss.StepConfig()),
     ]
     for model, cfg in cases:
         prob = fd.ProblemData(g, y0, None, None, 0.2, model)
@@ -366,7 +367,7 @@ def test_asymptotics_tv_reaches_weighted_mean_in_finite_time():
     y0 = np.where(g.nodes[:, 0] > 0.5, 1.0, 0.0)
     mean = fd.total_mass(g, y0) / (g.domain_measure + g.boundary_measure)
     prob = fd.ProblemData(g, y0, None, None, 4.0, fm.total_variation(1.0))
-    traj = fd.run_flow(prob, 40, ss.StepConfig(pd_gap=1e-16))
+    traj = fd.run_flow(prob, 40, ss.StepConfig())
     final = traj.fields[-1]
     assert np.max(np.abs(final - mean)) < 1e-9
     # reached a constant strictly before the horizon and stays there

@@ -15,7 +15,7 @@ def solver_catalog():
         (fm.fractured_medium(4.0, alpha=1.0, thresholds=0.3),
          ss.StepConfig(tol=1e-9, lam_min=1e-9)),
         (fm.log_growth(1.0), ss.StepConfig(tol=1e-11)),
-        (fm.total_variation(1.0), ss.StepConfig(tol=1e-9, pd_gap=1e-15)),
+        (fm.total_variation(1.0), ss.StepConfig(tol=1e-9)),
     ]
 
 
@@ -292,19 +292,6 @@ def test_tv_through_newton_continuation_matches_oracle():
     assert np.max(np.sqrt((sol2.eta ** 2).sum(axis=1))) <= 1.0 + 1e-9
 
 
-def test_optimizer_variants_agree():
-    g = disc.interval_grid(6)
-    rng = np.random.default_rng(13)
-    w1 = rng.standard_normal(7)
-    w2 = rng.standard_normal(2)
-    model = fm.anisotropic_p_laplacian(4.0)
-    ref = ss.solve_step(g, model, 0.0, 0.05, w1, w2, ss.StepConfig(tol=1e-12))
-    for opt in ("quasi_newton", "proximal_gradient"):
-        sol = ss.solve_step(g, model, 0.0, 0.05, w1, w2,
-                            ss.StepConfig(tol=1e-7, optimizer=opt))
-        assert np.max(np.abs(sol.u - ref.u)) < 1e-5
-
-
 # ---------------------------------------------------------------------------
 # errors
 
@@ -316,8 +303,9 @@ def test_bad_config_rejected():
         ss.StepConfig(lam_decay=1.5)
     with pytest.raises(ValueError, match="BADCONFIG"):
         ss.StepConfig(tol=-1.0)
-    with pytest.raises(ValueError, match="BADCONFIG"):
-        ss.StepConfig(optimizer="sgd")
+    for optimizer in ("sgd", "quasi_newton", "proximal_gradient"):
+        with pytest.raises(ValueError, match="BADCONFIG"):
+            ss.StepConfig(optimizer=optimizer)
     g = disc.interval_grid(4)
     with pytest.raises(ValueError, match="BADCONFIG"):
         ss.solve_step(g, fm.quadratic(1), 0.0, 0.1, np.zeros(5), np.zeros(2),
