@@ -12,12 +12,13 @@ __version__ = "0.1.0"
 from .discretization import (Grid, build_grid, gradient, integrate_boundary,
                              integrate_domain, interval_grid, rectangle_grid,
                              time_average, trace)
-from .flux_models import (FluxModel, Growth, GrowthReport, SampleSpec,
-                          UnboundedConjugate, anisotropic_p_laplacian,
-                          conjugate, custom_model, fenchel_gap, flux_select,
-                          fractured_medium, growth_check, log_growth,
-                          make_model, moreau, potential, quadratic, resolvent,
-                          total_variation, yosida_flux)
+from .flux_models import (FluxModel, Growth, GrowthReport, RootNotConverged,
+                          SampleSpec, UnboundedConjugate,
+                          anisotropic_p_laplacian, conjugate, custom_model,
+                          fenchel_gap, flux_select, fractured_medium,
+                          growth_check, log_growth, make_model, moreau,
+                          potential, quadratic, resolvent, total_variation,
+                          yosida_flux)
 from .step_solver import (StepConfig, StepNonConverged, StepSolution,
                           regularized_objective, solve_step,
                           solve_step_obstacle, step_objective, tv_step)

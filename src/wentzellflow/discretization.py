@@ -11,6 +11,7 @@ boundary nodes; in 1D the two boundary points carry unit weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -58,6 +59,11 @@ class Grid:
     cell_centers : (n_cells, dimension) cell midpoints.
     grad_ops : one sparse (n_cells, n_nodes) matrix per axis; stacking the
         products gives the discrete gradient.
+
+    The stacked operator ``grad_stack`` (rows interleaved by cell, so
+    ``grad_stack @ u`` reshapes to the (n_cells, N) gradient), its
+    transpose ``grad_stack_t`` and the Gram assembly plan ``gram_plan`` are
+    built once, on first use, so grid construction stays cheap.
     """
 
     dimension: int
@@ -97,6 +103,25 @@ class Grid:
     def boundary_coords(self):
         return self.nodes[self.boundary_nodes]
 
+    @cached_property
+    def grad_stack(self):
+        """CSR (n_cells * N, n_nodes) operator; row c * N + a is row c of
+        ``grad_ops[a]``."""
+        n_ax = len(self.grad_ops)
+        order = np.arange(n_ax * self.n_cells).reshape(n_ax, -1).T.ravel()
+        return sps.vstack(self.grad_ops, format="csr")[order]
+
+    @cached_property
+    def grad_stack_t(self):
+        """Transpose of ``grad_stack``, a CSC view sharing its arrays."""
+        return self.grad_stack.T
+
+    @cached_property
+    def gram_plan(self):
+        """Fixed CSC pattern of diag + sum_c K_c^T D_c K_c (K_c the rows of
+        ``grad_stack`` for cell c) and the per-cell stencil that fills it."""
+        return _GramPlan(self.grad_stack, self.n_cells, len(self.grad_ops))
+
     def check_field(self, u, name="field"):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_nodes,):
@@ -113,6 +138,49 @@ class Grid:
         if not np.all(np.isfinite(z)):
             raise ValueError(f"{name} contains non-finite entries")
         return z
+
+
+class _GramPlan:
+    """Assembly of diag(m) + sum_c K_c^T D_c K_c into a fixed CSC pattern.
+
+    The N rows of a cell touch the same k nodes (its stencil), so the
+    cell's operator values are a (N, k) view ``local`` of the stacked
+    operator's data.  The plan keeps the CSC ``indptr``/``indices`` of the
+    union of all stencil blocks plus the diagonal, an int32 ``scatter``
+    index from each (cell, i, j) entry of a local k x k block to its
+    nonzero slot, and the slots of the diagonal.
+    """
+
+    def __init__(self, k_op, n_cells, n_ax):
+        n = k_op.shape[1]
+        counts = np.diff(k_op.indptr)
+        k = int(counts[0])
+        if np.any(counts != k):
+            raise ValueError("every row of the gradient must touch k nodes")
+        cols = k_op.indices.reshape(n_cells, n_ax, k)
+        if np.any(cols != cols[:, :1]):
+            raise ValueError("the rows of a cell must share one stencil")
+        self.local = k_op.data.reshape(n_cells, n_ax, k)
+        stencil = cols[:, 0].astype(np.int64)
+        # entry (c, i, j) sits at row stencil[c, i], column stencil[c, j];
+        # CSC orders slots by column * n + row
+        keys = (np.tile(stencil, (1, k)) * n + np.repeat(stencil, k, axis=1)).ravel()
+        diag = np.arange(n, dtype=np.int64) * (n + 1)
+        uniq = np.unique(np.concatenate([keys, diag]))
+        self.indices = (uniq % n).astype(np.int32)
+        self.indptr = np.searchsorted(uniq, np.arange(n + 1) * n).astype(np.int32)
+        self.scatter = np.searchsorted(uniq, keys).astype(np.int32)
+        self.diag = np.searchsorted(uniq, diag).astype(np.int32)
+        self.shape = (n, n)
+
+    def assemble(self, d, diag):
+        """CSC diag(diag) + sum_c K_c^T d_c K_c for per-cell (N, N) blocks d."""
+        blocks = np.matmul(self.local.transpose(0, 2, 1), np.matmul(d, self.local))
+        data = np.bincount(self.scatter, weights=blocks.ravel(),
+                           minlength=self.indices.size)
+        data[self.diag] += diag
+        return sps.csc_matrix((data, self.indices, self.indptr),
+                              shape=self.shape)
 
 
 def interval_grid(n, length=1.0):
@@ -207,7 +275,7 @@ def build_grid(spec):
 def gradient(grid, u):
     """Cell-wise discrete gradient of a nodal field, shape (n_cells, N)."""
     u = grid.check_field(u)
-    return np.column_stack([g @ u for g in grid.grad_ops])
+    return (grid.grad_stack @ u).reshape(grid.n_cells, -1)
 
 
 def grad_adjoint(grid, q):
@@ -217,10 +285,7 @@ def grad_adjoint(grid, q):
     exact transpose of the weighted gradient used in the step objective.
     """
     q = np.asarray(q, dtype=float)
-    out = np.zeros(grid.n_nodes)
-    for a, g in enumerate(grid.grad_ops):
-        out += g.T @ (grid.cell_volumes * q[:, a])
-    return out
+    return grid.grad_stack_t @ (grid.cell_volumes[:, None] * q).ravel()
 
 
 def trace(grid, u):

@@ -11,8 +11,15 @@ diagnostics.
 
 All catalog entries are either separable across axes (quadratic,
 anisotropic p-power, fractured medium, custom) or radial (log-growth,
-total variation), so every proximal computation reduces to scalar convex
-problems solved in closed form or by safeguarded Newton/bisection.
+total variation), so every proximal computation reduces to a scalar
+resolvent z + lam*beta(z) = s.  Power laws, fractured ones included,
+solve it in closed form for p = 2, 3, 4 (the p = 4 cubic through its
+hyperbolic form plus one Newton polish); general p, lower-order terms and
+log-growth use a safeguarded Newton iteration that raises
+RootNotConverged instead of returning an unconverged root.  Conjugates are
+exact for every catalog law (closed form, or w s* - j(s*) at the root s*
+of j'(s) = w), so Fenchel certificates never rest on an underestimated
+j*; only user-supplied custom laws fall back to a numeric grid sup.
 Evaluations are pure functions; models are immutable after construction
 and safe to share between threads.
 
@@ -33,6 +40,7 @@ __all__ = [
     "GrowthReport",
     "SampleSpec",
     "UnboundedConjugate",
+    "RootNotConverged",
     "quadratic",
     "anisotropic_p_laplacian",
     "fractured_medium",
@@ -55,6 +63,15 @@ _KINK_TOL = 1e-13
 
 class UnboundedConjugate(ValueError):
     """Raised when an operation requires a finite conjugate and j*(w) = +inf."""
+
+
+class RootNotConverged(RuntimeError):
+    """Raised when the scalar root solver hits its iteration cap; carries the
+    worst residual of the entries still moving."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -128,28 +145,78 @@ def _as_coeff(c, name):
     return const, val
 
 
-def _solve_monotone(f, fprime, lo, hi, iters=100):
-    """Elementwise root of an increasing function on bracket arrays."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    z = 0.5 * (lo + hi)
-    scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+_ROOT_RTOL = 1e-14
+_TINY = np.finfo(float).tiny
+
+
+def _solve_monotone(f, fprime, lo, hi, z0=None, iters=100):
+    """Elementwise root of an increasing function, by safeguarded Newton.
+
+    ``[lo, hi]`` must bracket every root, with f continuous inside it.  A
+    Newton step that leaves the current bracket, or meets a zero or
+    non-finite slope, becomes a bisection step.  An entry stops on its own
+    as soon as its Newton step is below 1e-14 of the new iterate (or below
+    the smallest normal float), f vanishes, or its bracket has collapsed (a
+    root on a bracket end, as in a degenerate [0, 0] bracket); it is then
+    frozen.  Entries start at ``z0`` (clipped into the bracket; the
+    midpoint by default).
+
+    Raises RootNotConverged, with the worst residual, when an entry is
+    still moving after ``iters`` iterations.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    z = 0.5 * (lo + hi) if z0 is None else np.clip(z0, lo, hi)
+    moving = np.ones(z.shape, dtype=bool)
     for _ in range(iters):
         fz = f(z)
-        neg = fz <= 0
-        lo = np.where(neg, z, lo)
-        hi = np.where(neg, hi, z)
+        lo = np.where(fz < 0, z, lo)
+        hi = np.where(fz > 0, z, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dz = fprime(z)
-            dz = np.where(np.isfinite(dz) & (dz > 0), dz, np.nan)
-            znew = z - fz / dz
-        bad = ~np.isfinite(znew) | (znew <= lo) | (znew >= hi)
+            znew = z - fz / np.where(np.isfinite(dz) & (dz > 0), dz, np.nan)
+        bad = ~np.isfinite(znew) | (znew < lo) | (znew > hi)
         znew = np.where(bad, 0.5 * (lo + hi), znew)
-        done = np.abs(znew - z) <= 1e-16 * scale
-        z = znew
-        if np.all(done) and np.all(hi - lo <= 1e-12 * scale):
-            break
-    return np.clip(z, lo, hi)
+        stop = ((fz == 0) | (np.abs(znew - z) <= _ROOT_RTOL * np.abs(znew) + _TINY)
+                | (hi - lo <= _ROOT_RTOL * np.maximum(np.abs(lo), np.abs(hi))))
+        z = np.where(moving & (fz != 0), znew, z)
+        moving &= ~stop
+        if not moving.any():
+            return z
+    worst = float(np.max(np.abs(f(z))[moving]))
+    raise RootNotConverged(
+        f"scalar root solve: {int(moving.sum())} entries unconverged after "
+        f"{iters} iterations, worst residual {worst:.3e}", residual=worst)
+
+
+def _power_resolvent(c, p, s):
+    """Root z of z + c |z|^{p-1} sgn(z) = s for c > 0, elementwise.
+
+    Closed forms for p = 2, 3, 4; the p = 4 root uses the hyperbolic form
+    of the depressed cubic, which keeps full relative accuracy as c -> 0
+    where Cardano's formula cancels, followed by one Newton polish.
+    """
+    if p == 2.0:
+        return s / (1.0 + c)
+    if p == 3.0:
+        return 2.0 * s / (1.0 + np.sqrt(1.0 + 4.0 * c * np.abs(s)))
+    if p == 4.0:
+        k = np.sqrt(3.0 * c)
+        z = 2.0 / k * np.sinh(np.arcsinh(1.5 * k * s) / 3.0)
+        return z - (z + c * z ** 3 - s) / (1.0 + 3.0 * c * z * z)
+    # solve for |s|: both terms of z + c z^{p-1} = |s| lie in [0, |s|] and
+    # one is at least |s| / 2, which brackets z within a fixed factor; f is
+    # convex for p > 2 and concave for p < 2, so Newton started from the
+    # matching end converges monotonically
+    a = np.abs(s)
+    q = 1.0 / (p - 1.0)
+    with np.errstate(over="ignore"):
+        lo = np.minimum(0.5 * a, (0.5 * a / c) ** q)
+        hi = np.minimum(a, (a / c) ** q)
+    z = _solve_monotone(lambda z: z + c * z ** (p - 1.0) - a,
+                        lambda z: 1.0 + c * (p - 1.0) * z ** (p - 2.0),
+                        lo, hi, z0=hi if p > 2.0 else lo)
+    return np.sign(s) * z
 
 
 _GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
@@ -173,8 +240,9 @@ def _golden_vec(obj, lo, hi, iters=90):
     return 0.5 * (a + b)
 
 
-def _conj_numeric(value_fn, w, halfline=False, radius0=1.0, cap=1e8):
-    """Scalar conjugate sup_s (w s - j(s)) by adaptive grid sup.
+def _conj_numeric(value_fn, w, radius0=1.0, cap=1e8):
+    """Scalar conjugate sup_s (w s - j(s)) by adaptive grid sup, for
+    user-supplied laws only (a grid sup can underestimate j*).
 
     The radius doubles until the per-element maximizer leaves the bracket
     boundary, then a golden-section pass refines the argmax; elements whose
@@ -188,8 +256,7 @@ def _conj_numeric(value_fn, w, halfline=False, radius0=1.0, cap=1e8):
     best_x = np.zeros(m)
     undecided = np.ones(m, dtype=bool)
     while np.any(undecided) and radius <= cap:
-        s0 = 0.0 if halfline else -radius
-        grid = np.linspace(s0, radius, npts)
+        grid = np.linspace(-radius, radius, npts)
         # grid varies along axis 0 so per-cell coefficient arrays broadcast
         sgrid = np.broadcast_to(grid[:, None], (npts, m))
         vals = w[None, :] * sgrid - value_fn(sgrid)
@@ -205,11 +272,7 @@ def _conj_numeric(value_fn, w, halfline=False, radius0=1.0, cap=1e8):
     def neg(s):
         return -(w * s - value_fn(s))
 
-    lo = best_x - span
-    hi = best_x + span
-    if halfline:
-        lo = np.maximum(lo, 0.0)
-    xs = _golden_vec(neg, lo, hi)
+    xs = _golden_vec(neg, best_x - span, best_x + span)
     out = w * xs - value_fn(xs)
     out = np.maximum(out, 0.0)  # j(0) = 0 forces j* >= 0
     out[unbounded] = np.inf
@@ -311,17 +374,15 @@ class _PowerAxis:
         return c
 
     def prox(self, lam, s):
-        if self.pure and self.p == 2.0:
-            return s / (1.0 + lam * self.alpha)
-        z = _solve_monotone(
+        if self.pure:
+            return _power_resolvent(lam * self.alpha, self.p, s)
+        # off the kink the root has the sign of s, so [0, s] brackets it
+        lo0, hi0 = self.subgrad0()
+        s = np.where((s >= lam * lo0) & (s <= lam * hi0), 0.0, s)
+        return _solve_monotone(
             lambda z: z + lam * self._deriv_smooth(z) - s,
             lambda z: 1.0 + lam * self.deriv2(z),
-            np.minimum(0.0, s), np.maximum(0.0, s))
-        if self.kappa is not None or self.delta_eff is not None:
-            lo0, hi0 = self.subgrad0()
-            at_kink = (s >= lam * lo0) & (s <= lam * hi0)
-            z = np.where(at_kink, 0.0, z)
-        return z
+            np.minimum(0.0, s), np.maximum(0.0, s), z0=s)
 
     def _deriv_smooth(self, s):
         # one-sided continuation through 0, valid inside the bracketed solve
@@ -354,7 +415,16 @@ class _PowerAxis:
         if self.pure:
             q = self.p / (self.p - 1.0)
             return self.alpha ** (1.0 - q) * np.abs(w) ** q / q
-        return _conj_numeric(self.value, w)
+        # j*(w) = w s - j(s) at the root s of j'(s) = w, which is 0 for w in
+        # the subdifferential at 0 and has the sign of the side w lies on
+        lo0, hi0 = self.subgrad0()
+        k = 0.0 if self.kappa is None else np.abs(self.kappa)
+        d = 0.0 if self.delta_eff is None else np.abs(self.delta_eff)
+        bound = ((np.abs(w) + k + d) / self.alpha) ** (1.0 / (self.p - 1.0))
+        s = _solve_monotone(lambda s: self._deriv_smooth(s) - w, self.deriv2,
+                            np.where(w < lo0, -bound, 0.0),
+                            np.where(w > hi0, bound, 0.0))
+        return w * s - self.value(s)
 
 
 class _FracturedAxis:
@@ -394,12 +464,10 @@ class _FracturedAxis:
     def prox(self, lam, s):
         lo_e, hi_e = self._jump_edges()
         at_jump = (self.th > 0) & (s >= self.th + lam * lo_e) & (s <= self.th + lam * hi_e)
-        z = _solve_monotone(
-            lambda z: z + lam * self.deriv(z) - s,
-            lambda z: 1.0 + lam * self.deriv2(z),
-            np.minimum(0.0, s), np.maximum(0.0, s))
-        th = np.broadcast_to(self.th, z.shape)
-        return np.where(at_jump, th, z)
+        # off the jump, s picks the branch and its modulus
+        upper = s > self.th + lam * hi_e
+        z = _power_resolvent(lam * (self.alpha + upper), self.p, s)
+        return np.where(at_jump, self.th, z)
 
     def yosida(self, lam, s, z):
         out = self.deriv(z)
@@ -419,7 +487,16 @@ class _FracturedAxis:
         return np.where(np.isfinite(c), out, 1.0 / lam)
 
     def conj(self, w):
-        return _conj_numeric(self.value, w)
+        # piecewise power: the maximizer is below, at or above th as w lies
+        # below, inside or above the jump interval
+        q = self.p / (self.p - 1.0)
+        lo_e, hi_e = self._jump_edges()
+        psi_th = self.th ** self.p / self.p
+        aw = np.abs(w) ** q / q
+        below = self.alpha ** (1.0 - q) * aw
+        above = (self.alpha + 1.0) ** (1.0 - q) * aw + psi_th
+        at = w * self.th - self.alpha * psi_th
+        return np.where(w < lo_e, below, np.where(w > hi_e, above, at))
 
 
 class _CustomAxis:
@@ -509,13 +586,21 @@ class _LogRadial:
         return 0.0
 
     def prox_radius(self, lam, m):
+        # concave in z, so Newton from 0 climbs to the root without overshoot
         return _solve_monotone(
             lambda z: z + lam * self.dphi(z) - m,
             lambda z: 1.0 + lam * self.d2phi(z),
-            np.zeros_like(m), m)
+            np.zeros_like(m), m, z0=0.0)
 
     def conj_scalar(self, w):
-        return _conj_numeric(self.phi, w, halfline=True)
+        # j*(w) = w s - phi(s) at dphi(s) = w; a log1p(s) <= dphi(s) <=
+        # a (log1p(s) + 1) brackets s within a factor e.  Past w = 700 a
+        # the maximizer passes exp(699) and j* is reported as +inf.
+        wc = np.clip(w, 0.0, 700.0 * self.a)
+        lo = np.expm1(np.maximum(wc / self.a - 1.0, 0.0))
+        s = _solve_monotone(lambda s: self.dphi(s) - wc, self.d2phi,
+                            lo, np.expm1(wc / self.a), z0=lo)
+        return np.where(w > wc, np.inf, wc * s - self.phi(s))
 
 
 # ---------------------------------------------------------------------------

@@ -200,29 +200,25 @@ def regularized_objective_grad(grid, model, t, h, lam, w1, w2, u, viscosity=True
 
 
 def _curv_matrix(grid, curv, h, lam=None, viscosity=False):
+    """CSC generalized Hessian M + h sum_c vol_c K_c^T C_c K_c, plus
+    2 lam sum_c vol_c K_c^T K_c with viscosity, on the grid's fixed
+    pattern; C_c is the cell's clipped diagonal or radial curvature."""
     vol = grid.cell_volumes
-    ops = grid.grad_ops
-    h_mat = sps.diags(_mass(grid)).tocsr()
+    n_ax = len(grid.grad_ops)
+    ax = np.arange(n_ax)
     if curv[0] == "diag":
-        cc = np.clip(curv[1], 0.0, 1e14)
-        for a, g in enumerate(ops):
-            h_mat = h_mat + h * (g.T @ sps.diags(vol * cc[:, a]) @ g)
+        d = np.zeros((grid.n_cells, n_ax, n_ax))
+        d[:, ax, ax] = np.clip(curv[1], 0.0, 1e14)
     else:
         _, cpar, cperp, rhat = curv
         cpar = np.clip(cpar, 0.0, 1e14)
         cperp = np.clip(cperp, 0.0, 1e14)
-        n_ax = len(ops)
-        for a in range(n_ax):
-            for b in range(n_ax):
-                coef = (cpar - cperp) * rhat[:, a] * rhat[:, b]
-                if a == b:
-                    coef = coef + cperp
-                if np.any(coef):
-                    h_mat = h_mat + h * (ops[a].T @ sps.diags(vol * coef) @ ops[b])
+        d = (cpar - cperp)[:, None, None] * rhat[:, :, None] * rhat[:, None, :]
+        d[:, ax, ax] += cperp[:, None]
+    d *= (h * vol)[:, None, None]
     if viscosity and lam is not None:
-        for g in ops:
-            h_mat = h_mat + 2.0 * lam * (g.T @ sps.diags(vol) @ g)
-    return h_mat.tocsc()
+        d[:, ax, ax] += (2.0 * lam * vol)[:, None]
+    return grid.gram_plan.assemble(d, _mass(grid))
 
 
 class _StageProblem:
@@ -293,6 +289,9 @@ class _StageProblem:
 # ---------------------------------------------------------------------------
 # inner minimizers
 
+# Fill-reducing ordering for the symmetric Newton systems.
+_ORDERING = "MMD_AT_PLUS_A"
+
 
 def _minimize_newton(prob, u0, tol, max_iter):
     """Damped Newton with a stall exit (no 2x progress over 12 iterations).
@@ -320,7 +319,7 @@ def _minimize_newton(prob, u0, tol, max_iter):
                 return u, res, it
         if it == max_iter:
             break
-        d = spsolve(prob.hess(u), -g)
+        d = spsolve(prob.hess(u), -g, permc_spec=_ORDERING)
         slope = float(g @ d)
         if not np.isfinite(slope) or slope >= 0:
             d = -g / m
@@ -371,8 +370,8 @@ def _polish_eta(grid, model, t, h, u, eta, rhs, row_mask=None, mv_tol=1e-5):
         sel = free[:, a]
         if np.any(sel):
             # column for eta_{c,a}: h * vol_c * (row c of G_a) transposed
-            block = (sps.diags(h * grid.cell_volumes) @ g).T.toarray()
-            a_cols.append(block[:, sel])
+            block = sps.diags(h * grid.cell_volumes[sel]) @ g[sel]
+            a_cols.append(block.T.toarray())
             lo_f.append(lo[:, a][sel])
             hi_f.append(hi[:, a][sel])
     a_mat = np.hstack(a_cols)[rows]
@@ -460,17 +459,14 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
     """
     m = _mass(grid)
     rhs = _rhs(grid, w1, w2)
-    ops = grid.grad_ops
-    n_ax = len(ops)
+    n_ax = len(grid.grad_ops)
+    k_op, kt_op = grid.grad_stack, grid.grad_stack_t
 
     def k_apply(u):
-        return np.column_stack([g @ u for g in ops])
+        return (k_op @ u).reshape(grid.n_cells, n_ax)
 
     def kt_apply(p):
-        out = np.zeros(grid.n_nodes)
-        for ax, g in enumerate(ops):
-            out += g.T @ p[:, ax]
-        return out
+        return kt_op @ p.ravel()
 
     def primal(p):
         return (rhs - kt_apply(p)) / m
@@ -686,7 +682,7 @@ def _minimize_newton_bound(prob, u0, tol, max_iter):
         if np.any(free):
             idx = np.flatnonzero(free)
             hff = h_mat[idx][:, idx]
-            d[idx] = spsolve(hff.tocsc(), -g[idx])
+            d[idx] = spsolve(hff.tocsc(), -g[idx], permc_spec=_ORDERING)
         f0 = prob.value(u)
         slope = float(g[free] @ d[free]) if np.any(free) else 0.0
         alpha = 1.0

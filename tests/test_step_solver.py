@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from wentzellflow import discretization as disc
 from wentzellflow import flux_models as fm
@@ -375,3 +376,55 @@ def test_obstacle_mixed_sign_vs_projected_gradient():
     assert np.max(np.abs(sol.u - ref)) < 1e-6
     assert sol.u.min() >= 0.0
     assert sol.complementarity <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# fixed-pattern Hessian assembly
+
+
+def sum_of_products_hessian(grid, curv, h, lam=None, viscosity=False):
+    """M + sum_ab G_a^T diag(h vol C_ab) G_b (+ 2 lam G_a^T diag(vol) G_a),
+    summed matrix by matrix from ``grid.grad_ops``."""
+    vol = grid.cell_volumes
+    ops = grid.grad_ops
+    n_ax = len(ops)
+    if curv[0] == "diag":
+        coef = np.clip(curv[1], 0.0, 1e14)[:, :, None] * np.eye(n_ax)
+    else:
+        _, cpar, cperp, rhat = curv
+        cpar = np.clip(cpar, 0.0, 1e14)
+        cperp = np.clip(cperp, 0.0, 1e14)
+        coef = ((cpar - cperp)[:, None, None] * rhat[:, :, None] * rhat[:, None, :]
+                + cperp[:, None, None] * np.eye(n_ax))
+    mat = sps.diags(grid.node_weights + grid.boundary_mass_full)
+    for a in range(n_ax):
+        for b in range(n_ax):
+            mat = mat + h * (ops[a].T @ sps.diags(vol * coef[:, a, b]) @ ops[b])
+    if viscosity and lam is not None:
+        for g in ops:
+            mat = mat + 2.0 * lam * (g.T @ sps.diags(vol) @ g)
+    return mat.toarray()
+
+
+@pytest.mark.parametrize("grid", [disc.interval_grid(7), disc.rectangle_grid(4, 3)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", ["diag", "radial"])
+@pytest.mark.parametrize("viscosity", [False, True])
+def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
+    rng = np.random.default_rng(3)
+    n_ax = grid.dimension
+    if kind == "diag":
+        # negative and huge entries exercise the clipping
+        cc = rng.uniform(-0.5, 3.0, (grid.n_cells, n_ax))
+        cc[0, 0] = 1e20
+        curv = ("diag", cc)
+    else:
+        rhat = rng.standard_normal((grid.n_cells, n_ax))
+        rhat /= np.linalg.norm(rhat, axis=1)[:, None]
+        rhat[-1] = 0.0  # a cell with zero gradient
+        curv = ("radial", rng.uniform(-0.5, 3.0, grid.n_cells),
+                rng.uniform(0.0, 2.0, grid.n_cells), rhat)
+    got = ss._curv_matrix(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    assert sps.isspmatrix_csc(got) and got.has_canonical_format
+    assert np.allclose(got.toarray(), ref, rtol=1e-13, atol=1e-15)
