@@ -113,7 +113,10 @@ class Grid:
 
     @cached_property
     def grad_stack_t(self):
-        """Transpose of ``grad_stack``, a CSC view sharing its arrays."""
+        """Transpose of ``grad_stack``, a CSC view sharing its arrays.
+
+        Cached because making the view costs about 15 us per call, five
+        times the matvec itself on a 33-node grid."""
         return self.grad_stack.T
 
     @cached_property

@@ -13,8 +13,8 @@ All catalog entries are either separable across axes (quadratic,
 anisotropic p-power, fractured medium, custom) or radial (log-growth,
 total variation), so every proximal computation reduces to a scalar
 resolvent z + lam*beta(z) = s.  Power laws, fractured ones included,
-solve it in closed form for p = 2, 3, 4 (the p = 4 cubic through its
-hyperbolic form plus one Newton polish); general p, lower-order terms and
+solve it in closed form for p = 2 and 4 (the p = 4 cubic through its
+hyperbolic form plus one Newton polish); other p, lower-order terms and
 log-growth use a safeguarded Newton iteration that raises
 RootNotConverged instead of returning an unconverged root.  Conjugates are
 exact for every catalog law (closed form, or w s* - j(s*) at the root s*
@@ -158,8 +158,10 @@ def _solve_monotone(f, fprime, lo, hi, z0=None, iters=100):
     as soon as its Newton step is below 1e-14 of the new iterate (or below
     the smallest normal float), f vanishes, or its bracket has collapsed (a
     root on a bracket end, as in a degenerate [0, 0] bracket); it is then
-    frozen.  Entries start at ``z0`` (clipped into the bracket; the
-    midpoint by default).
+    frozen.  A step that small is taken even when it leaves the bracket,
+    since a computed bracket end can miss a root lying on it by rounding.
+    Entries start at ``z0`` (clipped into the bracket; the midpoint by
+    default).
 
     Raises RootNotConverged, with the worst residual, when an entry is
     still moving after ``iters`` iterations.
@@ -175,9 +177,10 @@ def _solve_monotone(f, fprime, lo, hi, z0=None, iters=100):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dz = fprime(z)
             znew = z - fz / np.where(np.isfinite(dz) & (dz > 0), dz, np.nan)
-        bad = ~np.isfinite(znew) | (znew < lo) | (znew > hi)
+        small = np.abs(znew - z) <= _ROOT_RTOL * np.abs(znew) + _TINY
+        bad = ~np.isfinite(znew) | (((znew < lo) | (znew > hi)) & ~small)
         znew = np.where(bad, 0.5 * (lo + hi), znew)
-        stop = ((fz == 0) | (np.abs(znew - z) <= _ROOT_RTOL * np.abs(znew) + _TINY)
+        stop = ((fz == 0) | (small & ~bad)
                 | (hi - lo <= _ROOT_RTOL * np.maximum(np.abs(lo), np.abs(hi))))
         z = np.where(moving & (fz != 0), znew, z)
         moving &= ~stop
@@ -192,14 +195,12 @@ def _solve_monotone(f, fprime, lo, hi, z0=None, iters=100):
 def _power_resolvent(c, p, s):
     """Root z of z + c |z|^{p-1} sgn(z) = s for c > 0, elementwise.
 
-    Closed forms for p = 2, 3, 4; the p = 4 root uses the hyperbolic form
+    Closed forms for p = 2 and 4; the p = 4 root uses the hyperbolic form
     of the depressed cubic, which keeps full relative accuracy as c -> 0
     where Cardano's formula cancels, followed by one Newton polish.
     """
     if p == 2.0:
         return s / (1.0 + c)
-    if p == 3.0:
-        return 2.0 * s / (1.0 + np.sqrt(1.0 + 4.0 * c * np.abs(s)))
     if p == 4.0:
         k = np.sqrt(3.0 * c)
         z = 2.0 / k * np.sinh(np.arcsinh(1.5 * k * s) / 3.0)
@@ -376,16 +377,34 @@ class _PowerAxis:
     def prox(self, lam, s):
         if self.pure:
             return _power_resolvent(lam * self.alpha, self.p, s)
-        # off the kink the root has the sign of s, so [0, s] brackets it
+        # past the kink interval the root has the sign of s
         lo0, hi0 = self.subgrad0()
-        s = np.where((s >= lam * lo0) & (s <= lam * hi0), 0.0, s)
+        excess = np.maximum(np.maximum(s - lam * hi0, lam * lo0 - s), 0.0)
+        return np.sign(s) * self._excess_root(1.0, lam, excess)
+
+    def _excess_root(self, b, lam, e):
+        """Root a >= 0 of b a + lam (alpha a^{p-1} - kappa a / (1+a)) = e,
+        the modulus of the resolvent (b = 1) or of the conjugate's maximizer
+        (b = 0, lam = 1) when its argument lies e past the kink interval.
+
+        The log term lowers the left side by at most lam kappa, so the roots
+        without it at e and at e + lam kappa bracket a.  Newton starts from
+        the lower one, which has the scale of a even where a is subnormal;
+        a bracket from 0 would reach such a root only by bisection.
+        """
+        c, p = lam * self.alpha, self.p
+        k = 0.0 if self.kappa is None else lam * self.kappa
+        if b:
+            lo, hi = _power_resolvent(c, p, e), _power_resolvent(c, p, e + k)
+        else:
+            lo, hi = (e / c) ** (1.0 / (p - 1.0)), ((e + k) / c) ** (1.0 / (p - 1.0))
         return _solve_monotone(
-            lambda z: z + lam * self._deriv_smooth(z) - s,
-            lambda z: 1.0 + lam * self.deriv2(z),
-            np.minimum(0.0, s), np.maximum(0.0, s), z0=s)
+            lambda a: b * a + c * a ** (p - 1.0) - k * a / (1.0 + a) - e,
+            lambda a: b + c * (p - 1.0) * a ** (p - 2.0) - k / (1.0 + a) ** 2,
+            lo, hi, z0=lo)
 
     def _deriv_smooth(self, s):
-        # one-sided continuation through 0, valid inside the bracketed solve
+        # one-sided continuation through 0; yosida replaces it at the kink
         a = np.abs(s)
         d = self.alpha * a ** (self.p - 1.0) * np.sign(s)
         if self.kappa is not None:
@@ -418,12 +437,8 @@ class _PowerAxis:
         # j*(w) = w s - j(s) at the root s of j'(s) = w, which is 0 for w in
         # the subdifferential at 0 and has the sign of the side w lies on
         lo0, hi0 = self.subgrad0()
-        k = 0.0 if self.kappa is None else np.abs(self.kappa)
-        d = 0.0 if self.delta_eff is None else np.abs(self.delta_eff)
-        bound = ((np.abs(w) + k + d) / self.alpha) ** (1.0 / (self.p - 1.0))
-        s = _solve_monotone(lambda s: self._deriv_smooth(s) - w, self.deriv2,
-                            np.where(w < lo0, -bound, 0.0),
-                            np.where(w > hi0, bound, 0.0))
+        excess = np.maximum(np.maximum(w - hi0, lo0 - w), 0.0)
+        s = np.sign(w) * self._excess_root(0.0, 1.0, excess)
         return w * s - self.value(s)
 
 
