@@ -60,10 +60,12 @@ class Grid:
     grad_ops : one sparse (n_cells, n_nodes) matrix per axis; stacking the
         products gives the discrete gradient.
 
-    The stacked operator ``grad_stack`` (rows interleaved by cell, so
-    ``grad_stack @ u`` reshapes to the (n_cells, N) gradient), its
-    transpose ``grad_stack_t`` and the Gram assembly plan ``gram_plan`` are
-    built once, on first use, so grid construction stays cheap.
+    The lumped mass ``mass``, the stacked operator ``grad_stack`` (rows
+    interleaved by cell, so ``grad_stack @ u`` reshapes to the (n_cells, N)
+    gradient), its transpose ``grad_stack_t``, the Gram assembly plan
+    ``gram_plan`` and the dual solver's step size and iteration operator
+    ``dual_plan`` are built once, on first use, so grid construction stays
+    cheap.
     """
 
     dimension: int
@@ -104,6 +106,13 @@ class Grid:
         return self.nodes[self.boundary_nodes]
 
     @cached_property
+    def mass(self):
+        """Lumped mass ``node_weights + boundary_mass_full``, read-only."""
+        m = self.node_weights + self.boundary_mass_full
+        m.flags.writeable = False
+        return m
+
+    @cached_property
     def grad_stack(self):
         """CSR (n_cells * N, n_nodes) operator; row c * N + a is row c of
         ``grad_ops[a]``."""
@@ -124,6 +133,12 @@ class Grid:
         """Fixed CSC pattern of diag + sum_c K_c^T D_c K_c (K_c the rows of
         ``grad_stack`` for cell c) and the per-cell stencil that fills it."""
         return _GramPlan(self.grad_stack, self.n_cells, len(self.grad_ops))
+
+    @cached_property
+    def dual_plan(self):
+        """Step size and CSR iteration operator of the dual solver on this
+        grid (see ``_DualPlan``)."""
+        return _DualPlan(self.grad_stack, self.grad_stack_t, self.mass)
 
     def check_field(self, u, name="field"):
         u = np.asarray(u, dtype=float)
@@ -184,6 +199,38 @@ class _GramPlan:
         data[self.diag] += diag
         return sps.csc_matrix((data, self.indices, self.indptr),
                               shape=self.shape)
+
+
+class _DualPlan:
+    """Fixed part of the dual gradient step for  min_u 1/2 ||u||_M^2 - rhs.u
+    + V(K u),  K the stacked gradient and M the lumped mass.
+
+    From a dual point y the gradient step is
+
+        y + tau K M^{-1} (rhs - K^T y) = B y + tau K M^{-1} rhs,
+        B = I - tau K M^{-1} K^T,
+
+    so one iteration costs one matvec with the CSR matrix ``op`` = B.  The
+    step ``tau`` = 1 / (1.05 L), with L the norm reached by a seeded 60-step
+    power iteration on K M^{-1} K^T.  That norm is a lower bound on the
+    largest eigenvalue, and the 5% margin covers what the 60 steps leave
+    unconverged, so tau stays below its inverse.
+    """
+
+    def __init__(self, k_op, k_op_t, mass):
+        rng = np.random.default_rng(12345)
+        z = rng.standard_normal(k_op.shape[0])
+        lip = 1.0
+        for _ in range(60):
+            z = k_op @ ((k_op_t @ z) / mass)
+            nz = np.sqrt((z * z).sum())
+            if nz == 0:
+                break
+            lip = nz
+            z /= nz
+        self.tau = 1.0 / (1.05 * lip)
+        gram = k_op @ sps.diags(1.0 / mass) @ k_op_t
+        self.op = sps.identity(k_op.shape[0], format="csr") - self.tau * gram
 
 
 def interval_grid(n, length=1.0):

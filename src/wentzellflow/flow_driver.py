@@ -463,7 +463,7 @@ def steady_state_residual(grid, model, u, f_field, g_vals):
     rhs = grid.node_weights * f_field
     rhs[grid.boundary_nodes] += grid.boundary_weights * g_vals
     g = disc.grad_adjoint(grid, eta) - rhs
-    m = grid.node_weights + grid.boundary_mass_full
+    m = grid.mass
     mu = float(g.sum() / m.sum())
     return float(np.max(np.abs(g - mu * m) / m))
 
@@ -484,7 +484,7 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200,
     if abs(compat) > 1e-8 * scale:
         raise IncompatibleData(
             f"equilibrium data must balance: int f + int g = {compat:.3e}")
-    m = grid.node_weights + grid.boundary_mass_full
+    m = grid.mass
     rhs = grid.node_weights * f_field
     rhs[grid.boundary_nodes] += grid.boundary_weights * g_vals
     c = m.copy()

@@ -34,6 +34,7 @@ the envelope rescue it is the resolvent through the Moreau identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,10 +147,6 @@ class StepSolution:
 # objective pieces
 
 
-def _mass(grid):
-    return grid.node_weights + grid.boundary_mass_full
-
-
 def _rhs(grid, w1, w2):
     rhs = grid.node_weights * w1
     rhs[grid.boundary_nodes] += grid.boundary_weights * w2
@@ -162,7 +159,7 @@ def _quad_part(mass, rhs, u):
 
 def _weak_residual(grid, h, u, eta, rhs):
     """Max-norm of the mass-scaled weak-form residual of (u, eta)."""
-    m = _mass(grid)
+    m = grid.mass
     res_vec = m * u + h * disc.grad_adjoint(grid, eta) - rhs
     return float(np.max(np.abs(res_vec) / m))
 
@@ -176,7 +173,7 @@ def step_objective(grid, model, t, h, w1, w2, u):
         raise ValueError("step size h must be positive")
     gu = disc.gradient(grid, u)
     jvals = model.potential(t, grid.cell_centers, gu)
-    return (_quad_part(_mass(grid), _rhs(grid, w1, w2), u)
+    return (_quad_part(grid.mass, _rhs(grid, w1, w2), u)
             + h * float(grid.cell_volumes @ jvals))
 
 
@@ -218,7 +215,7 @@ def _curv_matrix(grid, curv, h, lam=None, viscosity=False):
     d *= (h * vol)[:, None, None]
     if viscosity and lam is not None:
         d[:, ax, ax] += (2.0 * lam * vol)[:, None]
-    return grid.gram_plan.assemble(d, _mass(grid))
+    return grid.gram_plan.assemble(d, grid.mass)
 
 
 class _StageProblem:
@@ -235,7 +232,7 @@ class _StageProblem:
         self.model = model
         self.t, self.h = t, h
         self.lam, self.viscosity = lam, viscosity
-        self.mass = _mass(grid)
+        self.mass = grid.mass
         self.rhs = _rhs(grid, w1, w2)
         self._key = None
         self._state = None
@@ -298,7 +295,8 @@ def _minimize_newton(prob, u0, tol, max_iter):
 
     The full step is accepted whenever it reduces the scaled residual (the
     endgame, where objective differences sit below rounding); otherwise an
-    Armijo backtracking on the objective globalizes.
+    Armijo backtracking on the objective globalizes.  Returns
+    (u, residual, iters, exit) with exit "converged", "stall" or "max_iter".
     """
     u = u0.copy()
     m = prob.mass
@@ -310,13 +308,13 @@ def _minimize_newton(prob, u0, tol, max_iter):
         g = prob.grad(u)
         res = float(np.max(np.abs(g) / m))
         if res <= tol:
-            return u, res, it
+            return u, res, it, "converged"
         if res < 0.5 * best:
             best, since_best = res, 0
         else:
             since_best += 1
             if since_best > 12 and it >= 15:
-                return u, res, it
+                return u, res, it, "stall"
         if it == max_iter:
             break
         d = spsolve(prob.hess(u), -g, permc_spec=_ORDERING)
@@ -338,7 +336,7 @@ def _minimize_newton(prob, u0, tol, max_iter):
                 break
             alpha *= 0.5
         u = un
-    return u, res, it
+    return u, res, it, "max_iter"
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ def _polish_eta(grid, model, t, h, u, eta, rhs, row_mask=None, mv_tol=1e-5):
     if not np.any(free):
         return eta
     eta = np.clip(eta, lo, hi)
-    m = _mass(grid)
+    m = grid.mass
     rows = np.ones(grid.n_nodes, dtype=bool) if row_mask is None else row_mask
     fixed = eta.copy()
     fixed[free] = 0.0
@@ -427,81 +425,77 @@ def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
 
 
 def _default_start(grid, w1, w2):
-    return _rhs(grid, w1, w2) / _mass(grid)
+    return _rhs(grid, w1, w2) / grid.mass
 
 
-def _prox_scaled_envelope(model, t, xs, lam, s, x):
-    """prox of s * j_lam at the rows of x: (lam x + s R_{lam+s}(x)) / (lam+s).
+def _scaled_envelope_prox(model, t, xs, lam, s):
+    """The map x -> prox of s * j_lam at the rows of x,
+    (lam x + s R_{lam+s}(x)) / (lam+s).
 
-    ``s`` may vary per cell; rows are grouped by the effective resolvent
-    parameter (a single group on uniform grids).
+    ``s`` may vary per cell; the rows are grouped by the effective resolvent
+    parameter once, when the map is built (a single group on uniform grids).
     """
     mus = lam + s
-    z = np.empty_like(x)
-    for mu in np.unique(mus):
-        mask = mus == mu
-        z[mask] = model.resolvent(t, xs[mask], float(mu), x[mask])
-    return (lam * x + s[:, None] * z) / mus[:, None]
+    groups = [(float(mu), mus == mu) for mu in np.unique(mus)]
+    s_col, mus_col = s[:, None], mus[:, None]
+
+    def prox(x):
+        z = np.empty_like(x)
+        for mu, rows in groups:
+            z[rows] = model.resolvent(t, xs[rows], mu, x[rows])
+        return (lam * x + s_col * z) / mus_col
+
+    return prox
 
 
 def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
                 p0=None):
     """Accelerated dual solve of  min_u 1/2||u||_M^2 - b(u) + V(K u).
 
-    FISTA on the dual with fixed step 1/L and gradient-based adaptive
-    restart (Beck-Teboulle 2009; O'Donoghue-Candes 2015).  The caller
-    supplies the per-cell dual prox ``prox(x, tau) = prox_{tau V*}(x)``
+    FISTA on the dual with gradient-based adaptive restart (Beck-Teboulle
+    2009; O'Donoghue-Candes 2015).  The step tau and the operator
+    B = I - tau K M^{-1} K^T come from ``grid.dual_plan``, so the gradient
+    step B y + tau K M^{-1} rhs costs one sparse matvec; the state is kept
+    in flat vectors, viewed as (n_cells, N) only for the prox and the gap.
+    The caller supplies the per-cell dual prox ``prox(x) = prox_{tau V*}(x)``
     and the gap measure ``gap_of(p, K u)``, checked against ``gap_target``
-    after the first iteration (so a converged start exits at once) and
-    then every ``period`` iterations.  The primal iterate
-    u = M^{-1}(rhs - K^T p) is dual-feasible, so the weak-form residual
-    with flux p / (h vol) vanishes identically.  Returns (u, p, gap, iters).
+    after the first iteration (so a converged start exits at once) and then
+    every ``period`` iterations.  The primal iterate u = M^{-1}(rhs - K^T p)
+    is dual-feasible, so the weak-form residual with flux p / (h vol)
+    vanishes identically.  Returns (u, p, gap, iters).
     """
-    m = _mass(grid)
+    m = grid.mass
     rhs = _rhs(grid, w1, w2)
-    n_ax = len(grid.grad_ops)
+    shape = (grid.n_cells, len(grid.grad_ops))
     k_op, kt_op = grid.grad_stack, grid.grad_stack_t
-
-    def k_apply(u):
-        return (k_op @ u).reshape(grid.n_cells, n_ax)
-
-    def kt_apply(p):
-        return kt_op @ p.ravel()
+    plan = grid.dual_plan
+    b_op = plan.op
+    shift = plan.tau * (k_op @ (rhs / m))
 
     def primal(p):
-        return (rhs - kt_apply(p)) / m
+        return (rhs - kt_op @ p) / m
 
-    # Lipschitz constant of the dual gradient K M^{-1} K^T by power iteration.
-    rng = np.random.default_rng(12345)
-    z = rng.standard_normal((grid.n_cells, n_ax))
-    lip = 1.0
-    for _ in range(60):
-        z = k_apply(kt_apply(z) / m)
-        nz = np.sqrt((z * z).sum())
-        if nz == 0:
-            break
-        lip = nz
-        z /= nz
-    tau = 1.0 / (1.05 * lip)
-
-    p = np.zeros((grid.n_cells, n_ax)) if p0 is None else p0.copy()
-    y = p.copy()
+    p = np.zeros(b_op.shape[0]) if p0 is None else p0.flatten()
+    y = p
     theta = 1.0
     gap = np.inf
     best_gap = np.inf
     stall = 0
     it = 0
     for it in range(max_iter):
-        p_new = prox(y + tau * k_apply(primal(y)), tau)
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        y_new = p_new + (theta - 1.0) / theta_new * (p_new - p)
+        x = b_op @ y
+        x += shift
+        p_new = prox(x.reshape(shape)).ravel()
+        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        step = p_new - p
         # gradient-based adaptive restart
-        if float(((y - p_new) * (p_new - p)).sum()) > 0:
-            y_new = p_new.copy()
-            theta_new = 1.0
-        p, y, theta = p_new, y_new, theta_new
+        if np.dot(y - p_new, step) > 0:
+            y, theta = p_new, 1.0
+        else:
+            y, theta = p_new + (theta - 1.0) / theta_new * step, theta_new
+        p = p_new
         if it == 0 or it % period == period - 1 or it == max_iter - 1:
-            gap = gap_of(p, k_apply(primal(p)))
+            gap = gap_of(p.reshape(shape), (k_op @ primal(p)).reshape(shape))
             if gap <= gap_target:
                 break
             if gap < best_gap * (1.0 - 1e-9):
@@ -511,7 +505,7 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
                 stall += 1
                 if stall > 50:
                     break
-    return primal(p), p, gap, it + 1
+    return primal(p), p.reshape(shape), gap, it + 1
 
 
 def _gap_target(cfg):
@@ -529,12 +523,12 @@ def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0):
     xs = grid.cell_centers
     vol = grid.cell_volumes
     a = h * vol
-    lam = cfg.lam_min
+    tau = grid.dual_plan.tau
+    env_prox = _scaled_envelope_prox(model, t, xs, cfg.lam_min, a / tau)
 
-    def prox(x, tau):
+    def prox(x):
         # prox_{tau V*}(x) = x - tau prox_{V / tau}(x / tau)
-        return x - tau * _prox_scaled_envelope(model, t, xs, lam, a / tau,
-                                               x / tau)
+        return x - tau * env_prox(x / tau)
 
     def gap_of(p, q):
         try:
@@ -562,8 +556,8 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log):
         last = k == len(lams) - 1
         stage_tol = cfg.tol if last else inter_tol
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, not last)
-        u, res, it = _minimize_newton(prob, u, stage_tol, cfg.max_iter)
-        log.append({"lam": lam, "iters": it, "residual": res,
+        u, res, it, exit_ = _minimize_newton(prob, u, stage_tol, cfg.max_iter)
+        log.append({"lam": lam, "iters": it, "residual": res, "exit": exit_,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
         if res > max(1e-4, 1e3 * stage_tol):
             clean = False
@@ -598,8 +592,8 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
     log = []
     if model.is_smooth:
         prob = _StageProblem(grid, model, t, h, w1, w2, None, False)
-        u, res, it = _minimize_newton(prob, u, cfg.tol, cfg.max_iter)
-        log.append({"lam": 0.0, "iters": it, "residual": res,
+        u, res, it, exit_ = _minimize_newton(prob, u, cfg.tol, cfg.max_iter)
+        log.append({"lam": 0.0, "iters": it, "residual": res, "exit": exit_,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
         gu = disc.gradient(grid, u)
         eta = model.select(t, grid.cell_centers, gu)
@@ -638,8 +632,9 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
     def run_stage(lam, viscosity, tol):
         nonlocal u, comp
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
-        u, comp, it = _minimize_newton_bound(prob, u, tol, cfg.max_iter)
+        u, comp, it, exit_ = _minimize_newton_bound(prob, u, tol, cfg.max_iter)
         log.append({"lam": lam or 0.0, "iters": it, "residual": comp,
+                    "exit": exit_,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
 
     if model.is_smooth:
@@ -662,7 +657,10 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
 
 
 def _minimize_newton_bound(prob, u0, tol, max_iter):
-    """Projected (active-set) Newton for minimization over {u >= 0}."""
+    """Projected (active-set) Newton for minimization over {u >= 0}.
+
+    Returns (u, complementarity, iters, exit) with exit "converged" or
+    "max_iter"."""
     m = prob.mass
     u = np.maximum(u0, 0.0)
     comp = np.inf
@@ -672,7 +670,7 @@ def _minimize_newton_bound(prob, u0, tol, max_iter):
         r = g / m
         comp = float(np.max(np.abs(np.minimum(u, r))))
         if comp <= tol:
-            return u, comp, it
+            return u, comp, it, "converged"
         if it == max_iter:
             break
         active = (u <= 1e-14) & (r > 0)
@@ -695,7 +693,7 @@ def _minimize_newton_bound(prob, u0, tol, max_iter):
         if np.array_equal(un, u):
             un = np.maximum(u - g / (m * (1.0 + _hess_diag_scale(h_mat, m))), 0.0)
         u = un
-    return u, comp, it
+    return u, comp, it, "max_iter"
 
 
 def _hess_diag_scale(h_mat, m):
@@ -716,6 +714,18 @@ def tv_step(grid, rho, h, prev, cfg=None):
     return _solve_tv(grid, model, h, prev, prev[grid.boundary_nodes], cfg)
 
 
+def _ball_projection(radius):
+    """Projection of the rows x_c of an (n_cells, N) array, N = 1 or 2, onto
+    the balls |x_c| <= radius_c.  The radial scale is exactly 1 inside a
+    ball and on zero rows, so those rows pass through bit for bit."""
+
+    def project(x):
+        mag = np.hypot(x[:, 0], x[:, 1]) if x.shape[1] == 2 else np.abs(x[:, 0])
+        return x * (radius / np.maximum(mag, radius))[:, None]
+
+    return project
+
+
 def _solve_tv(grid, model, h, w1, w2, cfg):
     """Total-variation step by the dual solver over the per-cell polar balls
     |p_c| <= rho h vol_c; the weighted gap sum_c (w_c |grad u|_c -
@@ -723,16 +733,11 @@ def _solve_tv(grid, model, h, w1, w2, cfg):
     vol = grid.cell_volumes
     wc = model.rho * h * vol
 
-    def project(x, tau):
-        mag = np.sqrt((x * x).sum(axis=1))
-        scale = np.where(mag > wc, wc / np.where(mag > 0, mag, 1.0), 1.0)
-        return x * scale[:, None]
-
     def gap_of(p, q):
         mags = np.sqrt((q * q).sum(axis=1))
         return float((wc * mags - (q * p).sum(axis=1)).sum())
 
-    u, p, gap, it = _dual_solve(grid, w1, w2, project, gap_of,
+    u, p, gap, it = _dual_solve(grid, w1, w2, _ball_projection(wc), gap_of,
                                 h * _gap_target(cfg), 50, cfg.pd_max_iter)
     eta = p / (h * vol)[:, None]
     log = [{"lam": 0.0, "iters": it, "residual": 0.0, "pd_gap": gap,

@@ -157,3 +157,41 @@ def test_field_validation():
     bad[2] = np.nan
     with pytest.raises(ValueError):
         g.check_field(bad)
+
+
+def _dense_stack_and_mass(g):
+    """Dense K (rows interleaved by cell) from ``grad_ops`` and the lumped
+    mass, assembled independently of the cached grid operators."""
+    n_ax = len(g.grad_ops)
+    k = np.zeros((g.n_cells * n_ax, g.n_nodes))
+    for a, op in enumerate(g.grad_ops):
+        k[a::n_ax] = op.toarray()
+    m = g.node_weights.copy()
+    m[g.boundary_nodes] += g.boundary_weights
+    return k, m
+
+
+@pytest.mark.parametrize("g", [disc.interval_grid(9), disc.rectangle_grid(5, 4)],
+                         ids=["1d", "2d"])
+def test_mass_is_cached_read_only_lumped_mass(g):
+    _, m = _dense_stack_and_mass(g)
+    assert np.array_equal(g.mass, g.node_weights + g.boundary_mass_full)
+    assert np.array_equal(g.mass, m)
+    assert g.mass is g.mass
+    with pytest.raises(ValueError):
+        g.mass[0] = 1.0
+
+
+@pytest.mark.parametrize("g", [disc.interval_grid(9), disc.rectangle_grid(5, 4)],
+                         ids=["1d", "2d"])
+def test_dual_plan_operator_and_step(g):
+    k, m = _dense_stack_and_mass(g)
+    gram = k @ np.diag(1.0 / m) @ k.T
+    plan = g.dual_plan
+    assert plan.op.format == "csr"
+    assert np.allclose(plan.op.toarray(), np.eye(k.shape[0]) - plan.tau * gram,
+                       rtol=1e-13, atol=1e-14)
+    # the power iterate's norm is a lower bound on the top eigenvalue, and
+    # the 5% margin keeps the step below its inverse
+    top = np.linalg.eigvalsh(gram)[-1]
+    assert 1.0 / 1.05 - 1e-12 <= plan.tau * top < 1.0

@@ -326,6 +326,21 @@ def test_nonconverged_reports_residual_and_log():
     assert err.value.log
 
 
+def test_newton_stage_logs_its_exit():
+    g = disc.interval_grid(8)
+    rng = np.random.default_rng(14)
+    w1 = rng.standard_normal(9)
+    w2 = rng.standard_normal(2)
+    model = fm.anisotropic_p_laplacian(4.0)
+    sol = ss.solve_step(g, model, 0.0, 0.05, w1, w2, ss.StepConfig(tol=1e-11))
+    assert [s["exit"] for s in sol.iterations] == ["converged"]
+    with pytest.raises(ss.StepNonConverged) as err:
+        ss.solve_step(g, model, 0.0, 0.05, w1, w2,
+                      ss.StepConfig(tol=1e-14, max_iter=1))
+    assert err.value.log[-1]["exit"] == "max_iter"
+    assert err.value.log[-1]["iters"] == 1
+
+
 def test_rejects_bad_inputs():
     g = disc.interval_grid(4)
     with pytest.raises(ValueError):
@@ -428,3 +443,49 @@ def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
     ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
     assert sps.isspmatrix_csc(got) and got.has_canonical_format
     assert np.allclose(got.toarray(), ref, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# dual solver
+
+
+@pytest.mark.parametrize("n_ax", [1, 2])
+def test_ball_projection(n_ax):
+    rng = np.random.default_rng(21)
+    g = disc.interval_grid(12) if n_ax == 1 else disc.rectangle_grid(4, 3)
+    wc = 0.7 * 0.05 * g.cell_volumes
+    x = rng.standard_normal((g.n_cells, n_ax)) * wc[:, None]
+    x[:4] *= 1e-3 / np.linalg.norm(x[:4], axis=1)[:, None]   # well inside
+    x[4:8] *= 5.0 / np.linalg.norm(x[4:8], axis=1)[:, None]  # outside
+    x[8] = 0.0
+    x[9] = 0.0
+    x[9, 0] = -wc[9]                                         # on the sphere
+    before = x.copy()
+    out = ss._ball_projection(wc)(x)
+    assert np.array_equal(x, before)
+    mag = np.linalg.norm(x, axis=1)
+    out_mag = np.linalg.norm(out, axis=1)
+    assert np.all(out_mag <= wc * (1.0 + 1e-15))
+    inside = mag <= wc
+    assert inside[:4].all() and inside[8:10].all() and not inside[4:8].any()
+    assert np.array_equal(out[inside], x[inside])
+    # points outside are scaled radially onto the sphere
+    outside = ~inside
+    scale = (wc[outside] / mag[outside])[:, None]
+    assert np.allclose(out[outside], scale * x[outside], rtol=1e-14, atol=0.0)
+    assert np.allclose(out_mag[outside], wc[outside], rtol=1e-14, atol=0.0)
+
+
+def test_tv_step_16x16_meets_tolerances_with_feasible_dual():
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    w1 = 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
+    w2 = w1[g.boundary_nodes]
+    cfg = ss.StepConfig(tol=1e-8)
+    h, rho = 0.01, 1.0
+    sol = ss.solve_step(g, fm.total_variation(rho, 2), 0.0, h, w1, w2, cfg)
+    assert sol.residual <= cfg.tol
+    assert 0.0 <= sol.fenchel_total <= cfg.certificate_tol
+    mags = np.linalg.norm(sol.dual, axis=1)
+    assert np.all(mags <= rho * h * g.cell_volumes * (1.0 + 1e-14))
+    assert np.allclose(sol.eta, sol.dual / (h * g.cell_volumes)[:, None])
