@@ -131,7 +131,10 @@ class Grid:
     @cached_property
     def gram_plan(self):
         """Fixed CSC pattern of diag + sum_c K_c^T D_c K_c (K_c the rows of
-        ``grad_stack`` for cell c) and the per-cell stencil that fills it."""
+        ``grad_stack`` for cell c), the per-cell stencil that fills it, and
+        its lower band layout: bandwidth ``kd`` (1 on intervals, nx + 2 on
+        rectangles, whose nodes run x fastest) and the band slot of each
+        lower-triangle entry (see ``_GramPlan``)."""
         return _GramPlan(self.grad_stack, self.n_cells, len(self.grad_ops))
 
     @cached_property
@@ -144,7 +147,7 @@ class Grid:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_nodes,):
             raise ValueError(f"{name} has shape {u.shape}, expected ({self.n_nodes},)")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError(f"{name} contains non-finite entries")
         return u
 
@@ -153,7 +156,7 @@ class Grid:
         nb = self.boundary_nodes.shape[0]
         if z.shape != (nb,):
             raise ValueError(f"{name} has shape {z.shape}, expected ({nb},)")
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError(f"{name} contains non-finite entries")
         return z
 
@@ -167,6 +170,14 @@ class _GramPlan:
     union of all stencil blocks plus the diagonal, an int32 ``scatter``
     index from each (cell, i, j) entry of a local k x k block to its
     nonzero slot, and the slots of the diagonal.
+
+    The pattern is symmetric with bandwidth ``kd`` = max |i - j| over its
+    entries.  For LAPACK's lower band storage, a (kd + 1, n) array ``ab``
+    with ``ab[i - j, j] = a[i, j]`` for j <= i <= j + kd, the plan keeps
+    ``band_src``, the positions of the lower-triangle entries (i >= j) in
+    the CSC data, and ``band_slot``, their flat index i - j + (kd + 1) j
+    into ``ab`` in Fortran order.  A banded Cholesky factor fills the whole
+    band, so it costs O(n kd^2) work and O(n kd) memory.
     """
 
     def __init__(self, k_op, n_cells, n_ax):
@@ -190,6 +201,10 @@ class _GramPlan:
         self.scatter = np.searchsorted(uniq, keys).astype(np.int32)
         self.diag = np.searchsorted(uniq, diag).astype(np.int32)
         self.shape = (n, n)
+        rows, cols = uniq % n, uniq // n
+        self.kd = int(np.max(rows - cols))
+        self.band_src = np.flatnonzero(rows >= cols)
+        self.band_slot = (rows - cols + (self.kd + 1) * cols)[self.band_src]
 
     def assemble(self, d, diag):
         """CSC diag(diag) + sum_c K_c^T d_c K_c for per-cell (N, N) blocks d."""

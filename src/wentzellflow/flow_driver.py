@@ -23,7 +23,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from . import discretization as disc
-from .step_solver import (StepConfig, StepNonConverged, _curv_matrix,
+from .step_solver import (StepConfig, StepNonConverged, _curv_matrix, _rhs,
                           solve_step, solve_step_obstacle)
 
 __all__ = [
@@ -460,8 +460,7 @@ def steady_state_residual(grid, model, u, f_field, g_vals):
     the constant gauge direction."""
     gu = disc.gradient(grid, u)
     eta = model.select(0.0, grid.cell_centers, gu)
-    rhs = grid.node_weights * f_field
-    rhs[grid.boundary_nodes] += grid.boundary_weights * g_vals
+    rhs = _rhs(grid, f_field, g_vals)
     g = disc.grad_adjoint(grid, eta) - rhs
     m = grid.mass
     mu = float(g.sum() / m.sum())
@@ -485,8 +484,7 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200,
         raise IncompatibleData(
             f"equilibrium data must balance: int f + int g = {compat:.3e}")
     m = grid.mass
-    rhs = grid.node_weights * f_field
-    rhs[grid.boundary_nodes] += grid.boundary_weights * g_vals
+    rhs = _rhs(grid, f_field, g_vals)
     c = m.copy()
 
     lams = lam_schedule

@@ -646,7 +646,7 @@ class FluxModel:
             raise ValueError(f"expected {self.dimension}-vectors")
         if x.shape[0] == 1 and r.shape[0] > 1:
             x = np.broadcast_to(x, r.shape)
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ValueError("non-finite flux argument")
         return x, r
 

@@ -7,11 +7,14 @@ The step objective is
     b(psi) = int_Omega w1 psi + int_Gamma w2 psi,
 
 discretized with the grid quadrature.  Smooth flux laws are minimized
-directly by a damped Newton iteration on the sparse generalized Hessian;
-nonsmooth laws go through a continuation in the envelope parameter lam,
-where the potential is replaced by its smooth envelope and a
-lam |grad u|^2 viscosity term is added, with lam driven down a geometric
-schedule and every stage warm-started.  The viscosity is dropped on the
+directly by a damped Newton iteration on the generalized Hessian.  It is
+SPD on the grid's fixed pattern of bandwidth kd (1 on intervals, nx + 2
+on rectangles), so each Newton system is one banded Cholesky solve
+(SuperLU's sparse LU only on grids wider than 128 cells).  Nonsmooth laws
+go through a continuation in the envelope parameter lam, where the
+potential is replaced by its smooth envelope and a lam |grad u|^2
+viscosity term is added, with lam driven down a geometric schedule and
+every stage warm-started.  The viscosity is dropped on the
 final stage so the last solve targets the pure envelope problem.
 
 The multivalued flux section eta is recovered from the regularized flux
@@ -39,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.linalg import solveh_banded
 from scipy.optimize import lsq_linear
 from scipy.sparse.linalg import spsolve
 
@@ -74,9 +78,10 @@ class StepConfig:
 
     ``optimizer`` selects the route: "auto" sends total-variation models
     to "primal_dual" and everything else to "newton"; the explicit choices
-    are "newton" (damped Newton on the sparse generalized Hessian, with
-    envelope continuation for nonsmooth laws) and "primal_dual" (the
-    accelerated dual solver, total-variation models only).  The dual
+    are "newton" (damped Newton on the generalized Hessian, each system
+    solved by banded Cholesky, with envelope continuation for nonsmooth
+    laws) and "primal_dual" (the accelerated dual solver, total-variation
+    models only).  The dual
     solver stops once the Fenchel certificate is below
     ``1e-3 * certificate_tol`` or after ``pd_max_iter`` iterations.
 
@@ -157,11 +162,14 @@ def _quad_part(mass, rhs, u):
     return 0.5 * float(u @ (mass * u)) - float(rhs @ u)
 
 
+def _weak_form(grid, h, u, eta, rhs):
+    """Weak-form residual vector M u + h K^T W eta - rhs of (u, eta)."""
+    return grid.mass * u + h * disc.grad_adjoint(grid, eta) - rhs
+
+
 def _weak_residual(grid, h, u, eta, rhs):
     """Max-norm of the mass-scaled weak-form residual of (u, eta)."""
-    m = grid.mass
-    res_vec = m * u + h * disc.grad_adjoint(grid, eta) - rhs
-    return float(np.max(np.abs(res_vec) / m))
+    return float(np.max(np.abs(_weak_form(grid, h, u, eta, rhs)) / grid.mass))
 
 
 def step_objective(grid, model, t, h, w1, w2, u):
@@ -180,7 +188,9 @@ def step_objective(grid, model, t, h, w1, w2, u):
 def step_objective_grad(grid, model, t, h, w1, w2, u):
     """Selection-based gradient of phi (the true gradient on smooth laws)."""
     u = grid.check_field(u)
-    return _StageProblem(grid, model, t, h, w1, w2, None, False).grad(u)
+    gu = (grid.grad_stack @ u).reshape(grid.n_cells, -1)
+    eta = model.select(t, grid.cell_centers, gu)
+    return _weak_form(grid, h, u, eta, _rhs(grid, w1, w2))
 
 
 def regularized_objective(grid, model, t, h, lam, w1, w2, u, viscosity=True):
@@ -249,7 +259,7 @@ class _StageProblem:
         else:
             state["jv"], eta, state["curv"] = model.envelope_pack(
                 self.t, grid.cell_centers, self.lam, gu)
-        g = self.mass * u + self.h * disc.grad_adjoint(grid, eta) - self.rhs
+        g = _weak_form(grid, self.h, u, eta, self.rhs)
         if self.viscosity and self.lam is not None:
             g = g + 2.0 * self.lam * disc.grad_adjoint(grid, gu)
         state["g"] = g
@@ -286,8 +296,47 @@ class _StageProblem:
 # ---------------------------------------------------------------------------
 # inner minimizers
 
-# Fill-reducing ordering for the symmetric Newton systems.
-_ORDERING = "MMD_AT_PLUS_A"
+# Widest band solved by banded Cholesky: kd = nx + 2 on rectangles, so grids
+# up to 128 cells wide.  Past that the filled band, O(n kd) doubles, needs
+# about twice the memory of SuperLU's factor (192^2, 256^2).
+_BAND_KD_MAX = 130
+
+
+def _newton_solve(plan, h_mat, rhs, fixed=None):
+    """Solve the SPD system h_mat d = rhs on the fixed pattern of ``plan``.
+
+    Rows and columns flagged in the boolean mask ``fixed`` are replaced by
+    those of the identity with a zero right-hand side, so d vanishes there
+    and the free block is solved as the principal submatrix.  A band of
+    width ``plan.kd <= _BAND_KD_MAX`` is gathered into LAPACK lower band
+    storage and factored by banded Cholesky, which raises
+    numpy.linalg.LinAlgError if the matrix is not positive definite after
+    rounding; wider bands go to SuperLU.
+    """
+    data = h_mat.data
+    if fixed is not None:
+        cols = np.repeat(np.arange(rhs.size), np.diff(plan.indptr))
+        data = data.copy()
+        data[fixed[plan.indices] | fixed[cols]] = 0.0
+        data[plan.diag[fixed]] = 1.0
+        rhs = np.where(fixed, 0.0, rhs)
+    if plan.kd > _BAND_KD_MAX:
+        mat = sps.csc_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
+        return spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A")
+    band = np.zeros((plan.kd + 1) * rhs.size)
+    band[plan.band_slot] = data[plan.band_src]
+    return solveh_banded(band.reshape(plan.kd + 1, -1, order="F"), rhs,
+                         lower=True, overwrite_ab=True, check_finite=False)
+
+
+def _stage_entries(iters, residual, exit_, fallbacks):
+    """A Newton stage's log entries.  "fallbacks", the number of Newton
+    systems whose factorization failed, is there only when it is nonzero,
+    as "rescue" is only on rescue stages."""
+    entries = {"iters": iters, "residual": residual, "exit": exit_}
+    if fallbacks:
+        entries["fallbacks"] = fallbacks
+    return entries
 
 
 def _minimize_newton(prob, u0, tol, max_iter):
@@ -295,30 +344,42 @@ def _minimize_newton(prob, u0, tol, max_iter):
 
     The full step is accepted whenever it reduces the scaled residual (the
     endgame, where objective differences sit below rounding); otherwise an
-    Armijo backtracking on the objective globalizes.  Returns
-    (u, residual, iters, exit) with exit "converged", "stall" or "max_iter".
+    Armijo backtracking on the objective globalizes.  A Newton system that
+    is not positive definite, or a direction that is not one of descent,
+    gives way to the scaled gradient -M^{-1} g.  Returns the final u and
+    its stage log entries (see ``_stage_entries``), with exit "converged",
+    "stall" or "max_iter".
     """
     u = u0.copy()
     m = prob.mass
+    plan = prob.grid.gram_plan
     best = np.inf
     since_best = 0
     res = np.inf
+    fallbacks = 0
     it = 0
+    exit_ = "max_iter"
     for it in range(max_iter + 1):
         g = prob.grad(u)
         res = float(np.max(np.abs(g) / m))
         if res <= tol:
-            return u, res, it, "converged"
+            exit_ = "converged"
+            break
         if res < 0.5 * best:
             best, since_best = res, 0
         else:
             since_best += 1
             if since_best > 12 and it >= 15:
-                return u, res, it, "stall"
+                exit_ = "stall"
+                break
         if it == max_iter:
             break
-        d = spsolve(prob.hess(u), -g, permc_spec=_ORDERING)
-        slope = float(g @ d)
+        try:
+            d = _newton_solve(plan, prob.hess(u), -g)
+            slope = float(g @ d)
+        except np.linalg.LinAlgError:
+            fallbacks += 1
+            slope = np.nan
         if not np.isfinite(slope) or slope >= 0:
             d = -g / m
             slope = float(g @ d)
@@ -336,7 +397,7 @@ def _minimize_newton(prob, u0, tol, max_iter):
                 break
             alpha *= 0.5
         u = un
-    return u, res, it, "max_iter"
+    return u, _stage_entries(it, res, exit_, fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +423,7 @@ def _polish_eta(grid, model, t, h, u, eta, rhs, row_mask=None, mv_tol=1e-5):
     rows = np.ones(grid.n_nodes, dtype=bool) if row_mask is None else row_mask
     fixed = eta.copy()
     fixed[free] = 0.0
-    base = m * u + h * disc.grad_adjoint(grid, fixed) - rhs
+    base = _weak_form(grid, h, u, fixed, rhs)
     a_cols, lo_f, hi_f = [], [], []
     for a, g in enumerate(grid.grad_ops):
         sel = free[:, a]
@@ -556,10 +617,10 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log):
         last = k == len(lams) - 1
         stage_tol = cfg.tol if last else inter_tol
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, not last)
-        u, res, it, exit_ = _minimize_newton(prob, u, stage_tol, cfg.max_iter)
-        log.append({"lam": lam, "iters": it, "residual": res, "exit": exit_,
+        u, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter)
+        log.append({"lam": lam, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
-        if res > max(1e-4, 1e3 * stage_tol):
+        if stage["residual"] > max(1e-4, 1e3 * stage_tol):
             clean = False
             break
     gu = disc.gradient(grid, u)
@@ -592,8 +653,8 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
     log = []
     if model.is_smooth:
         prob = _StageProblem(grid, model, t, h, w1, w2, None, False)
-        u, res, it, exit_ = _minimize_newton(prob, u, cfg.tol, cfg.max_iter)
-        log.append({"lam": 0.0, "iters": it, "residual": res, "exit": exit_,
+        u, stage = _minimize_newton(prob, u, cfg.tol, cfg.max_iter)
+        log.append({"lam": 0.0, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
         gu = disc.gradient(grid, u)
         eta = model.select(t, grid.cell_centers, gu)
@@ -632,9 +693,9 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
     def run_stage(lam, viscosity, tol):
         nonlocal u, comp
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
-        u, comp, it, exit_ = _minimize_newton_bound(prob, u, tol, cfg.max_iter)
-        log.append({"lam": lam or 0.0, "iters": it, "residual": comp,
-                    "exit": exit_,
+        u, stage = _minimize_newton_bound(prob, u, tol, cfg.max_iter)
+        comp = stage["residual"]
+        log.append({"lam": lam or 0.0, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
 
     if model.is_smooth:
@@ -659,30 +720,37 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
 def _minimize_newton_bound(prob, u0, tol, max_iter):
     """Projected (active-set) Newton for minimization over {u >= 0}.
 
-    Returns (u, complementarity, iters, exit) with exit "converged" or
-    "max_iter"."""
+    The Newton system is solved on the free nodes, with the active ones
+    fixed at d = 0; if it is not positive definite the direction falls
+    back to the scaled gradient on the free nodes.  Returns the final u
+    and its stage log entries (see ``_stage_entries``; the residual is the
+    complementarity measure), with exit "converged" or "max_iter"."""
     m = prob.mass
+    plan = prob.grid.gram_plan
     u = np.maximum(u0, 0.0)
     comp = np.inf
+    fallbacks = 0
     it = 0
+    exit_ = "max_iter"
     for it in range(max_iter + 1):
         g = prob.grad(u)
         r = g / m
         comp = float(np.max(np.abs(np.minimum(u, r))))
         if comp <= tol:
-            return u, comp, it, "converged"
+            exit_ = "converged"
+            break
         if it == max_iter:
             break
         active = (u <= 1e-14) & (r > 0)
         free = ~active
         h_mat = prob.hess(u)
-        d = np.zeros_like(u)
-        if np.any(free):
-            idx = np.flatnonzero(free)
-            hff = h_mat[idx][:, idx]
-            d[idx] = spsolve(hff.tocsc(), -g[idx], permc_spec=_ORDERING)
+        try:
+            d = _newton_solve(plan, h_mat, -g, fixed=active)
+        except np.linalg.LinAlgError:
+            fallbacks += 1
+            d = np.where(active, 0.0, -r)
         f0 = prob.value(u)
-        slope = float(g[free] @ d[free]) if np.any(free) else 0.0
+        slope = float(g[free] @ d[free])
         alpha = 1.0
         un = u
         while alpha > 1e-14:
@@ -693,7 +761,7 @@ def _minimize_newton_bound(prob, u0, tol, max_iter):
         if np.array_equal(un, u):
             un = np.maximum(u - g / (m * (1.0 + _hess_diag_scale(h_mat, m))), 0.0)
         u = un
-    return u, comp, it, "max_iter"
+    return u, _stage_entries(it, comp, exit_, fallbacks)
 
 
 def _hess_diag_scale(h_mat, m):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.sparse.linalg import spsolve
 
 from wentzellflow import discretization as disc
 from wentzellflow import flux_models as fm
@@ -443,6 +444,138 @@ def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
     ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
     assert sps.isspmatrix_csc(got) and got.has_canonical_format
     assert np.allclose(got.toarray(), ref, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# banded Newton solve
+
+
+def random_hessian(grid, kind, viscosity, seed=4):
+    """An SPD Newton matrix on the grid's fixed pattern from random
+    nonnegative diagonal or radial curvature."""
+    rng = np.random.default_rng(seed)
+    n_ax = grid.dimension
+    if kind == "diag":
+        curv = ("diag", rng.uniform(0.0, 3.0, (grid.n_cells, n_ax)))
+    else:
+        rhat = rng.standard_normal((grid.n_cells, n_ax))
+        rhat /= np.linalg.norm(rhat, axis=1)[:, None]
+        curv = ("radial", rng.uniform(0.0, 3.0, grid.n_cells),
+                rng.uniform(0.0, 2.0, grid.n_cells), rhat)
+    return ss._curv_matrix(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+
+
+def forbid_spsolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spsolve called on a band route")
+    monkeypatch.setattr(ss, "spsolve", refuse)
+
+
+@pytest.mark.parametrize("grid, kd", [
+    (disc.interval_grid(7), 1), (disc.rectangle_grid(4, 3), 6),
+    (disc.rectangle_grid(9, 3), 11), (disc.rectangle_grid(3, 9), 5)],
+    ids=["1d", "4x3", "9x3", "3x9"])
+def test_band_slots_reproduce_the_csc_matrix(grid, kd):
+    mat = random_hessian(grid, "radial", True)
+    plan = grid.gram_plan
+    n = grid.n_nodes
+    dense = mat.toarray()
+    rows, cols = np.nonzero(dense)
+    assert plan.kd == kd == int(np.max(np.abs(rows - cols)))
+    band = np.zeros((plan.kd + 1) * n)
+    band[plan.band_slot] = mat.data[plan.band_src]
+    ab = band.reshape(plan.kd + 1, n, order="F")
+    assert plan.band_src.size == np.count_nonzero(np.tril(dense))
+    lower = np.zeros((n, n))
+    for r in range(plan.kd + 1):
+        j = np.arange(n - r)
+        lower[j + r, j] = ab[r, :n - r]
+        assert not ab[r, n - r:].any()
+    assert np.array_equal(lower, np.tril(dense))
+
+
+@pytest.mark.parametrize("grid", [disc.interval_grid(32), disc.rectangle_grid(16, 16)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", ["diag", "radial"])
+@pytest.mark.parametrize("viscosity", [False, True])
+def test_band_solve_matches_spsolve(grid, kind, viscosity, monkeypatch):
+    mat = random_hessian(grid, kind, viscosity)
+    rhs = np.random.default_rng(5).standard_normal(grid.n_nodes)
+    ref = spsolve(mat, rhs)
+    forbid_spsolve(monkeypatch)
+    got = ss._newton_solve(grid.gram_plan, mat, rhs)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("grid", [disc.interval_grid(32), disc.rectangle_grid(16, 16),
+                                  disc.rectangle_grid(129, 2)],
+                         ids=["1d", "2d", "wide"])
+def test_masked_solve_matches_principal_submatrix(grid):
+    rng = np.random.default_rng(6)
+    mat = random_hessian(grid, "radial", False)
+    rhs = rng.standard_normal(grid.n_nodes)
+    fixed = rng.random(grid.n_nodes) < 0.4
+    free = np.flatnonzero(~fixed)
+    ref = spsolve(mat[free][:, free].tocsc(), rhs[free])
+    got = ss._newton_solve(grid.gram_plan, mat, rhs, fixed=fixed)
+    assert np.all(got[fixed] == 0.0)
+    assert np.linalg.norm(got[free] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_grid_past_the_band_limit_takes_spsolve(monkeypatch):
+    calls = []
+
+    def counted(mat, rhs, **kwargs):
+        calls.append(mat.shape)
+        return spsolve(mat, rhs, **kwargs)
+    monkeypatch.setattr(ss, "spsolve", counted)
+    model = fm.anisotropic_p_laplacian(4.0, dimension=2)
+    assert ss._BAND_KD_MAX == 130
+    for nx, wide in ((129, True), (128, False)):
+        g = disc.rectangle_grid(nx, 2)
+        assert g.gram_plan.kd == nx + 2
+        x, y = g.nodes.T
+        w1 = np.cos(np.pi * x) * y
+        calls.clear()
+        sol = ss.solve_step(g, model, 0.0, 0.01, w1, w1[g.boundary_nodes])
+        newton_iters = sol.iterations[0]["iters"]
+        assert newton_iters > 0
+        assert calls == ([(g.n_nodes, g.n_nodes)] * newton_iters if wide else [])
+
+
+def test_failed_factorization_falls_back_and_is_logged(monkeypatch):
+    g = disc.interval_grid(8)
+    mat = random_hessian(g, "diag", False)
+    mat.data[g.gram_plan.diag[3]] = -1.0  # a negative pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        ss._newton_solve(g.gram_plan, mat, np.ones(g.n_nodes))
+
+    real_hess = ss._StageProblem.hess
+    broken = []
+
+    def hess_with_negative_pivot(self, u):
+        mat = real_hess(self, u)
+        if not broken:  # negative definite: every free pivot is negative
+            broken.append(True)
+            mat.data *= -1.0
+        return mat
+
+    rng = np.random.default_rng(14)
+    w1 = rng.standard_normal(9)
+    w2 = rng.standard_normal(2)
+    model = fm.anisotropic_p_laplacian(4.0)
+    cfg = ss.StepConfig(tol=1e-11)
+    clean = ss.solve_step(g, model, 0.0, 0.05, w1, w2, cfg)
+    assert ["fallbacks" in s for s in clean.iterations] == [False]
+    monkeypatch.setattr(ss._StageProblem, "hess", hess_with_negative_pivot)
+    sol = ss.solve_step(g, model, 0.0, 0.05, w1, w2, cfg)
+    assert [(s["exit"], s["fallbacks"]) for s in sol.iterations] == [("converged", 1)]
+    assert np.max(np.abs(sol.u - clean.u)) < 1e-9
+    broken.clear()
+    sol = ss.solve_step_obstacle(g, fm.quadratic(1), 0.0, 0.1, w1, w2,
+                                 ss.StepConfig(tol=1e-10))
+    assert sol.iterations[0]["fallbacks"] == 1
+    assert sol.complementarity <= 1e-10
 
 
 # ---------------------------------------------------------------------------
