@@ -134,7 +134,8 @@ class Grid:
         ``grad_stack`` for cell c), the per-cell stencil that fills it, and
         its lower band layout: bandwidth ``kd`` (1 on intervals, nx + 2 on
         rectangles, whose nodes run x fastest) and the band slot of each
-        lower-triangle entry (see ``_GramPlan``)."""
+        lower-triangle entry, so a banded Cholesky solve costs O(n kd^2)
+        work and O(n kd) memory (see ``_GramPlan``)."""
         return _GramPlan(self.grad_stack, self.n_cells, len(self.grad_ops))
 
     @cached_property
@@ -167,9 +168,10 @@ class _GramPlan:
     The N rows of a cell touch the same k nodes (its stencil), so the
     cell's operator values are a (N, k) view ``local`` of the stacked
     operator's data.  The plan keeps the CSC ``indptr``/``indices`` of the
-    union of all stencil blocks plus the diagonal, an int32 ``scatter``
-    index from each (cell, i, j) entry of a local k x k block to its
-    nonzero slot, and the slots of the diagonal.
+    union of all stencil blocks plus the diagonal, the column ``cols`` of
+    each nonzero slot, an int32 ``scatter`` index from each (cell, i, j)
+    entry of a local k x k block to its nonzero slot, and the slots of the
+    diagonal.
 
     The pattern is symmetric with bandwidth ``kd`` = max |i - j| over its
     entries.  For LAPACK's lower band storage, a (kd + 1, n) array ``ab``
@@ -202,6 +204,7 @@ class _GramPlan:
         self.diag = np.searchsorted(uniq, diag).astype(np.int32)
         self.shape = (n, n)
         rows, cols = uniq % n, uniq // n
+        self.cols = cols.astype(np.int32)
         self.kd = int(np.max(rows - cols))
         self.band_src = np.flatnonzero(rows >= cols)
         self.band_slot = (rows - cols + (self.kd + 1) * cols)[self.band_src]

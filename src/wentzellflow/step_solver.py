@@ -9,8 +9,8 @@ The step objective is
 discretized with the grid quadrature.  Smooth flux laws are minimized
 directly by a damped Newton iteration on the generalized Hessian.  It is
 SPD on the grid's fixed pattern of bandwidth kd (1 on intervals, nx + 2
-on rectangles), so each Newton system is one banded Cholesky solve
-(SuperLU's sparse LU only on grids wider than 128 cells).  Nonsmooth laws
+on rectangles), so each Newton system is one banded Cholesky solve,
+O(n kd^2) work and O(n kd) memory.  Nonsmooth laws
 go through a continuation in the envelope parameter lam, where the
 potential is replaced by its smooth envelope and a lam |grad u|^2
 viscosity term is added, with lam driven down a geometric schedule and
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.linalg import solveh_banded
 from scipy.optimize import lsq_linear
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spsolve  # noqa: F401  traced by perfbench/spans.py
 
 from . import discretization as disc
 from . import flux_models as fm
@@ -296,33 +296,22 @@ class _StageProblem:
 # ---------------------------------------------------------------------------
 # inner minimizers
 
-# Widest band solved by banded Cholesky: kd = nx + 2 on rectangles, so grids
-# up to 128 cells wide.  Past that the filled band, O(n kd) doubles, needs
-# about twice the memory of SuperLU's factor (192^2, 256^2).
-_BAND_KD_MAX = 130
-
-
 def _newton_solve(plan, h_mat, rhs, fixed=None):
     """Solve the SPD system h_mat d = rhs on the fixed pattern of ``plan``.
 
     Rows and columns flagged in the boolean mask ``fixed`` are replaced by
     those of the identity with a zero right-hand side, so d vanishes there
-    and the free block is solved as the principal submatrix.  A band of
-    width ``plan.kd <= _BAND_KD_MAX`` is gathered into LAPACK lower band
-    storage and factored by banded Cholesky, which raises
-    numpy.linalg.LinAlgError if the matrix is not positive definite after
-    rounding; wider bands go to SuperLU.
+    and the free block is solved as the principal submatrix.  The matrix is
+    gathered into LAPACK lower band storage and factored by banded
+    Cholesky, which raises numpy.linalg.LinAlgError if it is not positive
+    definite after rounding.
     """
     data = h_mat.data
     if fixed is not None:
-        cols = np.repeat(np.arange(rhs.size), np.diff(plan.indptr))
         data = data.copy()
-        data[fixed[plan.indices] | fixed[cols]] = 0.0
+        data[fixed[plan.indices] | fixed[plan.cols]] = 0.0
         data[plan.diag[fixed]] = 1.0
         rhs = np.where(fixed, 0.0, rhs)
-    if plan.kd > _BAND_KD_MAX:
-        mat = sps.csc_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
-        return spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A")
     band = np.zeros((plan.kd + 1) * rhs.size)
     band[plan.band_slot] = data[plan.band_src]
     return solveh_banded(band.reshape(plan.kd + 1, -1, order="F"), rhs,
