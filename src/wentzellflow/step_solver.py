@@ -33,6 +33,19 @@ dual-feasible by construction, so the weak-form residual vanishes
 identically and the Fenchel gap is the stopping measure.  For total
 variation the per-cell dual prox is the projection onto the rho-ball; for
 the envelope rescue it is the resolvent through the Moreau identity.
+
+FISTA is sublinear, so a total-variation step leaves it at a loose
+handover point, once its gap is below 1e-5 of the gap at its first check
+and has fallen less than tenfold over the last check period (in 1D it
+rarely slows down and finishes alone).  A method of multipliers on the
+lam-envelope of the TV law finishes the step: each round minimizes the
+continuation stage with its envelope argument shifted by the current flux,
+grad u + lam eta, by the same damped Newton on the same banded Cholesky,
+then updates eta to the regularized flux at that argument.  The returned
+pair u = M^{-1}(rhs - K^T p), p = h vol eta is dual-feasible after every
+round, so the weak form holds exactly and the gap is exact.  If the loop
+misses the gap target within its round budget, FISTA resumes from the
+loop's best dual point.
 """
 
 from __future__ import annotations
@@ -80,10 +93,15 @@ class StepConfig:
     to "primal_dual" and everything else to "newton"; the explicit choices
     are "newton" (damped Newton on the generalized Hessian, each system
     solved by banded Cholesky, with envelope continuation for nonsmooth
-    laws) and "primal_dual" (the accelerated dual solver, total-variation
-    models only).  The dual
-    solver stops once the Fenchel certificate is below
-    ``1e-3 * certificate_tol`` or after ``pd_max_iter`` iterations.
+    laws) and "primal_dual" (total-variation models only: the accelerated
+    dual solver, finished by a multiplier loop whose inner problems take
+    the damped Newton).  A total-variation step stops once its Fenchel
+    certificate is below ``1e-3 * certificate_tol``; ``pd_max_iter``
+    bounds its accelerated dual iterations, before the multiplier loop and
+    after a fallback together, and each Newton solve of the loop takes at
+    most ``max_iter`` iterations.  The dual rescue of a stalled
+    continuation has the same certificate target and its own
+    ``pd_max_iter`` iterations.
 
     For nonsmooth laws the achievable weak-form residual scales with
     ``lam_min`` (the returned field is the minimizer of the lam_min
@@ -234,14 +252,17 @@ class _StageProblem:
 
     This is the one evaluator of the step functional and its regularized
     forms.  On the smooth problem the potential and the Hessian data are
-    only computed when the value or a Newton step asks for them.
+    only computed when the value or a Newton step asks for them.  A
+    multiplier ``shift`` (an (n_cells, N) array) moves the envelope's
+    argument to grad u + shift, the inner problem of a multiplier round.
     """
 
-    def __init__(self, grid, model, t, h, w1, w2, lam, viscosity):
+    def __init__(self, grid, model, t, h, w1, w2, lam, viscosity, shift=None):
         self.grid = grid
         self.model = model
         self.t, self.h = t, h
         self.lam, self.viscosity = lam, viscosity
+        self.shift = shift
         self.mass = grid.mass
         self.rhs = _rhs(grid, w1, w2)
         self._key = None
@@ -257,8 +278,9 @@ class _StageProblem:
         if self.lam is None:
             eta = model.select(self.t, grid.cell_centers, gu)
         else:
+            arg = gu if self.shift is None else gu + self.shift
             state["jv"], eta, state["curv"] = model.envelope_pack(
-                self.t, grid.cell_centers, self.lam, gu)
+                self.t, grid.cell_centers, self.lam, arg)
         g = _weak_form(grid, self.h, u, eta, self.rhs)
         if self.viscosity and self.lam is not None:
             g = g + 2.0 * self.lam * disc.grad_adjoint(grid, gu)
@@ -499,7 +521,7 @@ def _scaled_envelope_prox(model, t, xs, lam, s):
 
 
 def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
-                p0=None):
+                p0=None, handover=0.0):
     """Accelerated dual solve of  min_u 1/2||u||_M^2 - b(u) + V(K u).
 
     FISTA on the dual with gradient-based adaptive restart (Beck-Teboulle
@@ -512,7 +534,11 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
     after the first iteration (so a converged start exits at once) and then
     every ``period`` iterations.  The primal iterate u = M^{-1}(rhs - K^T p)
     is dual-feasible, so the weak-form residual with flux p / (h vol)
-    vanishes identically.  Returns (u, p, gap, iters).
+    vanishes identically.  Returns (u, p, gap, iters, exit), exit being
+    "converged", "handover" (the gap is below ``handover`` times the first
+    check's and fell less than tenfold since the last check: the iteration
+    is in its slow tail), "stall" (no gap progress over 50 checks) or
+    "max_iter".
     """
     m = grid.mass
     rhs = _rhs(grid, w1, w2)
@@ -528,10 +554,11 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
     p = np.zeros(b_op.shape[0]) if p0 is None else p0.flatten()
     y = p
     theta = 1.0
-    gap = np.inf
+    gap = first = np.inf
     best_gap = np.inf
     stall = 0
-    it = 0
+    it = -1
+    exit_ = "max_iter"
     for it in range(max_iter):
         x = b_op @ y
         x += shift
@@ -545,8 +572,15 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
             y, theta = p_new + (theta - 1.0) / theta_new * step, theta_new
         p = p_new
         if it == 0 or it % period == period - 1 or it == max_iter - 1:
-            gap = gap_of(p.reshape(shape), (k_op @ primal(p)).reshape(shape))
+            last, gap = gap, gap_of(p.reshape(shape),
+                                    (k_op @ primal(p)).reshape(shape))
             if gap <= gap_target:
+                exit_ = "converged"
+                break
+            if it == 0:
+                first = gap
+            elif handover * first >= gap > 0.1 * last:
+                exit_ = "handover"
                 break
             if gap < best_gap * (1.0 - 1e-9):
                 best_gap = gap
@@ -554,8 +588,9 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
             else:
                 stall += 1
                 if stall > 50:
+                    exit_ = "stall"
                     break
-    return primal(p), p.reshape(shape), gap, it + 1
+    return primal(p), p.reshape(shape), gap, it + 1, exit_
 
 
 def _gap_target(cfg):
@@ -586,9 +621,10 @@ def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0):
         except fm.UnboundedConjugate:
             return np.inf
 
-    u, p, gap, it = _dual_solve(grid, w1, w2, prox, gap_of, _gap_target(cfg),
-                                200, cfg.pd_max_iter, p0)
-    return u, p / a[:, None], gap, it
+    u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox, gap_of,
+                                       _gap_target(cfg), 200, cfg.pd_max_iter,
+                                       p0)
+    return u, p / a[:, None], gap, it, exit_
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log):
@@ -655,9 +691,10 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
         if not clean or _weak_residual(grid, h, u, eta, rhs) > cfg.tol:
             # Newton stages chattered on the jump set; the dual route is exact
             p0 = eta * (h * grid.cell_volumes)[:, None]
-            u, eta, gap, it = _dual_rescue(grid, model, t, h, w1, w2, cfg, p0)
+            u, eta, gap, it, exit_ = _dual_rescue(grid, model, t, h, w1, w2,
+                                                  cfg, p0)
             log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
-                        "rescue": "dual", "certificate": gap,
+                        "exit": exit_, "rescue": "dual", "certificate": gap,
                         "objective": step_objective(grid, model, t, h, w1, w2, u)})
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log)
 
@@ -784,19 +821,118 @@ def _ball_projection(radius):
 
 
 def _solve_tv(grid, model, h, w1, w2, cfg):
-    """Total-variation step by the dual solver over the per-cell polar balls
-    |p_c| <= rho h vol_c; the weighted gap sum_c (w_c |grad u|_c -
-    grad u . p_c) equals h times the Fenchel certificate."""
+    """Total-variation step over the per-cell polar balls |p_c| <= rho h vol_c.
+
+    The weighted gap sum_c (w_c |grad u|_c - grad u . p_c) equals h times
+    the Fenchel certificate.  FISTA (``_dual_solve``) hands over once the
+    gap is below 1e-5 of its first check's and falling less than tenfold
+    per check, and the multiplier loop (``_multiplier_finish``) takes it to
+    the target.  If the loop misses, FISTA resumes from the
+    loop's best dual point with what is left of ``pd_max_iter``.
+    """
     vol = grid.cell_volumes
-    wc = model.rho * h * vol
+    a = h * vol
+    wc = model.rho * a
+    target = h * _gap_target(cfg)
+    project = _ball_projection(wc)
+    log = []
 
     def gap_of(p, q):
         mags = np.sqrt((q * q).sum(axis=1))
         return float((wc * mags - (q * p).sum(axis=1)).sum())
 
-    u, p, gap, it = _dual_solve(grid, w1, w2, _ball_projection(wc), gap_of,
-                                h * _gap_target(cfg), 50, cfg.pd_max_iter)
-    eta = p / (h * vol)[:, None]
-    log = [{"lam": 0.0, "iters": it, "residual": 0.0, "pd_gap": gap,
-            "objective": step_objective(grid, model, 0.0, h, w1, w2, u)}]
-    return _finish(grid, model, 0.0, h, w1, w2, u, eta, cfg, log, dual=p)
+    def fista(p0, handover, max_iter):
+        u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, project, gap_of,
+                                           target, 50, max_iter, p0, handover)
+        log.append({"lam": 0.0, "iters": it, "residual": 0.0, "exit": exit_,
+                    "pd_gap": gap, "objective": step_objective(
+                        grid, model, 0.0, h, w1, w2, u)})
+        return u, p, gap, it, exit_
+
+    u, p, gap, it, exit_ = fista(None, 1e-5, cfg.pd_max_iter)
+    if gap > target and exit_ != "max_iter":
+        u, p, gap, finish = _multiplier_finish(
+            grid, model, h, w1, w2, u, p, gap, gap_of, target, cfg.max_iter)
+        log.append(finish)
+        if gap > target:
+            finish["fallback"] = True
+            u, p, gap, _, _ = fista(p, 0.0, cfg.pd_max_iter - it)
+    return _finish(grid, model, 0.0, h, w1, w2, u, p / a[:, None], cfg, log,
+                   dual=p)
+
+
+def _multiplier_finish(grid, model, h, w1, w2, u0, p, gap, gap_of, target,
+                       max_iter):
+    """Method of multipliers on the lam-envelope of a TV step, from the dual
+    point p with gap ``gap`` and its primal u0 = M^{-1}(rhs - K^T p).
+
+    Each round minimizes the stage whose envelope argument is shifted by
+    the flux eta,  1/2 ||u||_M^2 - b(u) + h sum_c vol_c j_lam(K_c u + lam
+    eta_c),  by ``_minimize_newton``, then sets eta <- yosida_lam(K u + lam
+    eta) (the semismooth-Newton augmented Lagrangian of Li, Sun and Toh,
+    SIAM J. Optim. 28, 2018).  Newton runs on the correction u - u0 with
+    K u0 folded into the shift, so the envelope argument carries no
+    rounding of u0 and the Newton residual no rounding floor of order
+    eps / lam.  The returned pair (u, p) is dual-feasible whatever the
+    inner accuracy, so every round's gap is exact.
+
+    lam rho, the envelope's kink width in gradient units, starts at a tenth
+    of the start's RMS error bound sqrt(2 gap / |Omega|); lam shrinks 4x
+    after a round that less than halves the gap, and grows 4x, never to
+    shrink below that again, after an inner solve that fails and gains
+    nothing.  The
+    inner solve stops once its mass-scaled residual, read as a gradient
+    error of width^-1 times it on every cell, would add a tenth of the best
+    gap; an inner solve that stalls at rounding but still gains sets a
+    floor of twice its residual.  After 20 rounds it returns the best
+    round's (u, p, gap) and its stage log entries.
+    """
+    vol = grid.cell_volumes
+    a = (h * vol)[:, None]
+    m = grid.mass
+    rhs = _rhs(grid, w1, w2)
+    area = float(vol.sum())
+    width = float(vol.min()) ** (1.0 / len(grid.grad_ops))
+    tol_per_gap = 0.1 * width / (model.rho * area * h)
+
+    def primal(eta):
+        return (rhs - grid.grad_stack_t @ (eta * a).ravel()) / m
+
+    ku0 = disc.gradient(grid, u0)
+    w1d, w2d = w1 - u0, w2 - u0[grid.boundary_nodes]
+    lam = 0.1 * math.sqrt(2.0 * gap / area) / model.rho
+    best = (gap, np.zeros_like(u0), p / a)
+    _, delta, eta = best
+    iters = 0
+    lam_low = tol_low = 0.0
+    for rounds in range(1, 21):
+        prob = _StageProblem(grid, model, 0.0, h, w1d, w2d, lam, False,
+                             shift=ku0 + lam * eta)
+        tol = max(tol_low, max(target, best[0]) * tol_per_gap)
+        delta_new, stage = _minimize_newton(prob, delta, tol, max_iter)
+        iters += stage["iters"]
+        eta_new = model.yosida(0.0, grid.cell_centers, lam,
+                               disc.gradient(grid, delta_new) + ku0 + lam * eta)
+        failed = stage["exit"] != "converged"
+        last, gap = gap, gap_of(eta_new * a,
+                                disc.gradient(grid, primal(eta_new)))
+        if gap < best[0]:
+            best = (gap, delta_new, eta_new)
+            if failed:
+                tol_low = 2.0 * stage["residual"]
+        elif failed:
+            lam *= 4.0
+            lam_low = lam
+            gap, delta, eta = best
+            continue
+        delta, eta = delta_new, eta_new
+        if gap <= target:
+            break
+        if gap > 0.5 * last and lam >= 4.0 * lam_low:
+            lam /= 4.0
+    gap, _, eta = best
+    u = primal(eta)
+    return u, eta * a, gap, {
+        "lam": lam, "iters": iters, "residual": stage["residual"],
+        "exit": stage["exit"], "rounds": rounds,
+        "objective": step_objective(grid, model, 0.0, h, w1, w2, u)}

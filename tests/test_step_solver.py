@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from wentzellflow import discretization as disc
@@ -593,3 +597,130 @@ def test_tv_step_16x16_meets_tolerances_with_feasible_dual():
     mags = np.linalg.norm(sol.dual, axis=1)
     assert np.all(mags <= rho * h * g.cell_volumes * (1.0 + 1e-14))
     assert np.allclose(sol.eta, sol.dual / (h * g.cell_volumes)[:, None])
+
+
+# ---------------------------------------------------------------------------
+# total variation: FISTA, the multiplier finish and its fallback
+
+
+def _skip_finish(grid, model, h, w1, w2, u, p, gap, *args, **kwargs):
+    """Stand-in for ``_multiplier_finish`` that gains nothing, so FISTA
+    resumes from its handover point: a FISTA-only solve."""
+    return u, p, gap, {"lam": 0.0, "iters": 0, "residual": 0.0,
+                       "exit": "stall", "rounds": 0, "objective": 0.0}
+
+
+def _tv_gap(grid, rho, h, sol):
+    """The weighted gap sum_c (w_c |grad u|_c - grad u . p_c) of a TV step."""
+    q = disc.gradient(grid, sol.u)
+    wc = rho * h * grid.cell_volumes
+    return float((wc * np.linalg.norm(q, axis=1)
+                  - (q * sol.dual).sum(axis=1)).sum())
+
+
+def _check_tv_dual(grid, rho, h, sol):
+    mags = np.linalg.norm(sol.dual, axis=1)
+    assert np.all(mags <= rho * h * grid.cell_volumes * (1.0 + 1e-14))
+    assert np.array_equal(sol.eta, sol.dual / (h * grid.cell_volumes)[:, None])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_tv_finish_in_2d_matches_a_tight_fista_solve(n):
+    g = disc.rectangle_grid(n, n)
+    x, y = g.nodes.T
+    prev = (((x - 0.5) ** 2 + (y - 0.5) ** 2) < 0.1).astype(float)
+    rho, h = 1.0, 0.01
+    cfg = ss.StepConfig()
+    sol = ss.tv_step(g, rho, h, prev, cfg)
+    assert [("rounds" in s, "fallback" in s) for s in sol.iterations] == [
+        (False, False), (True, False)]
+    assert sol.iterations[0]["exit"] == "handover"
+    assert _tv_gap(g, rho, h, sol) <= h * ss._gap_target(cfg)
+    _check_tv_dual(g, rho, h, sol)
+    with mock.patch.object(ss, "_multiplier_finish", _skip_finish):
+        ref = ss.tv_step(g, rho, h, prev, ss.StepConfig(certificate_tol=1e-11))
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-8
+
+
+def test_tv_finish_at_a_tight_certificate_on_the_benchmark_profile():
+    # at the default certificate FISTA alone lands 9e-8 from this reference,
+    # so the 1e-8 agreement is asked of both routes at tight certificates
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    prev = ((x > 0.5) & (y > 0.3)).astype(float)
+    rho, h = 1.0, 0.01
+    cfg = ss.StepConfig(certificate_tol=1e-10)
+    sol = ss.tv_step(g, rho, h, prev, cfg)
+    assert any("rounds" in s for s in sol.iterations)
+    assert _tv_gap(g, rho, h, sol) <= h * ss._gap_target(cfg)
+    _check_tv_dual(g, rho, h, sol)
+    with mock.patch.object(ss, "_multiplier_finish", _skip_finish):
+        ref = ss.tv_step(g, rho, h, prev, ss.StepConfig(certificate_tol=1e-11))
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-8
+
+
+def test_tv_finish_falls_back_to_fista_when_newton_gains_nothing(monkeypatch):
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    prev = ((x > 0.5) & (y > 0.3)).astype(float)
+    rho, h = 1.0, 0.01
+    clean = ss.tv_step(g, rho, h, prev)
+
+    def stalled(prob, u0, tol, max_iter):
+        return u0.copy(), {"iters": 0, "residual": 1.0, "exit": "stall"}
+
+    monkeypatch.setattr(ss, "_minimize_newton", stalled)
+    sol = ss.tv_step(g, rho, h, prev)
+    fista, finish, resumed = sol.iterations
+    assert fista["exit"] == "handover" and "pd_gap" in fista
+    assert finish["fallback"] is True and finish["exit"] == "stall"
+    assert "pd_gap" not in finish
+    assert resumed["exit"] == "converged" and "pd_gap" in resumed
+    assert fista["iters"] + resumed["iters"] <= ss.StepConfig().pd_max_iter
+    assert sol.fenchel_total <= ss.StepConfig().certificate_tol
+    _check_tv_dual(g, rho, h, sol)
+    assert np.max(np.abs(sol.u - clean.u)) <= 1e-6
+    assert not any("fallback" in s for s in clean.iterations)
+
+
+def test_tv_step_out_of_dual_iterations_reports_max_iter():
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    prev = ((x > 0.5) & (y > 0.3)).astype(float)
+    with pytest.raises(ss.StepNonConverged) as err:
+        ss.tv_step(g, 1.0, 0.01, prev, ss.StepConfig(pd_max_iter=5))
+    assert [(s["iters"], s["exit"]) for s in err.value.log] == [(5, "max_iter")]
+
+
+def _hand_over_after_five_iterations(real):
+    """``_dual_solve`` whose TV call hands over after five iterations, so
+    the multiplier finish starts from a loose point."""
+
+    def dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
+                   p0=None, handover=0.0):
+        if not handover:
+            return real(grid, w1, w2, prox, gap_of, gap_target, period,
+                        max_iter, p0)
+        u, p, gap, it, exit_ = real(grid, w1, w2, prox, gap_of, gap_target,
+                                    period, 5, p0)
+        return u, p, gap, it, "handover" if exit_ == "max_iter" else exit_
+
+    return dual_solve
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 24), seed=st.integers(0, 2**16),
+       log_rho=st.floats(-1.0, 0.5), log_h=st.floats(-2.5, -0.5))
+def test_tv_route_matches_the_exact_1d_prox(n, seed, log_rho, log_h):
+    g = disc.interval_grid(n)
+    prev = np.random.default_rng(seed).standard_normal(g.n_nodes)
+    rho, h = 10.0 ** log_rho, 10.0 ** log_h
+    ref = orc.tv_prox_1d(prev, rho * h, g.node_weights + g.boundary_mass_full)
+    cfg = ss.StepConfig(certificate_tol=1e-4)
+    sol = ss.tv_step(g, rho, h, prev, cfg)
+    with mock.patch.object(ss, "_dual_solve",
+                           _hand_over_after_five_iterations(ss._dual_solve)):
+        early = ss.tv_step(g, rho, h, prev, cfg)
+    for s in (sol, early):
+        assert np.max(np.abs(s.u - ref)) <= 1e-6
+        assert s.fenchel_cells.min() >= -1e-10
