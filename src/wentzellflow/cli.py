@@ -107,7 +107,7 @@ _TOP_KEYS = {"mode", "preset", "grid", "model", "sources", "T", "n", "h",
              "step", "options", "out_dir", "save_every", "seed"}
 _GRID_KEYS = {"kind", "n", "length", "nx", "ny", "lx", "ly"}
 _SOURCE_KEYS = {"f", "g", "y0"}
-_STEP_KEYS = {"tol", "lam0", "lam_decay", "lam_min", "max_iter", "optimizer",
+_STEP_KEYS = {"tol", "lam0", "lam_decay", "lam_min", "max_iter",
               "certificate_tol", "pd_max_iter"}
 _OPTION_KEYS = {"refinements", "perturbation", "T_long", "n_long", "tol"}
 

@@ -19,12 +19,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import spsolve
 
 from . import discretization as disc
-from .step_solver import (StepConfig, StepNonConverged, _curv_matrix, _rhs,
-                          solve_step, solve_step_obstacle)
+from .step_solver import (StepConfig, StepNonConverged, _minimize_newton, _rhs,
+                          _StageProblem, solve_step, solve_step_obstacle)
 
 __all__ = [
     "ProblemData",
@@ -455,25 +453,44 @@ def total_mass(grid, u):
             + disc.integrate_boundary(grid, disc.trace(grid, u)))
 
 
+def _gauge_residual(grid, eta, rhs):
+    """Max-norm of the mass-scaled equilibrium residual K^T W eta - rhs,
+    modulo the constant gauge direction."""
+    g = disc.grad_adjoint(grid, eta) - rhs
+    m = grid.mass
+    return float(np.max(np.abs(g - g.sum() / m.sum() * m) / m))
+
+
 def steady_state_residual(grid, model, u, f_field, g_vals):
     """Mass-scaled stationarity residual of the equilibrium system, modulo
     the constant gauge direction."""
-    gu = disc.gradient(grid, u)
-    eta = model.select(0.0, grid.cell_centers, gu)
-    rhs = _rhs(grid, f_field, g_vals)
-    g = disc.grad_adjoint(grid, eta) - rhs
-    m = grid.mass
-    mu = float(g.sum() / m.sum())
-    return float(np.max(np.abs(g - mu * m) / m))
+    eta = model.select(0.0, grid.cell_centers, disc.gradient(grid, u))
+    return _gauge_residual(grid, eta, _rhs(grid, f_field, g_vals))
 
 
-def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200,
-                 lam_schedule=None):
+# Size H of the implicit steps whose fixed point is the steady state: a
+# step shrinks the distance to it by about 1 / (1 + H c), c the smallest
+# nonzero curvature, so a large H takes few steps.  The Newton systems
+# M + H K^T C K grow ill-conditioned with H: at 1e9 Newton stalls on the
+# lam_min envelope of total variation (curvature 1 / lam_min).
+_STEADY_STEP = 1e5
+
+
+def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200):
     """Equilibrium state: minimizer of the energy minus the source pairing
     over the zero-total-mean gauge.
 
     Requires the compatibility condition int_Omega f + int_Gamma g = 0 (the
     energy is invariant under constants); raises IncompatibleData else.
+    The equilibrium is the fixed point of the flow's implicit step map, so
+    it is reached by steps of the fixed size ``_STEADY_STEP`` from u = 0
+    (the proximal-point iteration), each by the step solver's damped
+    Newton, until the gauge-projected residual meets ``tol``; nonsmooth
+    laws step on each envelope of the default lam schedule in turn.  The
+    data are first shifted by a constant to balance exactly, so every step
+    keeps the zero total mass of the start and no constraint is needed.
+    ``max_iter`` bounds the steps of a stage and the Newton iterations of
+    a step.
     """
     f_field = grid.check_field(np.asarray(f_field, dtype=float), "f")
     g_vals = grid.check_boundary_values(np.asarray(g_vals, dtype=float), "g")
@@ -483,72 +500,34 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200,
     if abs(compat) > 1e-8 * scale:
         raise IncompatibleData(
             f"equilibrium data must balance: int f + int g = {compat:.3e}")
-    m = grid.mass
+    measure = grid.domain_measure + grid.boundary_measure
+    f_field = f_field - compat / measure
+    g_vals = g_vals - compat / measure
     rhs = _rhs(grid, f_field, g_vals)
-    c = m.copy()
+    h = _STEADY_STEP
 
-    lams = lam_schedule
-    if lams is None:
-        lams = [None] if model.is_smooth else StepConfig().lam_schedule()
-
-    def grad_of(u, lam):
+    def residual(u, lam):
         gu = disc.gradient(grid, u)
-        if lam is None:
-            eta = model.select(0.0, grid.cell_centers, gu)
-        else:
-            eta = model.yosida(0.0, grid.cell_centers, lam, gu)
-        return disc.grad_adjoint(grid, eta) - rhs
+        eta = (model.select(0.0, grid.cell_centers, gu) if lam is None
+               else model.yosida(0.0, grid.cell_centers, lam, gu))
+        return _gauge_residual(grid, eta, rhs)
 
-    def value_of(u, lam):
-        gu = disc.gradient(grid, u)
-        if lam is None:
-            jv = model.potential(0.0, grid.cell_centers, gu)
-        else:
-            jv = model.moreau(0.0, grid.cell_centers, lam, gu)
-        return float(grid.cell_volumes @ jv) - float(rhs @ u)
-
+    lams = [None] if model.is_smooth else StepConfig().lam_schedule()
     u = np.zeros(grid.n_nodes)
-    eps = 1e-8
-    for k_stage, lam in enumerate(lams):
-        stage_tol = tol if k_stage == len(lams) - 1 else max(tol, 1e-8)
+    for lam in lams:
+        stage_tol = tol if lam == lams[-1] else max(tol, 1e-8)
         for _ in range(max_iter):
-            g = grad_of(u, lam)
-            mu = float((c * (g / m)).sum() / (c * (c / m)).sum())
-            res = float(np.max(np.abs(g - mu * c) / m))
-            if res <= stage_tol:
+            if residual(u, lam) <= stage_tol:
                 break
-            gu = disc.gradient(grid, u)
-            curv = model.curvature(0.0, grid.cell_centers, gu,
-                                   lam=lam if lam is not None else None)
-            h_mat = _curv_matrix(grid, curv, 1.0) - sps.diags(m) + sps.diags(eps * m)
-            kkt = sps.bmat([[h_mat, c[:, None]], [c[None, :], None]], format="csc")
-            # a singular KKT matrix yields NaN (with a warning), not an error
-            d = spsolve(kkt, np.concatenate([-g, [0.0]]))[:-1]
-            if not np.all(np.isfinite(d)):
-                d = -(g - mu * c) / m
-            f0 = value_of(u, lam)
-            slope = float(g @ d)
-            alpha = 1.0
-            moved = False
-            while alpha > 1e-14:
-                un = u + alpha * d
-                if value_of(un, lam) <= f0 + 1e-4 * alpha * min(slope, 0.0):
-                    moved = True
-                    break
-                alpha *= 0.5
-            if not moved:
-                eps = min(eps * 10.0, 1e6)
-                continue
-            u = un
-            eps = max(eps * 0.3, 1e-12)
-    g = grad_of(u, lams[-1])
-    mu = float((c * (g / m)).sum() / (c * (c / m)).sum())
-    res = float(np.max(np.abs(g - mu * c) / m))
+            prob = _StageProblem(grid, model, 0.0, h, u + h * f_field,
+                                 u[grid.boundary_nodes] + h * g_vals, lam, False)
+            u, _ = _minimize_newton(prob, u, 0.1 * h * stage_tol, max_iter)
+    res = residual(u, lams[-1])
     if res > tol:
         raise StepNonConverged(
             f"steady state residual {res:.3e} exceeds {tol:.1e}", residual=res)
     # fix the gauge exactly
-    return u - total_mass(grid, u) / (grid.domain_measure + grid.boundary_measure)
+    return u - total_mass(grid, u) / measure
 
 
 def asymptotics_check(problem, t_long, n_long, cfg=None, tol=1e-6):

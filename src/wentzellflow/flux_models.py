@@ -673,9 +673,9 @@ class FluxModel:
     def conjugate(self, t, xs, ws):
         raise NotImplementedError
 
-    def curvature(self, t, xs, rs, lam=None):
-        """Per-cell generalized Hessian data for Newton assembly: of the
-        potential for lam=None, of its lam-envelope otherwise."""
+    def curvature(self, t, xs, rs):
+        """Per-cell generalized Hessian data of the potential for Newton
+        assembly (``envelope_pack`` gives the envelope's)."""
         raise NotImplementedError
 
     def fenchel_gap(self, t, xs, rs, ws):
@@ -751,9 +751,7 @@ class _SeparableModel(FluxModel):
         laws = self._laws(t, xs)
         return sum(law.conj(ws[:, a]) for a, law in enumerate(laws))
 
-    def curvature(self, t, xs, rs, lam=None):
-        if lam is not None:
-            return self.envelope_pack(t, xs, lam, rs)[2]
+    def curvature(self, t, xs, rs):
         xs, rs = self._batch(xs, rs)
         laws = self._laws(t, xs)
         return ("diag", np.column_stack([law.deriv2(rs[:, a])
@@ -831,9 +829,7 @@ class _RadialModel(FluxModel):
         law = self._law(t, xs)
         return law.conj_scalar(self._mag(ws))
 
-    def curvature(self, t, xs, rs, lam=None):
-        if lam is not None:
-            return self.envelope_pack(t, xs, lam, rs)[2]
+    def curvature(self, t, xs, rs):
         xs, rs = self._batch(xs, rs)
         law = self._law(t, xs)
         m = self._mag(rs)

@@ -6,16 +6,17 @@ The step objective is
              + 1/2 int_Gamma u^2 - b(u),
     b(psi) = int_Omega w1 psi + int_Gamma w2 psi,
 
-discretized with the grid quadrature.  Smooth flux laws are minimized
-directly by a damped Newton iteration on the generalized Hessian.  It is
-SPD on the grid's fixed pattern of bandwidth kd (1 on intervals, nx + 2
-on rectangles), so each Newton system is one banded Cholesky solve,
-O(n kd^2) work and O(n kd) memory.  Nonsmooth laws
-go through a continuation in the envelope parameter lam, where the
-potential is replaced by its smooth envelope and a lam |grad u|^2
-viscosity term is added, with lam driven down a geometric schedule and
-every stage warm-started.  The viscosity is dropped on the
-final stage so the last solve targets the pure envelope problem.
+discretized with the grid quadrature.  One damped Newton iteration on the
+generalized Hessian minimizes every smooth problem of the package.  The
+Hessian is SPD on the grid's fixed pattern of bandwidth kd (1 on
+intervals, nx + 2 on rectangles), so each Newton system is one banded
+Cholesky solve, O(n kd^2) work and O(n kd) memory.  A smooth law is one
+Newton stage, the step functional itself; a nonsmooth law runs a
+continuation in the envelope parameter lam, where the potential is
+replaced by its smooth envelope and a lam |grad u|^2 viscosity term is
+added, with lam driven down a geometric schedule and every stage
+warm-started.  The viscosity is dropped on the final stage so the last
+solve targets the pure envelope problem.
 
 The multivalued flux section eta is recovered from the regularized flux
 at the final lam.  On cells where the subdifferential is genuinely
@@ -89,19 +90,17 @@ class StepNonConverged(RuntimeError):
 class StepConfig:
     """Solver and continuation parameters for one implicit step.
 
-    ``optimizer`` selects the route: "auto" sends total-variation models
-    to "primal_dual" and everything else to "newton"; the explicit choices
-    are "newton" (damped Newton on the generalized Hessian, each system
-    solved by banded Cholesky, with envelope continuation for nonsmooth
-    laws) and "primal_dual" (total-variation models only: the accelerated
-    dual solver, finished by a multiplier loop whose inner problems take
-    the damped Newton).  A total-variation step stops once its Fenchel
-    certificate is below ``1e-3 * certificate_tol``; ``pd_max_iter``
-    bounds its accelerated dual iterations, before the multiplier loop and
-    after a fallback together, and each Newton solve of the loop takes at
-    most ``max_iter`` iterations.  The dual rescue of a stalled
-    continuation has the same certificate target and its own
-    ``pd_max_iter`` iterations.
+    The route follows the flux law: total-variation steps take the
+    accelerated dual solver, finished by a multiplier loop whose inner
+    problems take the damped Newton; every other law takes the damped
+    Newton on the generalized Hessian (each system solved by banded
+    Cholesky), with envelope continuation for nonsmooth laws.  A
+    total-variation step stops once its Fenchel certificate is below
+    ``1e-3 * certificate_tol``; ``pd_max_iter`` bounds its accelerated
+    dual iterations, before the multiplier loop and after a fallback
+    together, and each Newton solve of the loop takes at most ``max_iter``
+    iterations.  The dual rescue of a stalled continuation has the same
+    certificate target and its own ``pd_max_iter`` iterations.
 
     For nonsmooth laws the achievable weak-form residual scales with
     ``lam_min`` (the returned field is the minimizer of the lam_min
@@ -114,7 +113,6 @@ class StepConfig:
     lam_decay: float = 0.25
     lam_min: float = 1e-6
     max_iter: int = 80
-    optimizer: str = "auto"
     certificate_tol: float = 1e-6
     pd_max_iter: int = 400000
 
@@ -125,13 +123,6 @@ class StepConfig:
             raise ValueError("BADCONFIG: lam_decay must be in (0, 1)")
         if not (self.tol > 0 and self.certificate_tol > 0):
             raise ValueError("BADCONFIG: tolerances must be positive")
-        if self.optimizer not in ("auto", "newton", "primal_dual"):
-            raise ValueError(f"BADCONFIG: unknown optimizer {self.optimizer!r}")
-
-    def resolve_optimizer(self, model):
-        if self.optimizer == "auto":
-            return "primal_dual" if model.kind == "tv" else "newton"
-        return self.optimizer
 
     def lam_schedule(self):
         lams = []
@@ -190,13 +181,18 @@ def _weak_residual(grid, h, u, eta, rhs):
     return float(np.max(np.abs(_weak_form(grid, h, u, eta, rhs)) / grid.mass))
 
 
+def _check_data(grid, h, w1, w2):
+    """The step data (w1, w2) as checked float arrays; h must be positive."""
+    if not h > 0:
+        raise ValueError("step size h must be positive")
+    return (grid.check_field(np.asarray(w1, dtype=float), "w1"),
+            grid.check_boundary_values(np.asarray(w2, dtype=float), "w2"))
+
+
 def step_objective(grid, model, t, h, w1, w2, u):
     """Value of the implicit-step functional phi(u)."""
     u = grid.check_field(u)
-    w1 = grid.check_field(np.asarray(w1, dtype=float), "w1")
-    w2 = grid.check_boundary_values(np.asarray(w2, dtype=float), "w2")
-    if not h > 0:
-        raise ValueError("step size h must be positive")
+    w1, w2 = _check_data(grid, h, w1, w2)
     gu = disc.gradient(grid, u)
     jvals = model.potential(t, grid.cell_centers, gu)
     return (_quad_part(grid.mass, _rhs(grid, w1, w2), u)
@@ -399,16 +395,26 @@ def _minimize_newton(prob, u0, tol, max_iter):
         if res_full <= 0.9 * res:
             u = un_full
             continue
-        f0 = prob.value(u)
-        alpha = 1.0
-        un = u
-        while alpha > 1e-14:
-            un = u + alpha * d
-            if prob.value(un) <= f0 + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        u = un
+        u = _armijo(prob, u, d, slope)
     return u, _stage_entries(it, res, exit_, fallbacks)
+
+
+def _armijo(prob, u, d, slope, slack=0.0, nonneg=False):
+    """Armijo backtracking on the objective along d from u, halving from
+    the full step: the first trial point u + alpha d (projected onto u >= 0
+    when ``nonneg``) whose value is at most f(u) + 1e-4 alpha slope + slack,
+    or the last one tried once alpha falls to 1e-14."""
+    f0 = prob.value(u)
+    alpha = 1.0
+    un = u
+    while alpha > 1e-14:
+        un = u + alpha * d
+        if nonneg:
+            un = np.maximum(un, 0.0)
+        if prob.value(un) <= f0 + 1e-4 * alpha * slope + slack:
+            break
+        alpha *= 0.5
+    return un
 
 
 # ---------------------------------------------------------------------------
@@ -627,30 +633,44 @@ def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0):
     return u, p / a[:, None], gap, it, exit_
 
 
+def _stages(model, cfg):
+    """(lam, viscosity, tol) of each Newton stage: one stage, lam None, for
+    a smooth law, else the lam schedule, with viscosity and the warm-start
+    tolerance on every stage but the last."""
+    if model.is_smooth:
+        return [(None, False, cfg.tol)]
+    *lams, last = cfg.lam_schedule()
+    # warm-start quality along the path is absolute, not relative to tol
+    inter_tol = min(1e-8, max(100.0 * cfg.tol, 1e-12))
+    return [(lam, True, inter_tol) for lam in lams] + [(last, False, cfg.tol)]
+
+
+def _section(grid, model, t, u, cfg):
+    """Flux section at u: the selection for smooth laws, else the
+    regularized flux of the lam_min envelope."""
+    gu = disc.gradient(grid, u)
+    if model.is_smooth:
+        return model.select(t, grid.cell_centers, gu)
+    return model.yosida(t, grid.cell_centers, cfg.lam_min, gu)
+
+
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log):
-    """Run the lam schedule with warm starts; returns (u, eta, clean).
+    """Run the stages of ``_stages``; returns (u, eta, clean).
 
     ``clean`` turns False when a stage stalls far above its target (active
     sets chattering on the jump set); the caller then hands the field to
     the dual solve instead of grinding through the remaining stages.
     """
-    lams = cfg.lam_schedule()
-    # warm-start quality along the path is absolute, not relative to tol
-    inter_tol = min(1e-8, max(100.0 * cfg.tol, 1e-12))
     clean = True
-    for k, lam in enumerate(lams):
-        last = k == len(lams) - 1
-        stage_tol = cfg.tol if last else inter_tol
-        prob = _StageProblem(grid, model, t, h, w1, w2, lam, not last)
+    for lam, viscosity, stage_tol in _stages(model, cfg):
+        prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
         u, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter)
-        log.append({"lam": lam, **stage,
+        log.append({"lam": lam or 0.0, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
         if stage["residual"] > max(1e-4, 1e3 * stage_tol):
             clean = False
             break
-    gu = disc.gradient(grid, u)
-    eta = model.yosida(t, grid.cell_centers, cfg.lam_min, gu)
-    return u, eta, clean
+    return u, _section(grid, model, t, u, cfg), clean
 
 
 def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
@@ -665,27 +685,14 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
     cannot be met, and ValueError (BADCONFIG) for invalid configuration.
     """
     cfg = cfg or StepConfig()
-    if not h > 0:
-        raise ValueError("step size h must be positive")
-    w1 = grid.check_field(np.asarray(w1, dtype=float), "w1")
-    w2 = grid.check_boundary_values(np.asarray(w2, dtype=float), "w2")
-    if cfg.resolve_optimizer(model) == "primal_dual":
-        if model.kind != "tv":
-            raise ValueError("BADCONFIG: primal_dual optimizer is for the "
-                             "total-variation model only")
+    w1, w2 = _check_data(grid, h, w1, w2)
+    if model.kind == "tv":
         return _solve_tv(grid, model, h, w1, w2, cfg)
     u = _default_start(grid, w1, w2) if u0 is None else grid.check_field(u0).copy()
     log = []
-    if model.is_smooth:
-        prob = _StageProblem(grid, model, t, h, w1, w2, None, False)
-        u, stage = _minimize_newton(prob, u, cfg.tol, cfg.max_iter)
-        log.append({"lam": 0.0, **stage,
-                    "objective": step_objective(grid, model, t, h, w1, w2, u)})
-        gu = disc.gradient(grid, u)
-        eta = model.select(t, grid.cell_centers, gu)
-    else:
+    u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log)
+    if not model.is_smooth:
         rhs = _rhs(grid, w1, w2)
-        u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log)
         if clean:
             eta = _polish_eta(grid, model, t, h, u, eta, rhs)
         if not clean or _weak_residual(grid, h, u, eta, rhs) > cfg.tol:
@@ -704,43 +711,26 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
 
     The reported residual is the complementarity measure
     max_i |min(u_i, r_i)| with r the mass-scaled unconstrained residual:
-    at every node either u vanishes (and r >= 0) or r vanishes.
+    at every node either u vanishes (and r >= 0) or r vanishes.  The
+    stages are those of ``solve_step``, each by projected Newton; there is
+    no stall break and no dual rescue.
     """
     cfg = cfg or StepConfig()
-    if not h > 0:
-        raise ValueError("step size h must be positive")
-    w1 = grid.check_field(np.asarray(w1, dtype=float), "w1")
-    w2 = grid.check_boundary_values(np.asarray(w2, dtype=float), "w2")
+    w1, w2 = _check_data(grid, h, w1, w2)
     u = np.maximum(_default_start(grid, w1, w2) if u0 is None
                    else grid.check_field(u0).copy(), 0.0)
     log = []
-    comp = np.inf
-
-    def run_stage(lam, viscosity, tol):
-        nonlocal u, comp
+    for lam, viscosity, stage_tol in _stages(model, cfg):
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
-        u, stage = _minimize_newton_bound(prob, u, tol, cfg.max_iter)
-        comp = stage["residual"]
+        u, stage = _minimize_newton_bound(prob, u, stage_tol, cfg.max_iter)
         log.append({"lam": lam or 0.0, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
-
-    if model.is_smooth:
-        run_stage(None, False, cfg.tol)
-        gu = disc.gradient(grid, u)
-        eta = model.select(t, grid.cell_centers, gu)
-    else:
-        lams = cfg.lam_schedule()
-        inter_tol = min(1e-8, max(100.0 * cfg.tol, 1e-12))
-        for k, lam in enumerate(lams):
-            last = k == len(lams) - 1
-            run_stage(lam, not last, cfg.tol if last else inter_tol)
-        gu = disc.gradient(grid, u)
-        eta = model.yosida(t, grid.cell_centers, cfg.lam_min, gu)
-        inactive = u > 1e-12
+    eta = _section(grid, model, t, u, cfg)
+    if not model.is_smooth:
         eta = _polish_eta(grid, model, t, h, u, eta, _rhs(grid, w1, w2),
-                          row_mask=inactive)
+                          row_mask=u > 1e-12)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
-                   complementarity=comp)
+                   complementarity=stage["residual"])
 
 
 def _minimize_newton_bound(prob, u0, tol, max_iter):
@@ -775,23 +765,13 @@ def _minimize_newton_bound(prob, u0, tol, max_iter):
         except np.linalg.LinAlgError:
             fallbacks += 1
             d = np.where(active, 0.0, -r)
-        f0 = prob.value(u)
-        slope = float(g[free] @ d[free])
-        alpha = 1.0
-        un = u
-        while alpha > 1e-14:
-            un = np.maximum(u + alpha * d, 0.0)
-            if prob.value(un) <= f0 + 1e-4 * alpha * min(slope, 0.0) + 1e-16 * abs(f0):
-                break
-            alpha *= 0.5
+        slope = min(float(g[free] @ d[free]), 0.0)
+        un = _armijo(prob, u, d, slope, 1e-16 * abs(prob.value(u)), nonneg=True)
         if np.array_equal(un, u):
-            un = np.maximum(u - g / (m * (1.0 + _hess_diag_scale(h_mat, m))), 0.0)
+            scale = max(1.0, float(np.max(h_mat.diagonal() / m)))
+            un = np.maximum(u - g / (m * (1.0 + scale)), 0.0)
         u = un
     return u, _stage_entries(it, comp, exit_, fallbacks)
-
-
-def _hess_diag_scale(h_mat, m):
-    return max(1.0, float(np.max(h_mat.diagonal() / m)))
 
 
 def tv_step(grid, rho, h, prev, cfg=None):

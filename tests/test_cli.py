@@ -76,7 +76,7 @@ def test_parse_rejects_unknown_keys_with_location():
         cli.parse_config(cfg_text(grid={"kind": "interval", "n": 4, "junk": 1}))
     with pytest.raises(cli.ConfigError, match="top level"):
         cli.parse_config(json.dumps({"bogus": 1}))
-    for key in ("pd_gap", "use_viscosity"):
+    for key in ("pd_gap", "use_viscosity", "optimizer"):
         with pytest.raises(cli.ConfigError, match="step"):
             cli.parse_config(cfg_text(step={key: 1}))
 

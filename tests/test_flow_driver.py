@@ -343,6 +343,56 @@ def test_steady_state_quadratic_matches_dense_oracle():
     assert fd.steady_state_residual(g, fm.quadratic(1), u, f_field, g_vals) < 1e-11
 
 
+@pytest.mark.parametrize("n, amp", [(32, 3.0), (64, 10.0)])
+def test_steady_state_quadratic_meets_tol_near_rounding(n, amp):
+    # near the solution the energy differences fall below rounding, where
+    # a line search on the energy alone cannot accept a step
+    g = disc.interval_grid(n)
+    f_field = amp * np.cos(np.pi * g.nodes[:, 0])
+    u = fd.steady_state(g, fm.quadratic(1), f_field, np.zeros(2))
+    assert fd.steady_state_residual(g, fm.quadratic(1), u, f_field,
+                                    np.zeros(2)) <= 1e-9
+
+
+def steady_case(name):
+    """(grid, model, f) with balanced data; the boundary source is zero."""
+    if name == "p4-16x16":
+        g = disc.rectangle_grid(16, 16)
+        x, y = g.nodes.T
+        return (g, fm.anisotropic_p_laplacian(4.0, dimension=2),
+                np.cos(np.pi * x) * np.cos(np.pi * y))
+    g = disc.interval_grid(32)
+    f_field = np.cos(np.pi * g.nodes[:, 0])
+    model = {"p4-1d": fm.anisotropic_p_laplacian(4.0),
+             "log-growth": fm.log_growth(1.0),
+             "fractured": fm.fractured_medium(4.0, thresholds=0.5),
+             "tv": fm.total_variation(1.0)}[name]
+    # the total-variation equilibrium exists for data whose primitive
+    # stays inside the unit ball: 0.5 / pi < 1
+    return g, model, (0.5 if name == "tv" else 1.0) * f_field
+
+
+@pytest.mark.parametrize("name", ["p4-1d", "p4-16x16", "log-growth",
+                                  "fractured", "tv"])
+def test_steady_state_nonlinear_is_a_fixed_point_of_the_step(name):
+    g, model, f_field = steady_case(name)
+    g_vals = np.zeros(g.boundary_nodes.size)
+    tol = 1e-9
+    u = fd.steady_state(g, model, f_field, g_vals, tol=tol)
+    assert abs(fd.total_mass(g, u)) <= 1e-12
+    if model.is_smooth:
+        assert fd.steady_state_residual(g, model, u, f_field, g_vals) <= tol
+    # an implicit step of the flow with these sources leaves it in place, up
+    # to the lam_min = 1e-6 envelope that nonsmooth equilibria solve
+    h = 0.1
+    cfg = ss.StepConfig(tol=1e-10, lam_min=1e-10, certificate_tol=1e-8)
+    sol = ss.solve_step(g, model, 0.0, h, u + h * f_field,
+                        u[g.boundary_nodes] + h * g_vals, cfg, u0=u)
+    assert np.max(np.abs(sol.u - u)) <= 1e-6
+    if model.kind == "tv":
+        assert np.ptp(u) <= 1e-6
+
+
 def test_asymptotics_already_at_equilibrium():
     g = disc.interval_grid(8)
     prob = fd.ProblemData(g, np.zeros(9), None, None, 0.5, fm.quadratic(1))

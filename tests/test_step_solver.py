@@ -277,27 +277,6 @@ def test_solve_step_2d_nonsmooth_kinds():
     assert sol_tv.residual <= 1e-8
 
 
-def test_tv_through_newton_continuation_matches_oracle():
-    # forcing the continuation route on the total-variation law must still
-    # produce the exact prox (the dual rescue handles the kink chatter)
-    g = disc.interval_grid(16)
-    prev = np.where(g.nodes[:, 0] > 0.5, 1.0, 0.0)
-    cfg = ss.StepConfig(optimizer="newton", tol=1e-6, lam_min=1e-8,
-                        certificate_tol=1e-4)
-    sol = ss.solve_step(g, fm.total_variation(1.0), 0.0, 0.02, prev,
-                        prev[g.boundary_nodes], cfg)
-    ref = orc.tv_prox_1d(prev, 0.02, g.node_weights + g.boundary_mass_full)
-    assert np.max(np.abs(sol.u - ref)) < 1e-6
-    # 2D: the recovered section must stay inside the admissible ball
-    g2 = disc.rectangle_grid(4, 4)
-    rng = np.random.default_rng(20)
-    w1 = 0.4 * rng.standard_normal(g2.n_nodes)
-    w2 = 0.4 * rng.standard_normal(g2.boundary_nodes.size)
-    sol2 = ss.solve_step(g2, fm.total_variation(1.0, 2), 0.0, 0.05, w1, w2, cfg)
-    assert np.isfinite(sol2.fenchel_total)
-    assert np.max(np.sqrt((sol2.eta ** 2).sum(axis=1))) <= 1.0 + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # errors
 
@@ -309,13 +288,6 @@ def test_bad_config_rejected():
         ss.StepConfig(lam_decay=1.5)
     with pytest.raises(ValueError, match="BADCONFIG"):
         ss.StepConfig(tol=-1.0)
-    for optimizer in ("sgd", "quasi_newton", "proximal_gradient"):
-        with pytest.raises(ValueError, match="BADCONFIG"):
-            ss.StepConfig(optimizer=optimizer)
-    g = disc.interval_grid(4)
-    with pytest.raises(ValueError, match="BADCONFIG"):
-        ss.solve_step(g, fm.quadratic(1), 0.0, 0.1, np.zeros(5), np.zeros(2),
-                      ss.StepConfig(optimizer="primal_dual"))
 
 
 def test_nonconverged_reports_residual_and_log():
@@ -396,6 +368,56 @@ def test_obstacle_mixed_sign_vs_projected_gradient():
     assert np.max(np.abs(sol.u - ref)) < 1e-6
     assert sol.u.min() >= 0.0
     assert sol.complementarity <= 1e-10
+
+
+def test_tv_obstacle_step_matches_oracle():
+    # on nonnegative data the TV prox stays inside [0, 1], so the constraint
+    # is inactive and the continuation must reach the exact prox
+    g = disc.interval_grid(16)
+    prev = np.where(g.nodes[:, 0] > 0.5, 1.0, 0.0)
+    cfg = ss.StepConfig(tol=1e-6, lam_min=1e-8, certificate_tol=1e-4)
+    sol = ss.solve_step_obstacle(g, fm.total_variation(1.0), 0.0, 0.02, prev,
+                                 prev[g.boundary_nodes], cfg)
+    ref = orc.tv_prox_1d(prev, 0.02, g.node_weights + g.boundary_mass_full)
+    assert np.max(np.abs(sol.u - ref)) < 1e-6
+    assert sol.complementarity <= cfg.tol
+
+
+def test_tv_obstacle_step_2d_mixed_sign_keeps_eta_in_the_ball():
+    # the polished section must stay inside the admissible ball
+    g = disc.rectangle_grid(4, 4)
+    rng = np.random.default_rng(20)
+    w1 = 0.4 * rng.standard_normal(g.n_nodes)
+    w2 = 0.4 * rng.standard_normal(g.boundary_nodes.size)
+    cfg = ss.StepConfig(tol=1e-6, lam_min=1e-8, certificate_tol=1e-4)
+    sol = ss.solve_step_obstacle(g, fm.total_variation(1.0, 2), 0.0, 0.05,
+                                 w1, w2, cfg)
+    assert np.isfinite(sol.fenchel_total)
+    assert np.max(np.sqrt((sol.eta ** 2).sum(axis=1))) <= 1.0 + 1e-9
+    assert sol.complementarity <= cfg.tol
+    assert 0 < np.count_nonzero(sol.u == 0.0) < g.n_nodes
+
+
+def test_fractured_obstacle_step_mixed_sign_is_optimal():
+    g = disc.rectangle_grid(4, 4)
+    rng = np.random.default_rng(21)
+    w1 = rng.standard_normal(g.n_nodes)
+    w2 = rng.standard_normal(g.boundary_nodes.size)
+    model = fm.fractured_medium(4.0, thresholds=0.4, dimension=2)
+    h = 0.1
+    sol = ss.solve_step_obstacle(g, model, 0.0, h, w1, w2,
+                                 ss.StepConfig(tol=1e-8, lam_min=1e-8))
+    assert sol.u.min() >= 0.0
+    assert 0 < np.count_nonzero(sol.u == 0.0) < g.n_nodes
+    assert sol.complementarity <= 1e-8
+    assert np.min(sol.fenchel_cells) >= -1e-10
+    # no feasible perturbation lowers the step functional
+    f0 = ss.step_objective(g, model, 0.0, h, w1, w2, sol.u)
+    dirs = np.random.default_rng(3).standard_normal((50, g.n_nodes))
+    for eps in (1e-2, 1e-4, 1e-6):
+        for v in dirs:
+            trial = np.maximum(sol.u + eps * v, 0.0)
+            assert ss.step_objective(g, model, 0.0, h, w1, w2, trial) >= f0 - 1e-10
 
 
 # ---------------------------------------------------------------------------
