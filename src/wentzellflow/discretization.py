@@ -130,12 +130,10 @@ class Grid:
 
     @cached_property
     def gram_plan(self):
-        """Fixed CSC pattern of diag + sum_c K_c^T D_c K_c (K_c the rows of
-        ``grad_stack`` for cell c), the per-cell stencil that fills it, and
-        its lower band layout: bandwidth ``kd`` (1 on intervals, nx + 2 on
-        rectangles, whose nodes run x fastest) and the band slot of each
-        lower-triangle entry, so a banded Cholesky solve costs O(n kd^2)
-        work and O(n kd) memory (see ``_GramPlan``)."""
+        """Assembly plan of diag + sum_c K_c^T D_c K_c (K_c the rows of
+        ``grad_stack`` for cell c) in lower band storage of bandwidth
+        ``kd``, 1 on intervals and nx + 2 on rectangles, whose nodes run x
+        fastest (see ``_GramPlan``)."""
         return _GramPlan(self.grad_stack, self.n_cells, len(self.grad_ops))
 
     @cached_property
@@ -163,23 +161,19 @@ class Grid:
 
 
 class _GramPlan:
-    """Assembly of diag(m) + sum_c K_c^T D_c K_c into a fixed CSC pattern.
+    """Assembly of diag(m) + sum_c K_c^T D_c K_c straight into LAPACK lower
+    band storage.
 
     The N rows of a cell touch the same k nodes (its stencil), so the
     cell's operator values are a (N, k) view ``local`` of the stacked
-    operator's data.  The plan keeps the CSC ``indptr``/``indices`` of the
-    union of all stencil blocks plus the diagonal, the column ``cols`` of
-    each nonzero slot, an int32 ``scatter`` index from each (cell, i, j)
-    entry of a local k x k block to its nonzero slot, and the slots of the
-    diagonal.
-
-    The pattern is symmetric with bandwidth ``kd`` = max |i - j| over its
-    entries.  For LAPACK's lower band storage, a (kd + 1, n) array ``ab``
-    with ``ab[i - j, j] = a[i, j]`` for j <= i <= j + kd, the plan keeps
-    ``band_src``, the positions of the lower-triangle entries (i >= j) in
-    the CSC data, and ``band_slot``, their flat index i - j + (kd + 1) j
-    into ``ab`` in Fortran order.  A banded Cholesky factor fills the whole
-    band, so it costs O(n kd^2) work and O(n kd) memory.
+    operator's data.  The matrix is symmetric with bandwidth ``kd`` = max
+    |i - j| over the stencils; its lower band storage is the (kd + 1, n)
+    array ``ab[i - j, j] = a[i, j]``, j <= i <= j + kd, whose Fortran order
+    puts (i, j) at the flat index i - j + (kd + 1) j.  ``scatter`` holds
+    that index for each lower (cell, i, j) entry of the local k x k blocks
+    (one slot past the band for the upper ones), and ``slot``, ``row`` and
+    ``col`` each entry of the lower pattern, diagonal included.  A banded
+    Cholesky factor costs O(n kd^2) work and O(n kd) memory.
     """
 
     def __init__(self, k_op, n_cells, n_ax):
@@ -193,30 +187,27 @@ class _GramPlan:
             raise ValueError("the rows of a cell must share one stencil")
         self.local = k_op.data.reshape(n_cells, n_ax, k)
         stencil = cols[:, 0].astype(np.int64)
-        # entry (c, i, j) sits at row stencil[c, i], column stencil[c, j];
-        # CSC orders slots by column * n + row
-        keys = (np.tile(stencil, (1, k)) * n + np.repeat(stencil, k, axis=1)).ravel()
-        diag = np.arange(n, dtype=np.int64) * (n + 1)
-        uniq = np.unique(np.concatenate([keys, diag]))
-        self.indices = (uniq % n).astype(np.int32)
-        self.indptr = np.searchsorted(uniq, np.arange(n + 1) * n).astype(np.int32)
-        self.scatter = np.searchsorted(uniq, keys).astype(np.int32)
-        self.diag = np.searchsorted(uniq, diag).astype(np.int32)
-        self.shape = (n, n)
-        rows, cols = uniq % n, uniq // n
-        self.cols = cols.astype(np.int32)
-        self.kd = int(np.max(rows - cols))
-        self.band_src = np.flatnonzero(rows >= cols)
-        self.band_slot = (rows - cols + (self.kd + 1) * cols)[self.band_src]
+        # entry (c, i, j) sits at row stencil[c, i], column stencil[c, j]
+        rows = np.repeat(stencil, k, axis=1).ravel()
+        cols = np.tile(stencil, (1, k)).ravel()
+        self.kd = kd = int(np.max(rows - cols))
+        self.size = (kd + 1) * n
+        self.scatter = np.where(rows >= cols, rows - cols + (kd + 1) * cols,
+                                self.size).astype(np.int32)
+        diag = np.arange(n) * (kd + 1)
+        self.slot = np.unique(np.concatenate([self.scatter[rows >= cols], diag]))
+        self.col = self.slot // (kd + 1)
+        self.row = self.col + self.slot % (kd + 1)
 
     def assemble(self, d, diag):
-        """CSC diag(diag) + sum_c K_c^T d_c K_c for per-cell (N, N) blocks d."""
+        """diag(diag) + sum_c K_c^T d_c K_c for per-cell (N, N) blocks d, as
+        the Fortran-ordered lower band storage ``ab``."""
         blocks = np.matmul(self.local.transpose(0, 2, 1), np.matmul(d, self.local))
-        data = np.bincount(self.scatter, weights=blocks.ravel(),
-                           minlength=self.indices.size)
-        data[self.diag] += diag
-        return sps.csc_matrix((data, self.indices, self.indptr),
-                              shape=self.shape)
+        band = np.bincount(self.scatter, weights=blocks.ravel(),
+                           minlength=self.size + 1)
+        ab = band[:self.size].reshape(self.kd + 1, -1, order="F")
+        ab[0] += diag
+        return ab
 
 
 class _DualPlan:

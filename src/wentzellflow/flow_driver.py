@@ -474,6 +474,9 @@ def steady_state_residual(grid, model, u, f_field, g_vals):
 # M + H K^T C K grow ill-conditioned with H: at 1e9 Newton stalls on the
 # lam_min envelope of total variation (curvature 1 / lam_min).
 _STEADY_STEP = 1e5
+# Steps in a row without a new lowest residual after which a stage stops:
+# from its envelope's minimizer a step only stirs the rounding.
+_STEADY_PATIENCE = 3
 
 
 def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200):
@@ -486,11 +489,13 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200):
     it is reached by steps of the fixed size ``_STEADY_STEP`` from u = 0
     (the proximal-point iteration), each by the step solver's damped
     Newton, until the gauge-projected residual meets ``tol``; nonsmooth
-    laws step on each envelope of the default lam schedule in turn.  The
-    data are first shifted by a constant to balance exactly, so every step
-    keeps the zero total mass of the start and no constraint is needed.
-    ``max_iter`` bounds the steps of a stage and the Newton iterations of
-    a step.
+    laws step on each envelope of the default lam schedule in turn.  A
+    stage stops early at its residual floor (``_STEADY_PATIENCE``), and a
+    last stage left above ``tol`` raises StepNonConverged with its lam,
+    steps and lowest residual.  The data are first shifted by a constant
+    to balance exactly, so every step keeps the zero total mass of the
+    start and no constraint is needed.  ``max_iter`` bounds the steps of a
+    stage and the Newton iterations of a step.
     """
     f_field = grid.check_field(np.asarray(f_field, dtype=float), "f")
     g_vals = grid.check_boundary_values(np.asarray(g_vals, dtype=float), "g")
@@ -516,16 +521,20 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200):
     u = np.zeros(grid.n_nodes)
     for lam in lams:
         stage_tol = tol if lam == lams[-1] else max(tol, 1e-8)
-        for _ in range(max_iter):
-            if residual(u, lam) <= stage_tol:
-                break
+        res = best = residual(u, lam)
+        steps = stale = 0
+        while res > stage_tol and steps < max_iter and stale < _STEADY_PATIENCE:
             prob = _StageProblem(grid, model, 0.0, h, u + h * f_field,
                                  u[grid.boundary_nodes] + h * g_vals, lam, False)
             u, _ = _minimize_newton(prob, u, 0.1 * h * stage_tol, max_iter)
-    res = residual(u, lams[-1])
+            steps += 1
+            res = residual(u, lam)
+            stale = 0 if res < best else stale + 1
+            best = min(best, res)
     if res > tol:
         raise StepNonConverged(
-            f"steady state residual {res:.3e} exceeds {tol:.1e}", residual=res)
+            f"steady state residual {res:.3e} exceeds {tol:.1e}: the lam={lam} "
+            f"stage reached {best:.3e} at best in {steps} steps", residual=res)
     # fix the gauge exactly
     return u - total_mass(grid, u) / measure
 

@@ -131,7 +131,7 @@ class GrowthReport:
 
 
 def _as_coeff(c, name):
-    """Normalize a coefficient (constant or callable of (t, points))."""
+    """Normalize a coefficient: callable of (t, points), or a float."""
     if callable(c):
         def fn(t, xs, _c=c):
             v = np.asarray(_c(t, xs), dtype=float)
@@ -141,8 +141,20 @@ def _as_coeff(c, name):
         return fn, None
     val = float(c)
     def const(t, xs, _v=val):
-        return np.full(xs.shape[0], _v)
+        return _v
     return const, val
+
+
+def _pow(a, e):
+    """a ** e for a >= 0, +inf without a warning where a = 0 and e < 0."""
+    if e >= 0:
+        return a ** e
+    return np.power(a, e, out=np.full_like(a, np.inf), where=a > 0)
+
+
+def _envelope_curvature(c, lam, ok):
+    """c / (1 + lam c) where ``ok``, else 1 / lam (j'' infinite)."""
+    return np.divide(c, 1.0 + lam * c, out=np.full_like(c, 1.0 / lam), where=ok)
 
 
 _ROOT_RTOL = 1e-14
@@ -289,7 +301,9 @@ def _power_conj_value(d, a, p):
 
 
 # ---------------------------------------------------------------------------
-# per-axis scalar laws (coefficients baked as per-cell arrays)
+# per-axis scalar laws (constant coefficients as floats, others per cell);
+# ``envelope(lam, s, curvature)`` gives j(z), the regularized flux and, if
+# asked, the envelope curvature c / (1 + lam c), c = j''(z), from one prox z
 
 
 class _QuadAxis:
@@ -310,12 +324,11 @@ class _QuadAxis:
     def prox(self, lam, s):
         return s / (1.0 + lam * self.alpha)
 
-    def yosida(self, lam, s, z):
-        return self.alpha * z
-
-    def curvature_moreau(self, lam, s, z):
+    def envelope(self, lam, s, curvature=True):
+        z = self.prox(lam, s)
         c = self.alpha
-        return c / (1.0 + lam * c) * np.ones_like(s)
+        return (self.value(z), c * z,
+                c / (1.0 + lam * c) * np.ones_like(s) if curvature else None)
 
     def conj(self, w):
         return 0.5 * w * w / self.alpha
@@ -348,16 +361,20 @@ class _PowerAxis:
             v = v + self.delta_eff * s
         return v
 
-    def deriv(self, s):
+    def _slope(self, s):
+        """j' off the kink, continued one-sidedly through it."""
         a = np.abs(s)
         d = self.alpha * a ** (self.p - 1.0) * np.sign(s)
         if self.kappa is not None:
             d = d + self.kappa * np.sign(s) / (1.0 + a)
         if self.delta_eff is not None:
             d = d + self.delta_eff
+        return d
+
+    def deriv(self, s):
+        d = self._slope(s)
+        if not self.pure:
             d = np.where(s == 0.0, 0.0, d)  # minimal-norm at the kink
-        elif self.kappa is not None:
-            d = np.where(s == 0.0, 0.0, d)
         return d
 
     def subgrad0(self):
@@ -368,8 +385,7 @@ class _PowerAxis:
 
     def deriv2(self, s):
         a = np.abs(s)
-        with np.errstate(divide="ignore", over="ignore"):
-            c = self.alpha * (self.p - 1.0) * a ** (self.p - 2.0)
+        c = self.alpha * (self.p - 1.0) * _pow(a, self.p - 2.0)
         if self.kappa is not None:
             c = c - self.kappa / (1.0 + a) ** 2
         return c
@@ -403,32 +419,19 @@ class _PowerAxis:
             lambda a: b + c * (p - 1.0) * a ** (p - 2.0) - k / (1.0 + a) ** 2,
             lo, hi, z0=lo)
 
-    def _deriv_smooth(self, s):
-        # one-sided continuation through 0; yosida replaces it at the kink
-        a = np.abs(s)
-        d = self.alpha * a ** (self.p - 1.0) * np.sign(s)
-        if self.kappa is not None:
-            d = d + self.kappa * np.sign(s) / (1.0 + a)
-        if self.delta_eff is not None:
-            d = d + self.delta_eff
-        return d
-
-    def yosida(self, lam, s, z):
-        out = self._deriv_smooth(z)
+    def envelope(self, lam, s, curvature=True):
+        # at the kink (|z| within 1e-13 of 0) the flux is s / lam clipped to
+        # the kink interval, and a law with one has infinite curvature there
+        z = self.prox(lam, s)
         kink = np.abs(z) <= _KINK_TOL * (1.0 + np.abs(s))
-        if np.any(kink):
-            lo0, hi0 = self.subgrad0()
-            out = np.where(kink, np.clip(s / lam, lo0, hi0), out)
-        return out
-
-    def curvature_moreau(self, lam, s, z):
+        y = self._slope(z)
+        if kink.any():
+            y = np.where(kink, np.clip(s / lam, *self.subgrad0()), y)
+        if not curvature:
+            return self.value(z), y, None
         c = self.deriv2(z)
-        kink = np.abs(z) <= _KINK_TOL * (1.0 + np.abs(s))
-        if self.kappa is not None or self.delta_eff is not None:
-            c = np.where(kink, np.inf, c)
-        with np.errstate(invalid="ignore"):
-            out = c / (1.0 + lam * c)
-        return np.where(np.isfinite(c), out, 1.0 / lam)
+        ok = np.isfinite(c) if self.pure else np.isfinite(c) & ~kink
+        return self.value(z), y, _envelope_curvature(c, lam, ok)
 
     def conj(self, w):
         if self.pure:
@@ -447,80 +450,67 @@ class _FracturedAxis:
 
     j(s) = alpha Psi(s) + (Psi(s) - Psi(th)) for s > th, with
     Psi(s) = |s|^p / p and threshold th >= 0; the selection jumps across
-    [alpha th^{p-1}, (alpha+1) th^{p-1}] at s = th and the minimal-norm
-    convention picks the lower edge.
+    the jump interval [lo_e, hi_e] = [alpha th^{p-1}, (alpha+1) th^{p-1}]
+    at s = th and the minimal-norm convention picks the lower edge.
     """
 
     def __init__(self, alpha, p, th):
         self.alpha = alpha
         self.p = float(p)
         self.th = th
-
-    def _psi(self, s):
-        return np.abs(s) ** self.p / self.p
+        b = th ** (self.p - 1.0)
+        self.lo_e, self.hi_e = alpha * b, (alpha + 1.0) * b
+        self.psi_th = np.abs(th) ** self.p / self.p
 
     def value(self, s):
-        extra = np.where(s > self.th, self._psi(s) - self._psi(self.th), 0.0)
-        return self.alpha * self._psi(s) + extra
+        psi = np.abs(s) ** self.p / self.p
+        return self.alpha * psi + np.where(s > self.th, psi - self.psi_th, 0.0)
 
     def deriv(self, s):
         base = np.abs(s) ** (self.p - 1.0) * np.sign(s)
         return (self.alpha + (s > self.th)) * base
 
     def deriv2(self, s):
-        with np.errstate(divide="ignore", over="ignore"):
-            c = (self.alpha + (s > self.th)) * (self.p - 1.0) * np.abs(s) ** (self.p - 2.0)
-        return c
-
-    def _jump_edges(self):
-        b = self.th ** (self.p - 1.0)
-        return self.alpha * b, (self.alpha + 1.0) * b
+        return (self.alpha + (s > self.th)) * (self.p - 1.0) * _pow(np.abs(s), self.p - 2.0)
 
     def prox(self, lam, s):
-        lo_e, hi_e = self._jump_edges()
+        lo_e, hi_e = self.lo_e, self.hi_e
         at_jump = (self.th > 0) & (s >= self.th + lam * lo_e) & (s <= self.th + lam * hi_e)
         # off the jump, s picks the branch and its modulus
         upper = s > self.th + lam * hi_e
         z = _power_resolvent(lam * (self.alpha + upper), self.p, s)
         return np.where(at_jump, self.th, z)
 
-    def yosida(self, lam, s, z):
-        out = self.deriv(z)
-        lo_e, hi_e = self._jump_edges()
-        at_jump = (self.th > 0) & (np.abs(z - self.th) <= _KINK_TOL * (1.0 + self.th))
-        if np.any(at_jump):
-            clipped = np.clip((s - z) / lam, lo_e, hi_e)
-            out = np.where(at_jump, clipped, out)
-        return out
-
-    def curvature_moreau(self, lam, s, z):
+    def envelope(self, lam, s, curvature=True):
+        # on the jump (z within 1e-13 of th) the flux is (s - z) / lam
+        # clipped to the jump interval and the curvature is infinite
+        z = self.prox(lam, s)
+        jump = (self.th > 0) & (np.abs(z - self.th) <= _KINK_TOL * (1.0 + self.th))
+        y = self.deriv(z)
+        if jump.any():
+            y = np.where(jump, np.clip((s - z) / lam, self.lo_e, self.hi_e), y)
+        if not curvature:
+            return self.value(z), y, None
         c = self.deriv2(z)
-        at_jump = (self.th > 0) & (np.abs(z - self.th) <= _KINK_TOL * (1.0 + self.th))
-        c = np.where(at_jump, np.inf, c)
-        with np.errstate(invalid="ignore"):
-            out = c / (1.0 + lam * c)
-        return np.where(np.isfinite(c), out, 1.0 / lam)
+        return self.value(z), y, _envelope_curvature(c, lam, np.isfinite(c) & ~jump)
 
     def conj(self, w):
         # piecewise power: the maximizer is below, at or above th as w lies
         # below, inside or above the jump interval
         q = self.p / (self.p - 1.0)
-        lo_e, hi_e = self._jump_edges()
-        psi_th = self.th ** self.p / self.p
         aw = np.abs(w) ** q / q
         below = self.alpha ** (1.0 - q) * aw
-        above = (self.alpha + 1.0) ** (1.0 - q) * aw + psi_th
-        at = w * self.th - self.alpha * psi_th
-        return np.where(w < lo_e, below, np.where(w > hi_e, above, at))
+        above = (self.alpha + 1.0) ** (1.0 - q) * aw + self.psi_th
+        at = w * self.th - self.alpha * self.psi_th
+        return np.where(w < self.lo_e, below, np.where(w > self.hi_e, above, at))
 
 
 class _CustomAxis:
     """User-supplied scalar potential, proximal map by golden section."""
 
-    def __init__(self, jfun, dfun, m):
+    def __init__(self, jfun, dfun):
         self.jfun = jfun
         self.dfun = dfun
-        self.m = m
 
     def value(self, s):
         return np.asarray(self.jfun(s), dtype=float)
@@ -540,12 +530,10 @@ class _CustomAxis:
             return (z - s) ** 2 / (2.0 * lam) + self.value(z)
         return _golden_vec(obj, np.minimum(0.0, s) - 1e-9, np.maximum(0.0, s) + 1e-9)
 
-    def yosida(self, lam, s, z):
-        return (s - z) / lam
-
-    def curvature_moreau(self, lam, s, z):
-        c = np.maximum(self.deriv2(z), 0.0)
-        return c / (1.0 + lam * c)
+    def envelope(self, lam, s, curvature=True):
+        z = self.prox(lam, s)
+        c = np.maximum(self.deriv2(z), 0.0) if curvature else None
+        return self.value(z), (s - z) / lam, c / (1.0 + lam * c) if curvature else None
 
     def conj(self, w):
         return _conj_numeric(self.value, w)
@@ -554,9 +542,8 @@ class _CustomAxis:
 class _AbsRadial:
     """Radial profile rho*m of the total-variation flux."""
 
-    def __init__(self, rho, m):
-        self.rho = rho
-        self.m = m
+    def __init__(self, rho):
+        self.rho = self.dphi0 = rho
 
     def phi(self, m):
         return self.rho * m
@@ -566,10 +553,6 @@ class _AbsRadial:
 
     def d2phi(self, m):
         return np.zeros_like(m)
-
-    @property
-    def dphi0(self):
-        return self.rho
 
     def prox_radius(self, lam, m):
         return np.maximum(m - lam * self.rho, 0.0)
@@ -583,9 +566,10 @@ class _AbsRadial:
 class _LogRadial:
     """Radial profile a * m * log(1+m); gradient a(log(1+m) + m/(1+m))."""
 
-    def __init__(self, a, m):
+    dphi0 = 0.0
+
+    def __init__(self, a):
         self.a = a
-        self.m = m
 
     def phi(self, m):
         return self.a * m * np.log1p(m)
@@ -595,10 +579,6 @@ class _LogRadial:
 
     def d2phi(self, m):
         return self.a * (1.0 / (1.0 + m) + 1.0 / (1.0 + m) ** 2)
-
-    @property
-    def dphi0(self):
-        return 0.0
 
     def prox_radius(self, lam, m):
         # concave in z, so Newton from 0 climbs to the root without overshoot
@@ -657,18 +637,29 @@ class FluxModel:
     def select(self, t, xs, rs):
         raise NotImplementedError
 
+    def prox_map(self, t, xs, lam):
+        """The resolvent at lam as a map of (len(xs), N) arrays, the laws at
+        ``xs`` bound once and no checks per call."""
+        raise NotImplementedError
+
     def resolvent(self, t, xs, lam, rs):
+        xs, rs = self._batch(xs, rs)
+        return self.prox_map(t, xs, lam)(rs)
+
+    def _envelope(self, t, xs, lam, rs, curvature):
+        """(envelope value, regularized flux, envelope curvature or None)."""
         raise NotImplementedError
 
     def envelope_pack(self, t, xs, lam, rs):
         """Envelope value, regularized flux and curvature in one prox pass."""
-        raise NotImplementedError
+        return self._envelope(t, xs, lam, rs, True)
 
     def yosida(self, t, xs, lam, rs):
-        return self.envelope_pack(t, xs, lam, rs)[1]
+        return self._envelope(t, xs, lam, rs, False)[1]
 
     def moreau(self, t, xs, lam, rs):
-        return self.envelope_pack(t, xs, lam, rs)[0]
+        """Envelope value alone; bit for bit ``envelope_pack``'s first part."""
+        return self._envelope(t, xs, lam, rs, False)[0]
 
     def conjugate(self, t, xs, ws):
         raise NotImplementedError
@@ -693,19 +684,23 @@ class _SeparableModel(FluxModel):
     def _laws(self, t, xs):
         raise NotImplementedError
 
-    def envelope_pack(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
-        laws = self._laws(t, xs)
-        jl = 0.0
-        etas, curvs = [], []
+    def _per_axis(self, laws, fn, rs):
+        """fn(law, rs[:, a]) for each axis a, as the columns of one array."""
+        out = np.empty_like(rs)
         for a, law in enumerate(laws):
-            s = rs[:, a]
-            z = law.prox(lam, s)
-            y = law.yosida(lam, s, z)
-            jl = jl + law.value(z) + 0.5 * lam * y * y
-            etas.append(y)
-            curvs.append(law.curvature_moreau(lam, s, z))
-        return jl, np.column_stack(etas), ("diag", np.column_stack(curvs))
+            out[:, a] = fn(law, rs[:, a])
+        return out
+
+    def _envelope(self, t, xs, lam, rs, curvature):
+        xs, rs = self._batch(xs, rs)
+        jl, eta, curv = 0.0, np.empty_like(rs), np.empty_like(rs)
+        for a, law in enumerate(self._laws(t, xs)):
+            jz, y, c = law.envelope(lam, rs[:, a], curvature)
+            jl = jl + jz + 0.5 * lam * y * y
+            eta[:, a] = y
+            if curvature:
+                curv[:, a] = c
+        return jl, eta, ("diag", curv) if curvature else None
 
     def selection_bounds(self, t, xs, rs, tol):
         """Per-axis admissible flux interval, widened at kinks within tol."""
@@ -723,10 +718,9 @@ class _SeparableModel(FluxModel):
                 lo = np.where(near, lo0, lo)
                 hi = np.where(near, hi0, hi)
             elif isinstance(law, _FracturedAxis):
-                lo_e, hi_e = law._jump_edges()
                 near = (law.th > 0) & (np.abs(s - law.th) <= tol * (1.0 + law.th))
-                lo = np.where(near, lo_e, lo)
-                hi = np.where(near, hi_e, hi)
+                lo = np.where(near, law.lo_e, lo)
+                hi = np.where(near, law.hi_e, hi)
             los.append(lo)
             his.append(hi)
         return np.column_stack(los), np.column_stack(his)
@@ -738,13 +732,11 @@ class _SeparableModel(FluxModel):
 
     def select(self, t, xs, rs):
         xs, rs = self._batch(xs, rs)
-        laws = self._laws(t, xs)
-        return np.column_stack([law.deriv(rs[:, a]) for a, law in enumerate(laws)])
+        return self._per_axis(self._laws(t, xs), lambda law, s: law.deriv(s), rs)
 
-    def resolvent(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
+    def prox_map(self, t, xs, lam):
         laws = self._laws(t, xs)
-        return np.column_stack([law.prox(lam, rs[:, a]) for a, law in enumerate(laws)])
+        return lambda rs: self._per_axis(laws, lambda law, s: law.prox(lam, s), rs)
 
     def conjugate(self, t, xs, ws):
         xs, ws = self._batch(xs, ws)
@@ -753,9 +745,8 @@ class _SeparableModel(FluxModel):
 
     def curvature(self, t, xs, rs):
         xs, rs = self._batch(xs, rs)
-        laws = self._laws(t, xs)
-        return ("diag", np.column_stack([law.deriv2(rs[:, a])
-                                         for a, law in enumerate(laws)]))
+        return ("diag", self._per_axis(self._laws(t, xs),
+                                       lambda law, s: law.deriv2(s), rs))
 
 
 class _RadialModel(FluxModel):
@@ -766,14 +757,17 @@ class _RadialModel(FluxModel):
     def _law(self, t, xs):
         raise NotImplementedError
 
-    def envelope_pack(self, t, xs, lam, rs):
+    def _envelope(self, t, xs, lam, rs, curvature):
         xs, rs = self._batch(xs, rs)
         law = self._law(t, xs)
         m = self._mag(rs)
         s = law.prox_radius(lam, m)
         ymag = np.where(s > 0, law.dphi(np.maximum(s, 0.0)), m / lam)
         jl = law.phi(s) + 0.5 * lam * ymag * ymag
-        eta = self._unit(rs, m) * ymag[:, None]
+        unit = self._unit(rs, m)
+        eta = unit * ymag[:, None]
+        if not curvature:
+            return jl, eta, None
         d2 = law.d2phi(np.maximum(s, 0.0))
         cpar_s = d2 / (1.0 + lam * d2)
         if law.dphi0 > 0:
@@ -783,7 +777,7 @@ class _RadialModel(FluxModel):
             inside = c0 / (1.0 + lam * c0)
         cpar = np.where(s > 0, cpar_s, inside)
         cperp = np.where(m > 0, ymag / np.maximum(m, 1e-300), cpar)
-        return jl, eta, ("radial", cpar, cperp, self._unit(rs, m))
+        return jl, eta, ("radial", cpar, cperp, unit)
 
     def selection_bounds(self, t, xs, rs, tol):
         xs, rs = self._batch(xs, rs)
@@ -817,12 +811,14 @@ class _RadialModel(FluxModel):
         mag = np.where(m > 0, law.dphi(m), 0.0)
         return self._unit(rs, m) * mag[:, None]
 
-    def resolvent(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
+    def prox_map(self, t, xs, lam):
         law = self._law(t, xs)
-        m = self._mag(rs)
-        s = law.prox_radius(lam, m)
-        return self._unit(rs, m) * s[:, None]
+
+        def prox(rs):
+            m = self._mag(rs)
+            return self._unit(rs, m) * law.prox_radius(lam, m)[:, None]
+
+        return prox
 
     def conjugate(self, t, xs, ws):
         xs, ws = self._batch(xs, ws)
@@ -849,8 +845,7 @@ class Quadratic(_SeparableModel):
         super().__init__(dimension, growth, smooth=True)
 
     def _laws(self, t, xs):
-        ones = np.ones(xs.shape[0])
-        return [_QuadAxis(ones) for _ in range(self.dimension)]
+        return [_QuadAxis(1.0)] * self.dimension
 
 
 class AnisotropicPLaplacian(_SeparableModel):
@@ -973,7 +968,7 @@ class LogGrowth(_RadialModel):
         a = self._a(t, xs)
         if np.any(a <= 0):
             raise ValueError("log-growth coefficient a must be positive")
-        return _LogRadial(a, xs.shape[0])
+        return _LogRadial(a)
 
 
 class TotalVariation(_RadialModel):
@@ -989,7 +984,7 @@ class TotalVariation(_RadialModel):
         super().__init__(dimension, growth, smooth=False)
 
     def _law(self, t, xs):
-        return _AbsRadial(self.rho, xs.shape[0])
+        return _AbsRadial(self.rho)
 
 
 class Custom(_SeparableModel):
@@ -998,10 +993,9 @@ class Custom(_SeparableModel):
     kind = "custom"
 
     def __init__(self, j, beta=None, dimension=1, growth=None, validate=True):
-        self._j = j
-        self._beta = beta
         growth = growth or Growth("weak")
         super().__init__(dimension, growth, smooth=False)
+        self._axis = _CustomAxis(j, beta)
         if validate:
             v0 = float(np.asarray(j(np.zeros(1)))[0])
             if abs(v0) > 1e-10:
@@ -1009,8 +1003,7 @@ class Custom(_SeparableModel):
             _check_convexity(self)
 
     def _laws(self, t, xs):
-        return [_CustomAxis(self._j, self._beta, xs.shape[0])
-                for _ in range(self.dimension)]
+        return [self._axis] * self.dimension
 
 
 def _power_growth(p, a_lo, a_hi, dimension, kappa_consts=None, delta_consts=None):

@@ -221,9 +221,10 @@ def regularized_objective_grad(grid, model, t, h, lam, w1, w2, u, viscosity=True
 
 
 def _curv_matrix(grid, curv, h, lam=None, viscosity=False):
-    """CSC generalized Hessian M + h sum_c vol_c K_c^T C_c K_c, plus
-    2 lam sum_c vol_c K_c^T K_c with viscosity, on the grid's fixed
-    pattern; C_c is the cell's clipped diagonal or radial curvature."""
+    """Generalized Hessian M + h sum_c vol_c K_c^T C_c K_c, plus
+    2 lam sum_c vol_c K_c^T K_c with viscosity, in the lower band storage
+    of ``grid.gram_plan``; C_c is the cell's clipped diagonal or radial
+    curvature."""
     vol = grid.cell_volumes
     n_ax = len(grid.grad_ops)
     ax = np.arange(n_ax)
@@ -247,10 +248,14 @@ class _StageProblem:
     problem for lam=None), sharing the envelope evaluation at a given u.
 
     This is the one evaluator of the step functional and its regularized
-    forms.  On the smooth problem the potential and the Hessian data are
-    only computed when the value or a Newton step asks for them.  A
-    multiplier ``shift`` (an (n_cells, N) array) moves the envelope's
-    argument to grad u + shift, the inner problem of a multiplier round.
+    forms.  A value alone (a line-search trial) costs grad u and the
+    envelope value (the potential on the smooth problem), the same float
+    the full evaluation gives; the flux, weak form and curvature follow
+    when the gradient or Hessian is asked for.  The last two points are
+    kept, so a rejected full Newton step and its line search's start are
+    not evaluated twice.  A multiplier ``shift`` (an (n_cells, N) array)
+    moves the envelope's argument to grad u + shift, the inner problem of
+    a multiplier round.
     """
 
     def __init__(self, grid, model, t, h, w1, w2, lam, viscosity, shift=None):
@@ -261,37 +266,44 @@ class _StageProblem:
         self.shift = shift
         self.mass = grid.mass
         self.rhs = _rhs(grid, w1, w2)
-        self._key = None
-        self._state = None
+        self._states = {}
+
+    def _state(self, u):
+        key = u.tobytes()
+        state = self._states.get(key)
+        if state is None:
+            if len(self._states) > 1:
+                del self._states[next(iter(self._states))]
+            gu = disc.gradient(self.grid, u)
+            state = self._states[key] = {
+                "gu": gu, "arg": gu if self.shift is None else gu + self.shift}
+        return state
 
     def _eval(self, u):
-        key = u.tobytes()
-        if key == self._key:
-            return self._state
-        grid, model = self.grid, self.model
-        gu = disc.gradient(grid, u)
-        state = {"gu": gu}
-        if self.lam is None:
-            eta = model.select(self.t, grid.cell_centers, gu)
-        else:
-            arg = gu if self.shift is None else gu + self.shift
-            state["jv"], eta, state["curv"] = model.envelope_pack(
-                self.t, grid.cell_centers, self.lam, arg)
-        g = _weak_form(grid, self.h, u, eta, self.rhs)
-        if self.viscosity and self.lam is not None:
-            g = g + 2.0 * self.lam * disc.grad_adjoint(grid, gu)
-        state["g"] = g
-        self._key = key
-        self._state = state
+        state = self._state(u)
+        if "g" not in state:
+            grid, model, gu = self.grid, self.model, state["gu"]
+            if self.lam is None:
+                eta = model.select(self.t, grid.cell_centers, gu)
+            else:
+                state["jv"], eta, state["curv"] = model.envelope_pack(
+                    self.t, grid.cell_centers, self.lam, state["arg"])
+            g = _weak_form(grid, self.h, u, eta, self.rhs)
+            if self.viscosity and self.lam is not None:
+                g = g + 2.0 * self.lam * disc.grad_adjoint(grid, gu)
+            state["g"] = g
         return state
 
     def value(self, u):
-        state = self._eval(u)
+        state = self._state(u)
         if "val" not in state:
             grid, gu = self.grid, state["gu"]
             jv = state.get("jv")
             if jv is None:
-                jv = self.model.potential(self.t, grid.cell_centers, gu)
+                jv = (self.model.potential(self.t, grid.cell_centers, gu)
+                      if self.lam is None else
+                      self.model.moreau(self.t, grid.cell_centers, self.lam,
+                                        state["arg"]))
             val = (_quad_part(self.mass, self.rhs, u)
                    + self.h * float(grid.cell_volumes @ jv))
             if self.viscosity and self.lam is not None:
@@ -314,26 +326,20 @@ class _StageProblem:
 # ---------------------------------------------------------------------------
 # inner minimizers
 
-def _newton_solve(plan, h_mat, rhs, fixed=None):
-    """Solve the SPD system h_mat d = rhs on the fixed pattern of ``plan``.
-
-    Rows and columns flagged in the boolean mask ``fixed`` are replaced by
-    those of the identity with a zero right-hand side, so d vanishes there
-    and the free block is solved as the principal submatrix.  The matrix is
-    gathered into LAPACK lower band storage and factored by banded
-    Cholesky, which raises numpy.linalg.LinAlgError if it is not positive
-    definite after rounding.
+def _newton_solve(plan, ab, rhs, fixed=None):
+    """Solve A d = rhs by banded Cholesky on A's lower band storage ``ab``
+    (from ``plan.assemble``; overwritten), raising numpy.linalg.LinAlgError
+    if A is not positive definite after rounding.  Rows and columns flagged
+    in the boolean mask ``fixed`` become those of the identity with a zero
+    right-hand side, so d vanishes there and the free block is solved as
+    the principal submatrix.
     """
-    data = h_mat.data
     if fixed is not None:
-        data = data.copy()
-        data[fixed[plan.indices] | fixed[plan.cols]] = 0.0
-        data[plan.diag[fixed]] = 1.0
+        ab.ravel(order="F")[plan.slot[fixed[plan.row] | fixed[plan.col]]] = 0.0
+        ab[0, fixed] = 1.0
         rhs = np.where(fixed, 0.0, rhs)
-    band = np.zeros((plan.kd + 1) * rhs.size)
-    band[plan.band_slot] = data[plan.band_src]
-    return solveh_banded(band.reshape(plan.kd + 1, -1, order="F"), rhs,
-                         lower=True, overwrite_ab=True, check_finite=False)
+    return solveh_banded(ab, rhs, lower=True, overwrite_ab=True,
+                         check_finite=False)
 
 
 def _stage_entries(iters, residual, exit_, fallbacks):
@@ -511,16 +517,18 @@ def _scaled_envelope_prox(model, t, xs, lam, s):
     (lam x + s R_{lam+s}(x)) / (lam+s).
 
     ``s`` may vary per cell; the rows are grouped by the effective resolvent
-    parameter once, when the map is built (a single group on uniform grids).
+    parameter, and each group's resolvent bound to its laws, once, when the
+    map is built (a single group on uniform grids).
     """
     mus = lam + s
-    groups = [(float(mu), mus == mu) for mu in np.unique(mus)]
+    groups = [(mus == mu, model.prox_map(t, xs[mus == mu], float(mu)))
+              for mu in np.unique(mus)]
     s_col, mus_col = s[:, None], mus[:, None]
 
     def prox(x):
         z = np.empty_like(x)
-        for mu, rows in groups:
-            z[rows] = model.resolvent(t, xs[rows], mu, x[rows])
+        for rows, resolve in groups:
+            z[rows] = resolve(x[rows])
         return (lam * x + s_col * z) / mus_col
 
     return prox
@@ -759,16 +767,15 @@ def _minimize_newton_bound(prob, u0, tol, max_iter):
             break
         active = (u <= 1e-14) & (r > 0)
         free = ~active
-        h_mat = prob.hess(u)
         try:
-            d = _newton_solve(plan, h_mat, -g, fixed=active)
+            d = _newton_solve(plan, prob.hess(u), -g, fixed=active)
         except np.linalg.LinAlgError:
             fallbacks += 1
             d = np.where(active, 0.0, -r)
         slope = min(float(g[free] @ d[free]), 0.0)
         un = _armijo(prob, u, d, slope, 1e-16 * abs(prob.value(u)), nonneg=True)
         if np.array_equal(un, u):
-            scale = max(1.0, float(np.max(h_mat.diagonal() / m)))
+            scale = max(1.0, float(np.max(prob.hess(u)[0] / m)))
             un = np.maximum(u - g / (m * (1.0 + scale)), 0.0)
         u = un
     return u, _stage_entries(it, comp, exit_, fallbacks)

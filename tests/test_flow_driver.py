@@ -393,6 +393,33 @@ def test_steady_state_nonlinear_is_a_fixed_point_of_the_step(name):
         assert np.ptp(u) <= 1e-6
 
 
+def test_steady_state_stops_at_a_residual_floor(monkeypatch):
+    # on a 16x16 fractured law the lam_min envelope's gauge residual stalls
+    # near 3e-9 > tol; the last stage gives up once steps stop lowering it
+    # instead of running all max_iter = 200 steps
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    model = fm.fractured_medium(4.0, thresholds=0.5, dimension=2)
+    calls = []
+    real = fd._minimize_newton
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fd, "_minimize_newton", counted)
+    with pytest.raises(ss.StepNonConverged) as err:
+        fd.steady_state(g, model, np.cos(np.pi * x) * np.cos(np.pi * y),
+                        np.zeros(g.boundary_nodes.size))
+    lam_min = ss.StepConfig().lam_min
+    stages = len(ss.StepConfig().lam_schedule())
+    assert f"lam={lam_min}" in str(err.value) and "at best" in str(err.value)
+    # about two steps per stage and a few on the last one (it used to run
+    # all 200 there, 220 calls in all)
+    assert len(calls) <= 3 * stages + 5
+    assert err.value.residual > 1e-9
+
+
 def test_asymptotics_already_at_equilibrium():
     g = disc.interval_grid(8)
     prob = fd.ProblemData(g, np.zeros(9), None, None, 0.5, fm.quadratic(1))

@@ -448,6 +448,18 @@ def sum_of_products_hessian(grid, curv, h, lam=None, viscosity=False):
     return mat.toarray()
 
 
+def band_to_lower(ab):
+    """The lower triangle of the matrix whose lower band storage is ``ab``;
+    asserts that the slots past the matrix's last column are empty."""
+    n = ab.shape[1]
+    lower = np.zeros((n, n))
+    for r in range(ab.shape[0]):
+        j = np.arange(n - r)
+        lower[j + r, j] = ab[r, :n - r]
+        assert not ab[r, n - r:].any()
+    return lower
+
+
 @pytest.mark.parametrize("grid", [disc.interval_grid(7), disc.rectangle_grid(4, 3)],
                          ids=["1d", "2d"])
 @pytest.mark.parametrize("kind", ["diag", "radial"])
@@ -468,8 +480,9 @@ def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
                 rng.uniform(0.0, 2.0, grid.n_cells), rhat)
     got = ss._curv_matrix(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
     ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
-    assert sps.isspmatrix_csc(got) and got.has_canonical_format
-    assert np.allclose(got.toarray(), ref, rtol=1e-13, atol=1e-15)
+    assert got.shape == (grid.gram_plan.kd + 1, grid.n_nodes)
+    assert got.flags.f_contiguous
+    assert np.allclose(band_to_lower(got), np.tril(ref), rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +491,8 @@ def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
 
 def random_hessian(grid, kind, viscosity, seed=4):
     """An SPD Newton matrix on the grid's fixed pattern from random
-    nonnegative diagonal or radial curvature."""
+    nonnegative diagonal or radial curvature: its lower band storage and
+    the CSC matrix of its sum-of-products reference."""
     rng = np.random.default_rng(seed)
     n_ax = grid.dimension
     if kind == "diag":
@@ -488,7 +502,9 @@ def random_hessian(grid, kind, viscosity, seed=4):
         rhat /= np.linalg.norm(rhat, axis=1)[:, None]
         curv = ("radial", rng.uniform(0.0, 3.0, grid.n_cells),
                 rng.uniform(0.0, 2.0, grid.n_cells), rhat)
-    return ss._curv_matrix(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    return (ss._curv_matrix(grid, curv, 0.3, lam=0.05, viscosity=viscosity),
+            sps.csc_matrix(ref))
 
 
 @pytest.mark.parametrize("grid, kd", [
@@ -496,22 +512,17 @@ def random_hessian(grid, kind, viscosity, seed=4):
     (disc.rectangle_grid(9, 3), 11), (disc.rectangle_grid(3, 9), 5)],
     ids=["1d", "4x3", "9x3", "3x9"])
 def test_band_slots_reproduce_the_csc_matrix(grid, kd):
-    mat = random_hessian(grid, "radial", True)
+    ab, mat = random_hessian(grid, "radial", True)
     plan = grid.gram_plan
-    n = grid.n_nodes
     dense = mat.toarray()
     rows, cols = np.nonzero(dense)
     assert plan.kd == kd == int(np.max(np.abs(rows - cols)))
-    band = np.zeros((plan.kd + 1) * n)
-    band[plan.band_slot] = mat.data[plan.band_src]
-    ab = band.reshape(plan.kd + 1, n, order="F")
-    assert plan.band_src.size == np.count_nonzero(np.tril(dense))
-    lower = np.zeros((n, n))
-    for r in range(plan.kd + 1):
-        j = np.arange(n - r)
-        lower[j + r, j] = ab[r, :n - r]
-        assert not ab[r, n - r:].any()
-    assert np.array_equal(lower, np.tril(dense))
+    lower = band_to_lower(ab)
+    # the plan's slots are exactly the lower pattern, and nothing else is set
+    assert np.array_equal(np.nonzero(lower), np.nonzero(np.tril(dense)))
+    assert plan.slot.size == np.count_nonzero(np.tril(dense))
+    assert np.array_equal(ab.ravel(order="F")[plan.slot], lower[plan.row, plan.col])
+    assert np.allclose(lower, np.tril(dense), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("grid", [disc.interval_grid(32), disc.rectangle_grid(16, 16)],
@@ -519,10 +530,10 @@ def test_band_slots_reproduce_the_csc_matrix(grid, kd):
 @pytest.mark.parametrize("kind", ["diag", "radial"])
 @pytest.mark.parametrize("viscosity", [False, True])
 def test_band_solve_matches_spsolve(grid, kind, viscosity):
-    mat = random_hessian(grid, kind, viscosity)
+    ab, mat = random_hessian(grid, kind, viscosity)
     rhs = np.random.default_rng(5).standard_normal(grid.n_nodes)
     ref = spsolve(mat, rhs)
-    got = ss._newton_solve(grid.gram_plan, mat, rhs)
+    got = ss._newton_solve(grid.gram_plan, ab, rhs)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -530,32 +541,32 @@ def test_band_solve_matches_spsolve(grid, kind, viscosity):
                          ids=["1d", "2d"])
 def test_masked_solve_matches_principal_submatrix(grid):
     rng = np.random.default_rng(6)
-    mat = random_hessian(grid, "radial", False)
+    ab, mat = random_hessian(grid, "radial", False)
     rhs = rng.standard_normal(grid.n_nodes)
     fixed = rng.random(grid.n_nodes) < 0.4
     free = np.flatnonzero(~fixed)
     ref = spsolve(mat[free][:, free].tocsc(), rhs[free])
-    got = ss._newton_solve(grid.gram_plan, mat, rhs, fixed=fixed)
+    got = ss._newton_solve(grid.gram_plan, ab, rhs, fixed=fixed)
     assert np.all(got[fixed] == 0.0)
     assert np.linalg.norm(got[free] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_failed_factorization_falls_back_and_is_logged(monkeypatch):
     g = disc.interval_grid(8)
-    mat = random_hessian(g, "diag", False)
-    mat.data[g.gram_plan.diag[3]] = -1.0  # a negative pivot
+    ab, _ = random_hessian(g, "diag", False)
+    ab[0, 3] = -1.0  # a negative pivot
     with pytest.raises(np.linalg.LinAlgError):
-        ss._newton_solve(g.gram_plan, mat, np.ones(g.n_nodes))
+        ss._newton_solve(g.gram_plan, ab, np.ones(g.n_nodes))
 
     real_hess = ss._StageProblem.hess
     broken = []
 
     def hess_with_negative_pivot(self, u):
-        mat = real_hess(self, u)
+        ab = real_hess(self, u)
         if not broken:  # negative definite: every free pivot is negative
             broken.append(True)
-            mat.data *= -1.0
-        return mat
+            ab *= -1.0
+        return ab
 
     rng = np.random.default_rng(14)
     w1 = rng.standard_normal(9)
