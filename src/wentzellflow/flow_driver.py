@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discretization as disc
-from .step_solver import (StepConfig, StepNonConverged, _minimize_newton, _rhs,
-                          _StageProblem, solve_step, solve_step_obstacle)
+from .step_solver import (StepConfig, StepNonConverged, _LaggedFactor,
+                          _minimize_newton, _rhs, _StageProblem, solve_step,
+                          solve_step_obstacle)
 
 __all__ = [
     "ProblemData",
@@ -213,7 +214,10 @@ def run_flow(problem, n, cfg=None, obstacle=False):
     certs = np.empty(n)
     logs = []
     fields[0] = y
-    step = solve_step_obstacle if obstacle else solve_step
+    # one lagged Newton factor per flow, never on the grid, so every flow
+    # of a problem repeats the same solves
+    step, held = ((solve_step_obstacle, {}) if obstacle else
+                  (solve_step, {"lagged": _LaggedFactor()}))
     for i in range(1, n + 1):
         w1 = y.copy()
         w2 = y[grid.boundary_nodes].copy()
@@ -222,7 +226,7 @@ def run_flow(problem, n, cfg=None, obstacle=False):
         if problem.g is not None:
             w2 = w2 + h * disc.time_average(problem.g, i, h, grid, "boundary")
         try:
-            sol = step(grid, problem.model, i * h, h, w1, w2, cfg, u0=y)
+            sol = step(grid, problem.model, i * h, h, w1, w2, cfg, u0=y, **held)
         except StepNonConverged as exc:
             err = StepNonConverged(f"step {i} (t = {i * h:g}) failed: {exc}",
                                    residual=exc.residual, log=exc.log)

@@ -11,12 +11,18 @@ generalized Hessian minimizes every smooth problem of the package.  The
 Hessian is SPD on the grid's fixed pattern of bandwidth kd (1 on
 intervals, nx + 2 on rectangles), so each Newton system is one banded
 Cholesky solve, O(n kd^2) work and O(n kd) memory.  A smooth law is one
-Newton stage, the step functional itself; a nonsmooth law runs a
-continuation in the envelope parameter lam, where the potential is
-replaced by its smooth envelope and a lam |grad u|^2 viscosity term is
-added, with lam driven down a geometric schedule and every stage
-warm-started.  The viscosity is dropped on the final stage so the last
-solve targets the pure envelope problem.
+Newton stage, the step functional itself.  On wide bands (kd >= 32,
+rectangles at least 30 cells wide) its Hessians barely move from one
+Newton iteration or step to the next, so a factor is reused: each
+direction is an inexact Newton solve by conjugate gradients on the
+matrix-free Hessian, preconditioned by the banded Cholesky factor of an
+earlier system, and a new factor is made only when CG misses its forcing
+term within 8 iterations (``_LaggedFactor``; ``run_flow`` holds one per
+flow).  A nonsmooth law runs a continuation in the envelope parameter
+lam, where the potential is replaced by its smooth envelope and a
+lam |grad u|^2 viscosity term is added, with lam driven down a geometric
+schedule and every stage warm-started.  The viscosity is dropped on the
+final stage so the last solve targets the pure envelope problem.
 
 The multivalued flux section eta is recovered from the regularized flux
 at the final lam.  On cells where the subdifferential is genuinely
@@ -57,6 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import lsq_linear
 from scipy.sparse.linalg import spsolve  # noqa: F401  traced by perfbench/spans.py
 
@@ -94,13 +101,20 @@ class StepConfig:
     accelerated dual solver, finished by a multiplier loop whose inner
     problems take the damped Newton; every other law takes the damped
     Newton on the generalized Hessian (each system solved by banded
-    Cholesky), with envelope continuation for nonsmooth laws.  A
+    Cholesky), with envelope continuation for nonsmooth laws.  On 2D grids
+    with bandwidth kd >= 32 one Newton iteration of a smooth law solves its
+    system inexactly instead: at most 8 conjugate-gradient iterations
+    preconditioned by a held factor, then, if they miss, a fresh factor
+    and a direct solve.  ``max_iter`` bounds the Newton iterations either
+    way; the inner CG iterations do not count against it.  A
     total-variation step stops once its Fenchel certificate is below
     ``1e-3 * certificate_tol``; ``pd_max_iter`` bounds its accelerated
     dual iterations, before the multiplier loop and after a fallback
     together, and each Newton solve of the loop takes at most ``max_iter``
     iterations.  The dual rescue of a stalled continuation has the same
     certificate target and its own ``pd_max_iter`` iterations.
+
+    Both iteration limits must be positive.
 
     For nonsmooth laws the achievable weak-form residual scales with
     ``lam_min`` (the returned field is the minimizer of the lam_min
@@ -123,6 +137,8 @@ class StepConfig:
             raise ValueError("BADCONFIG: lam_decay must be in (0, 1)")
         if not (self.tol > 0 and self.certificate_tol > 0):
             raise ValueError("BADCONFIG: tolerances must be positive")
+        if not (self.max_iter > 0 and self.pd_max_iter > 0):
+            raise ValueError("BADCONFIG: iteration limits must be positive")
 
     def lam_schedule(self):
         lams = []
@@ -220,11 +236,12 @@ def regularized_objective_grad(grid, model, t, h, lam, w1, w2, u, viscosity=True
     return _StageProblem(grid, model, t, h, w1, w2, lam, viscosity).grad(u)
 
 
-def _curv_matrix(grid, curv, h, lam=None, viscosity=False):
-    """Generalized Hessian M + h sum_c vol_c K_c^T C_c K_c, plus
-    2 lam sum_c vol_c K_c^T K_c with viscosity, in the lower band storage
-    of ``grid.gram_plan``; C_c is the cell's clipped diagonal or radial
-    curvature."""
+def _curv_blocks(grid, curv, h, lam=None, viscosity=False):
+    """Per-cell (N, N) blocks d_c = h vol_c C_c, plus 2 lam vol_c I with
+    viscosity, of the generalized Hessian M + sum_c K_c^T d_c K_c; C_c is
+    the cell's clipped diagonal or radial curvature.  ``gram_plan.assemble``
+    turns them into the band, ``_hess_product`` into the matrix-free
+    product."""
     vol = grid.cell_volumes
     n_ax = len(grid.grad_ops)
     ax = np.arange(n_ax)
@@ -240,7 +257,22 @@ def _curv_matrix(grid, curv, h, lam=None, viscosity=False):
     d *= (h * vol)[:, None, None]
     if viscosity and lam is not None:
         d[:, ax, ax] += (2.0 * lam * vol)[:, None]
-    return grid.gram_plan.assemble(d, grid.mass)
+    return d
+
+
+def _hess_product(grid, blocks):
+    """v -> M v + K^T (d K v), the product with the matrix whose band
+    ``grid.gram_plan.assemble(blocks, grid.mass)`` stores, without it."""
+    k_op, kt_op, m = grid.grad_stack, grid.grad_stack_t, grid.mass
+    n_cells = blocks.shape[0]
+    # a block-sparse matvec costs a fifth of numpy's batched 2 x 2 matmul
+    d_op = sps.bsr_matrix((blocks, np.arange(n_cells), np.arange(n_cells + 1)),
+                          shape=(k_op.shape[0], k_op.shape[0]))
+
+    def apply(v):
+        return m * v + kt_op @ (d_op @ (k_op @ v))
+
+    return apply
 
 
 class _StageProblem:
@@ -314,13 +346,19 @@ class _StageProblem:
     def grad(self, u):
         return self._eval(u)["g"]
 
-    def hess(self, u):
+    def hess_blocks(self, u):
+        """Per-cell blocks of the generalized Hessian (``_curv_blocks``)."""
         state = self._eval(u)
         curv = state.get("curv")
         if curv is None:
             curv = self.model.curvature(self.t, self.grid.cell_centers,
                                         state["gu"])
-        return _curv_matrix(self.grid, curv, self.h, self.lam, self.viscosity)
+        return _curv_blocks(self.grid, curv, self.h, self.lam, self.viscosity)
+
+    def hess(self, u):
+        """The generalized Hessian in the lower band storage of
+        ``grid.gram_plan``."""
+        return self.grid.gram_plan.assemble(self.hess_blocks(u), self.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +380,98 @@ def _newton_solve(plan, ab, rhs, fixed=None):
                          check_finite=False)
 
 
-def _stage_entries(iters, residual, exit_, fallbacks):
+# CG iterations on one Newton system before the held factor is replaced.  A
+# factorization costs about n kd^2 flops and a CG iteration about 4 n kd, so
+# reuse pays on grids with kd >= 4 * _CG_CAP (rectangles 30 cells wide and up).
+_CG_CAP = 8
+
+
+class _LaggedFactor:
+    """Banded Cholesky factor of an earlier Newton system, held across the
+    Newton iterations and steps of one smooth flow.
+
+    Each Newton direction solves the current system H d = -g by conjugate
+    gradients on the matrix-free product, preconditioned by the held factor,
+    to the inexact-Newton forcing term ||r|| <= min(0.1, res) ||g||
+    (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982).  If CG
+    misses it within ``_CG_CAP`` iterations or meets a direction of
+    nonpositive curvature, the held factor is dropped and H is assembled,
+    factored in place and kept, and d is its direct solve.  ``factor`` is
+    None until the first factorization and after a failed one.
+    """
+
+    def __init__(self):
+        self.factor = None
+
+    def direction(self, prob, u, g, res, counts):
+        """Newton direction at u, with ``counts``' "factorizations" and
+        "cg_iters" advanced; raises numpy.linalg.LinAlgError if H is not
+        positive definite after rounding."""
+        blocks = prob.hess_blocks(u)
+        if self.factor is not None:
+            d, iters = self._pcg(_hess_product(prob.grid, blocks), -g,
+                                 min(0.1, res) * math.sqrt(float(g @ g)))
+            counts["cg_iters"] += iters
+            if d is not None:
+                return d
+        self.factor = None
+        counts["factorizations"] += 1
+        factor, info = dpbtrf(prob.grid.gram_plan.assemble(blocks, prob.mass),
+                              lower=1, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrf: info {info}")
+        self.factor = factor
+        return dpbtrs(factor, -g, lower=1)[0]
+
+    def _pcg(self, apply_h, b, tol):
+        """CG on H x = b from x = 0, preconditioned by the held factor;
+        returns (x, iterations), x None on a miss."""
+        x = np.zeros_like(b)
+        r = b.copy()
+        z = dpbtrs(self.factor, r, lower=1)[0]
+        p = z
+        rz = float(r @ z)
+        for it in range(1, _CG_CAP + 1):
+            hp = apply_h(p)
+            php = float(p @ hp)
+            if not php > 0:
+                return None, it
+            alpha = rz / php
+            x += alpha * p
+            r -= alpha * hp
+            if math.sqrt(float(r @ r)) <= tol:
+                return x, it
+            z = dpbtrs(self.factor, r, lower=1)[0]
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+        return None, _CG_CAP
+
+
+def _stage_entries(iters, residual, exit_, fallbacks, counts=None):
     """A Newton stage's log entries.  "fallbacks", the number of Newton
     systems whose factorization failed, is there only when it is nonzero,
-    as "rescue" is only on rescue stages."""
+    as "rescue" is only on rescue stages; "factorizations" and "cg_iters"
+    (``counts``) only on a stage that reused a lagged factor."""
     entries = {"iters": iters, "residual": residual, "exit": exit_}
     if fallbacks:
         entries["fallbacks"] = fallbacks
+    if counts is not None:
+        entries.update(counts)
     return entries
 
 
-def _minimize_newton(prob, u0, tol, max_iter):
+def _minimize_newton(prob, u0, tol, max_iter, lagged=None):
     """Damped Newton with a stall exit (no 2x progress over 12 iterations).
 
     The full step is accepted whenever it reduces the scaled residual (the
     endgame, where objective differences sit below rounding); otherwise an
-    Armijo backtracking on the objective globalizes.  A Newton system that
-    is not positive definite, or a direction that is not one of descent,
-    gives way to the scaled gradient -M^{-1} g.  Returns the final u and
-    its stage log entries (see ``_stage_entries``), with exit "converged",
-    "stall" or "max_iter".
+    Armijo backtracking on the objective globalizes.  Each direction is the
+    banded Cholesky solve of the Newton system, or, given a ``_LaggedFactor``
+    ``lagged``, its inexact solve by CG preconditioned with that factor.  A
+    Newton system that is not positive definite, or a direction that is not
+    one of descent, gives way to the scaled gradient -M^{-1} g.  Returns the
+    final u and its stage log entries (see ``_stage_entries``), with exit
+    "converged", "stall" or "max_iter".
     """
     u = u0.copy()
     m = prob.mass
@@ -370,6 +480,7 @@ def _minimize_newton(prob, u0, tol, max_iter):
     since_best = 0
     res = np.inf
     fallbacks = 0
+    counts = None if lagged is None else {"factorizations": 0, "cg_iters": 0}
     it = 0
     exit_ = "max_iter"
     for it in range(max_iter + 1):
@@ -388,7 +499,10 @@ def _minimize_newton(prob, u0, tol, max_iter):
         if it == max_iter:
             break
         try:
-            d = _newton_solve(plan, prob.hess(u), -g)
+            if lagged is None:
+                d = _newton_solve(plan, prob.hess(u), -g)
+            else:
+                d = lagged.direction(prob, u, g, res, counts)
             slope = float(g @ d)
         except np.linalg.LinAlgError:
             fallbacks += 1
@@ -402,7 +516,7 @@ def _minimize_newton(prob, u0, tol, max_iter):
             u = un_full
             continue
         u = _armijo(prob, u, d, slope)
-    return u, _stage_entries(it, res, exit_, fallbacks)
+    return u, _stage_entries(it, res, exit_, fallbacks, counts)
 
 
 def _armijo(prob, u, d, slope, slack=0.0, nonneg=False):
@@ -662,17 +776,24 @@ def _section(grid, model, t, u, cfg):
     return model.yosida(t, grid.cell_centers, cfg.lam_min, gu)
 
 
-def _continuation(grid, model, t, h, w1, w2, u, cfg, log):
+def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged):
     """Run the stages of ``_stages``; returns (u, eta, clean).
 
+    The smooth law's one stage reuses the ``_LaggedFactor`` ``lagged`` on
+    grids with kd >= 4 * _CG_CAP; continuation stages change lam severalfold
+    from one stage to the next, which ruins a lagged factor, and smaller
+    bands factor faster than CG iterates, so they keep the direct solve.
     ``clean`` turns False when a stage stalls far above its target (active
     sets chattering on the jump set); the caller then hands the field to
     the dual solve instead of grinding through the remaining stages.
     """
+    if grid.gram_plan.kd < 4 * _CG_CAP:
+        lagged = None
     clean = True
     for lam, viscosity, stage_tol in _stages(model, cfg):
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
-        u, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter)
+        u, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter,
+                                    lagged if lam is None else None)
         log.append({"lam": lam or 0.0, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
         if stage["residual"] > max(1e-4, 1e3 * stage_tol):
@@ -681,7 +802,7 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log):
     return u, _section(grid, model, t, u, cfg), clean
 
 
-def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
+def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None):
     """Minimize the implicit-step functional and recover the flux section.
 
     Returns a StepSolution whose field satisfies the discrete weak form
@@ -691,6 +812,9 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
     for every nodal test field psi, up to the stated residual.  Raises
     StepNonConverged when the stationarity or certificate tolerances
     cannot be met, and ValueError (BADCONFIG) for invalid configuration.
+    ``lagged``, a ``_LaggedFactor``, carries the Newton factor of a smooth
+    law from step to step of one flow (``run_flow`` passes one per flow);
+    without it the step holds its own.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
@@ -698,7 +822,8 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None):
         return _solve_tv(grid, model, h, w1, w2, cfg)
     u = _default_start(grid, w1, w2) if u0 is None else grid.check_field(u0).copy()
     log = []
-    u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log)
+    u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
+                                  _LaggedFactor() if lagged is None else lagged)
     if not model.is_smooth:
         rhs = _rhs(grid, w1, w2)
         if clean:

@@ -222,6 +222,13 @@ def test_main_override_and_exit_codes(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("limit", ["max_iter", "pd_max_iter"])
+def test_run_nonpositive_iteration_limit_is_a_config_error(tmp_path, limit):
+    raw = {"preset": "plaplacian-1d", "n": 5, "step": {limit: 0},
+           "out_dir": str(tmp_path)}
+    assert cli.run(cli.config_from_dict(raw)) == 2
+
+
 def test_run_nonconvergence_exit_code(tmp_path):
     raw = {"preset": "plaplacian-1d", "n": 5,
            "step": {"tol": 1e-15, "max_iter": 1},

@@ -420,6 +420,38 @@ def test_steady_state_stops_at_a_residual_floor(monkeypatch):
     assert err.value.residual > 1e-9
 
 
+def test_lagged_factor_is_held_per_flow_not_on_the_grid():
+    g = disc.rectangle_grid(34, 34)
+    x, y = g.nodes.T
+    y0 = np.cos(np.pi * x) * np.cos(np.pi * y)
+    model = fm.anisotropic_p_laplacian(4, dimension=2)
+    cfg = ss.StepConfig(tol=1e-10)
+    problem = fd.ProblemData(g, y0, T=0.0125, model=model)
+
+    def bare_step():
+        return ss.solve_step(g, model, 0.0025, 0.0025, y0,
+                             y0[g.boundary_nodes], cfg, u0=y0)
+
+    before = bare_step()
+    grid_state = dict(vars(g))
+    plan_state = dict(vars(g.gram_plan))
+    first = fd.run_flow(problem, 5, cfg)
+    second = fd.run_flow(problem, 5, cfg)
+    after = bare_step()
+    assert "factorizations" in first.step_logs[0][0]
+    assert np.array_equal(first.fields, second.fields)
+    assert np.array_equal(first.etas, second.etas)
+    assert first.step_logs == second.step_logs
+    assert np.array_equal(before.u, after.u)
+    assert np.array_equal(before.eta, after.eta)
+    assert before.iterations == after.iterations
+    # nothing was cached on the grid or its assembly plan by the flows
+    assert vars(g).keys() == grid_state.keys()
+    assert all(vars(g)[k] is v for k, v in grid_state.items())
+    assert vars(g.gram_plan).keys() == plan_state.keys()
+    assert all(vars(g.gram_plan)[k] is v for k, v in plan_state.items())
+
+
 def test_asymptotics_already_at_equilibrium():
     g = disc.interval_grid(8)
     prob = fd.ProblemData(g, np.zeros(9), None, None, 0.5, fm.quadratic(1))

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from wentzellflow import discretization as disc
+from wentzellflow import flow_driver as fd
 from wentzellflow import flux_models as fm
 from wentzellflow import oracles as orc
 from wentzellflow import step_solver as ss
@@ -288,6 +290,10 @@ def test_bad_config_rejected():
         ss.StepConfig(lam_decay=1.5)
     with pytest.raises(ValueError, match="BADCONFIG"):
         ss.StepConfig(tol=-1.0)
+    with pytest.raises(ValueError, match="BADCONFIG"):
+        ss.StepConfig(max_iter=0)
+    with pytest.raises(ValueError, match="BADCONFIG"):
+        ss.StepConfig(pd_max_iter=-1)
 
 
 def test_nonconverged_reports_residual_and_log():
@@ -478,11 +484,16 @@ def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
         rhat[-1] = 0.0  # a cell with zero gradient
         curv = ("radial", rng.uniform(-0.5, 3.0, grid.n_cells),
                 rng.uniform(0.0, 2.0, grid.n_cells), rhat)
-    got = ss._curv_matrix(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    blocks = ss._curv_blocks(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    got = grid.gram_plan.assemble(blocks, grid.mass)
     ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
     assert got.shape == (grid.gram_plan.kd + 1, grid.n_nodes)
     assert got.flags.f_contiguous
     assert np.allclose(band_to_lower(got), np.tril(ref), rtol=1e-13, atol=1e-15)
+    # the matrix-free product of the same blocks is the same matrix
+    v = rng.standard_normal(grid.n_nodes)
+    assert np.allclose(ss._hess_product(grid, blocks)(v), ref @ v,
+                       rtol=1e-13, atol=1e-15 * np.abs(ref).sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +514,8 @@ def random_hessian(grid, kind, viscosity, seed=4):
         curv = ("radial", rng.uniform(0.0, 3.0, grid.n_cells),
                 rng.uniform(0.0, 2.0, grid.n_cells), rhat)
     ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
-    return (ss._curv_matrix(grid, curv, 0.3, lam=0.05, viscosity=viscosity),
-            sps.csc_matrix(ref))
+    blocks = ss._curv_blocks(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    return grid.gram_plan.assemble(blocks, grid.mass), sps.csc_matrix(ref)
 
 
 @pytest.mark.parametrize("grid, kd", [
@@ -584,6 +595,142 @@ def test_failed_factorization_falls_back_and_is_logged(monkeypatch):
                                  ss.StepConfig(tol=1e-10))
     assert sol.iterations[0]["fallbacks"] == 1
     assert sol.complementarity <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# lagged Newton factor
+
+
+def smooth_2d_case(nx, ny):
+    g = disc.rectangle_grid(nx, ny)
+    x, y = g.nodes.T
+    return g, np.cos(np.pi * x) * np.cos(np.pi * y)
+
+
+def direct_newton_flow(grid, model, y0, h, n, tol):
+    """Field after n implicit steps, each by undamped Newton on the step's
+    ``_StageProblem`` with every system solved directly by
+    ``_newton_solve``."""
+    y = y0.copy()
+    for i in range(1, n + 1):
+        prob = ss._StageProblem(grid, model, i * h, h, y,
+                                y[grid.boundary_nodes], None, False)
+        u = y.copy()
+        for _ in range(50):
+            g = prob.grad(u)
+            if np.max(np.abs(g) / grid.mass) <= tol:
+                break
+            u = u + ss._newton_solve(grid.gram_plan, prob.hess(u), -g)
+        else:
+            raise AssertionError(f"reference Newton missed step {i}")
+        y = u
+    return y
+
+
+@pytest.mark.parametrize("model", [fm.anisotropic_p_laplacian(4, dimension=2),
+                                   fm.log_growth(dimension=2)],
+                         ids=["p4", "log"])
+def test_lagged_factor_flow_matches_direct_newton(model):
+    g, y0 = smooth_2d_case(34, 34)
+    assert g.gram_plan.kd >= 4 * ss._CG_CAP
+    h, n = 0.0025, 20
+    cfg = ss.StepConfig(tol=1e-10)
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=n * h, model=model), n, cfg)
+    assert np.all(traj.step_residuals <= cfg.tol)
+    assert np.all(traj.step_certificates <= cfg.certificate_tol)
+    stages = [s for log in traj.step_logs for s in log]
+    assert len(stages) == n and all(s["exit"] == "converged" for s in stages)
+    # the factor is reused: far fewer factorizations than Newton systems
+    assert sum(s["factorizations"] for s in stages) < n
+    assert sum(s["cg_iters"] for s in stages) > 0
+    ref = direct_newton_flow(g, model, y0, h, n, 1e-12)
+    diff = traj.fields[-1] - ref
+    dist = math.hypot(disc.norm_domain(g, diff),
+                      disc.norm_boundary(g, disc.trace(g, diff)))
+    assert dist <= 1e-9
+
+
+@pytest.mark.parametrize("model", [fm.anisotropic_p_laplacian(4, dimension=2),
+                                   fm.log_growth(dimension=2)],
+                         ids=["p4", "log"])
+def test_lagged_factor_is_replaced_after_a_jump_in_h(model):
+    g, y0 = smooth_2d_case(34, 34)
+    cfg = ss.StepConfig(tol=1e-10)
+    held = ss._LaggedFactor()
+    first = ss.solve_step(g, model, 0.0025, 0.0025, y0, y0[g.boundary_nodes],
+                          cfg, u0=y0, lagged=held)
+    assert held.factor is not None
+    # a step 100x longer: the held factor misses CG's cap and is refactored
+    sol = ss.solve_step(g, model, 0.25, 0.25, first.u,
+                        first.u[g.boundary_nodes], cfg, u0=first.u,
+                        lagged=held)
+    (stage,) = sol.iterations
+    assert stage["factorizations"] >= 1 and stage["cg_iters"] >= ss._CG_CAP
+    assert first.iterations[0]["factorizations"] + stage["factorizations"] > 1
+    assert sol.residual <= cfg.tol and sol.fenchel_total <= cfg.certificate_tol
+    fresh = ss.solve_step(g, model, 0.25, 0.25, first.u,
+                          first.u[g.boundary_nodes], cfg, u0=first.u)
+    assert np.max(np.abs(sol.u - fresh.u)) <= 1e-9
+
+
+def test_lagged_factor_failed_factorization_falls_back(monkeypatch):
+    g, y0 = smooth_2d_case(34, 4)
+    model = fm.anisotropic_p_laplacian(4, dimension=2)
+    cfg = ss.StepConfig(tol=1e-10)
+    clean = ss.solve_step(g, model, 0.01, 0.01, y0, y0[g.boundary_nodes], cfg)
+    real = ss.dpbtrf
+    calls = []
+
+    def failing_once(ab, **kwargs):
+        calls.append(1)
+        c, info = real(ab, **kwargs)
+        return c, (1 if len(calls) == 1 else info)
+
+    monkeypatch.setattr(ss, "dpbtrf", failing_once)
+    sol = ss.solve_step(g, model, 0.01, 0.01, y0, y0[g.boundary_nodes], cfg)
+    (stage,) = sol.iterations
+    assert stage["fallbacks"] == 1 and stage["factorizations"] == len(calls) >= 2
+    assert stage["exit"] == "converged"
+    assert np.max(np.abs(sol.u - clean.u)) <= 1e-9
+
+
+def _no_lagged_keys(log):
+    return not any("factorizations" in s or "cg_iters" in s for s in log)
+
+
+def test_direct_solve_is_kept_off_the_lagged_path():
+    p4 = fm.anisotropic_p_laplacian(4, dimension=2)
+    cfg = ss.StepConfig(tol=1e-10)
+    # a wide band takes the lagged path on the smooth law's one stage ...
+    narrow, y0 = smooth_2d_case(34, 4)
+    assert narrow.gram_plan.kd >= 4 * ss._CG_CAP
+    sol = ss.solve_step(narrow, p4, 0.01, 0.01, y0, y0[narrow.boundary_nodes], cfg)
+    assert "factorizations" in sol.iterations[0]
+    # ... but not the obstacle step of a smooth law on the same grid
+    traj = fd.run_flow(fd.ProblemData(narrow, np.maximum(y0, 0.0), T=0.02,
+                                      model=fm.quadratic(2)), 2, cfg, obstacle=True)
+    assert all(_no_lagged_keys(log) for log in traj.step_logs)
+    # nor 1D steps, nor a 16x16 band (kd = 18 < 4 * cap)
+    g1 = disc.interval_grid(32)
+    u1 = np.cos(np.pi * g1.nodes[:, 0])
+    sol = ss.solve_step(g1, fm.anisotropic_p_laplacian(4), 0.01, 0.01, u1,
+                        u1[g1.boundary_nodes], cfg)
+    assert _no_lagged_keys(sol.iterations)
+    g16, y16 = smooth_2d_case(16, 16)
+    assert g16.gram_plan.kd < 4 * ss._CG_CAP
+    traj = fd.run_flow(fd.ProblemData(g16, y16, T=0.02, model=p4), 2, cfg)
+    assert all(_no_lagged_keys(log) for log in traj.step_logs)
+    # nor the continuation stages of a nonsmooth law on the wide band
+    x, y = narrow.nodes.T
+    u0 = 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
+    sol = ss.solve_step(narrow, fm.fractured_medium(4, thresholds=0.5, dimension=2),
+                        0.001, 0.001, u0, u0[narrow.boundary_nodes], ss.StepConfig())
+    assert len(sol.iterations) > 1 and _no_lagged_keys(sol.iterations)
+    # nor the multiplier rounds of a total-variation step
+    prev = ((x > 0.5) & (y > 0.3)).astype(float)
+    sol = ss.tv_step(narrow, 1.0, 0.01, prev)
+    assert any("rounds" in s for s in sol.iterations)
+    assert _no_lagged_keys(sol.iterations)
 
 
 # ---------------------------------------------------------------------------
