@@ -199,7 +199,14 @@ class AsymptoticsReport:
 
 
 def run_flow(problem, n, cfg=None, obstacle=False):
-    """March the time-discretized system for n steps of size h = T/n."""
+    """March the time-discretized system for n steps of size h = T/n.
+
+    Each step starts from the previous field.  A total-variation step also
+    starts its dual solve from the previous step's dual point
+    (``StepSolution.dual``; none on the first step), and a smooth law's
+    steps share one lagged Newton factor.  Both live only in this call,
+    so two flows of one problem repeat the same solves bit for bit.
+    """
     if n < 1:
         raise ValueError("need at least one step")
     cfg = cfg or StepConfig()
@@ -214,10 +221,10 @@ def run_flow(problem, n, cfg=None, obstacle=False):
     certs = np.empty(n)
     logs = []
     fields[0] = y
-    # one lagged Newton factor per flow, never on the grid, so every flow
-    # of a problem repeats the same solves
-    step, held = ((solve_step_obstacle, {}) if obstacle else
-                  (solve_step, {"lagged": _LaggedFactor()}))
+    # one lagged Newton factor and one carried dual per flow, never on the
+    # grid, so every flow of a problem repeats the same solves
+    lagged = _LaggedFactor()
+    dual = None
     for i in range(1, n + 1):
         w1 = y.copy()
         w2 = y[grid.boundary_nodes].copy()
@@ -226,13 +233,18 @@ def run_flow(problem, n, cfg=None, obstacle=False):
         if problem.g is not None:
             w2 = w2 + h * disc.time_average(problem.g, i, h, grid, "boundary")
         try:
-            sol = step(grid, problem.model, i * h, h, w1, w2, cfg, u0=y, **held)
+            if obstacle:
+                sol = solve_step_obstacle(grid, problem.model, i * h, h, w1,
+                                          w2, cfg, u0=y)
+            else:
+                sol = solve_step(grid, problem.model, i * h, h, w1, w2, cfg,
+                                 u0=y, lagged=lagged, dual=dual)
         except StepNonConverged as exc:
             err = StepNonConverged(f"step {i} (t = {i * h:g}) failed: {exc}",
                                    residual=exc.residual, log=exc.log)
             err.step_index = i
             raise err from exc
-        y = sol.u
+        y, dual = sol.u, sol.dual
         fields[i] = y
         etas[i - 1] = sol.eta
         residuals[i - 1] = sol.residual

@@ -53,6 +53,16 @@ pair u = M^{-1}(rhs - K^T p), p = h vol eta is dual-feasible after every
 round, so the weak form holds exactly and the gap is exact.  If the loop
 misses the gap target within its round budget, FISTA resumes from the
 loop's best dual point.
+
+Consecutive steps of a flow differ by O(h), so ``run_flow`` hands each
+total-variation step the previous step's dual point.  Such a warm step
+runs the same FISTA, multiplier loop and fallback from that point,
+projected onto the current polar balls.  Its first gap is usually small
+already, so it hands over at a tenth of it (never above the level at which
+a cold step would), and it stops at a tenth of the cold gap target, since
+a warm start stopped at the cold target lands at a looser point than a
+cold one.  A step without a dual (a flow's first step, ``tv_step``)
+starts from zero.
 """
 
 from __future__ import annotations
@@ -108,11 +118,13 @@ class StepConfig:
     and a direct solve.  ``max_iter`` bounds the Newton iterations either
     way; the inner CG iterations do not count against it.  A
     total-variation step stops once its Fenchel certificate is below
-    ``1e-3 * certificate_tol``; ``pd_max_iter`` bounds its accelerated
+    ``1e-3 * certificate_tol``, a step started from a carried dual below
+    ``1e-4 * certificate_tol``; ``pd_max_iter`` bounds its accelerated
     dual iterations, before the multiplier loop and after a fallback
-    together, and each Newton solve of the loop takes at most ``max_iter``
-    iterations.  The dual rescue of a stalled continuation has the same
-    certificate target and its own ``pd_max_iter`` iterations.
+    together, warm or cold, and each Newton solve of the loop takes at
+    most ``max_iter`` iterations.  The dual rescue of a stalled
+    continuation has the cold certificate target and its own
+    ``pd_max_iter`` iterations.
 
     Both iteration limits must be positive.
 
@@ -609,8 +621,10 @@ def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
                        iterations=log, complementarity=complementarity,
                        dual=dual)
     if residual > cfg.tol:
+        measure = ("stationarity residual" if complementarity is None
+                   else "complementarity measure")
         raise StepNonConverged(
-            f"stationarity residual {residual:.3e} exceeds tol {cfg.tol:.1e}",
+            f"{measure} {residual:.3e} exceeds tol {cfg.tol:.1e}",
             residual=residual, log=log)
     if float(gaps.min()) < -1e-10:
         raise StepNonConverged(
@@ -649,7 +663,7 @@ def _scaled_envelope_prox(model, t, xs, lam, s):
 
 
 def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
-                p0=None, handover=0.0):
+                p0=None, handover=0.0, handover_cap=np.inf):
     """Accelerated dual solve of  min_u 1/2||u||_M^2 - b(u) + V(K u).
 
     FISTA on the dual with gradient-based adaptive restart (Beck-Teboulle
@@ -664,9 +678,9 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
     is dual-feasible, so the weak-form residual with flux p / (h vol)
     vanishes identically.  Returns (u, p, gap, iters, exit), exit being
     "converged", "handover" (the gap is below ``handover`` times the first
-    check's and fell less than tenfold since the last check: the iteration
-    is in its slow tail), "stall" (no gap progress over 50 checks) or
-    "max_iter".
+    check's and below ``handover_cap``, and fell less than tenfold since
+    the last check: the iteration is in its slow tail), "stall" (no gap
+    progress over 50 checks) or "max_iter".
     """
     m = grid.mass
     rhs = _rhs(grid, w1, w2)
@@ -707,7 +721,7 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
                 break
             if it == 0:
                 first = gap
-            elif handover * first >= gap > 0.1 * last:
+            elif min(handover * first, handover_cap) >= gap > 0.1 * last:
                 exit_ = "handover"
                 break
             if gap < best_gap * (1.0 - 1e-9):
@@ -802,7 +816,8 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged):
     return u, _section(grid, model, t, u, cfg), clean
 
 
-def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None):
+def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
+               dual=None):
     """Minimize the implicit-step functional and recover the flux section.
 
     Returns a StepSolution whose field satisfies the discrete weak form
@@ -814,12 +829,16 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None):
     cannot be met, and ValueError (BADCONFIG) for invalid configuration.
     ``lagged``, a ``_LaggedFactor``, carries the Newton factor of a smooth
     law from step to step of one flow (``run_flow`` passes one per flow);
-    without it the step holds its own.
+    without it the step holds its own.  ``dual``, an (n_cells, N) array,
+    is the dual point a total-variation step starts from (``run_flow``
+    passes the previous step's ``StepSolution.dual``); it is projected
+    onto the step's polar balls, and the warm step hands over and stops
+    as ``_solve_tv`` says.  Other laws ignore it.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
     if model.kind == "tv":
-        return _solve_tv(grid, model, h, w1, w2, cfg)
+        return _solve_tv(grid, model, h, w1, w2, cfg, dual)
     u = _default_start(grid, w1, w2) if u0 is None else grid.check_field(u0).copy()
     log = []
     u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
@@ -932,7 +951,7 @@ def _ball_projection(radius):
     return project
 
 
-def _solve_tv(grid, model, h, w1, w2, cfg):
+def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
     """Total-variation step over the per-cell polar balls |p_c| <= rho h vol_c.
 
     The weighted gap sum_c (w_c |grad u|_c - grad u . p_c) equals h times
@@ -941,6 +960,18 @@ def _solve_tv(grid, model, h, w1, w2, cfg):
     per check, and the multiplier loop (``_multiplier_finish``) takes it to
     the target.  If the loop misses, FISTA resumes from the
     loop's best dual point with what is left of ``pd_max_iter``.
+
+    A warm step starts FISTA from the dual point ``p0`` (an (n_cells, N)
+    array, the previous step's dual in a flow), projected onto the balls.
+    Its first gap is usually small already, so it hands over at 0.1 of that
+    gap, but never above 1e-5 of the gap at p = 0 (h times the TV energy of
+    the data), where a cold step would: a warm start far from the new dual
+    point, on a moving edge or rough data, would otherwise hand the loop a
+    start it cannot finish in its rounds.  A warm step stops at a tenth of
+    the cold target: one stopped at the cold target lands at a looser point,
+    which shows as a TV energy increase of order 1e-9 along a flow.
+    ``pd_max_iter`` bounds its FISTA iterations and the fallback's together,
+    as on a cold step.  Without ``p0`` the step starts from p = 0.
     """
     vol = grid.cell_volumes
     a = h * vol
@@ -953,15 +984,24 @@ def _solve_tv(grid, model, h, w1, w2, cfg):
         mags = np.sqrt((q * q).sum(axis=1))
         return float((wc * mags - (q * p).sum(axis=1)).sum())
 
+    handover, cap = 1e-5, np.inf
+    if p0 is not None:
+        p0 = project(np.asarray(p0, dtype=float).reshape(
+            wc.size, len(grid.grad_ops)))
+        target *= 0.1
+        q0 = disc.gradient(grid, _default_start(grid, w1, w2))
+        handover, cap = 0.1, 1e-5 * gap_of(np.zeros_like(p0), q0)
+
     def fista(p0, handover, max_iter):
         u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, project, gap_of,
-                                           target, 50, max_iter, p0, handover)
+                                           target, 50, max_iter, p0, handover,
+                                           handover_cap=cap)
         log.append({"lam": 0.0, "iters": it, "residual": 0.0, "exit": exit_,
                     "pd_gap": gap, "objective": step_objective(
                         grid, model, 0.0, h, w1, w2, u)})
         return u, p, gap, it, exit_
 
-    u, p, gap, it, exit_ = fista(None, 1e-5, cfg.pd_max_iter)
+    u, p, gap, it, exit_ = fista(p0, handover, cfg.pd_max_iter)
     if gap > target and exit_ != "max_iter":
         u, p, gap, finish = _multiplier_finish(
             grid, model, h, w1, w2, u, p, gap, gap_of, target, cfg.max_iter)

@@ -196,13 +196,18 @@ def test_run_tv_mode(tmp_path):
 
 
 def test_metrics_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        cfg = cli.parse_config(json.dumps(
-            {"preset": "quadratic-1d", "n": 5, "seed": 7,
-             "out_dir": str(out)}))
-        assert cli.run(cfg) == 0
-    assert (out1 / "metrics.jsonl").read_bytes() == (out2 / "metrics.jsonl").read_bytes()
+    # a TV flow carries each step's dual into the next; with the stage logs
+    # in the stream too, two runs must still write the same bytes
+    runs = [({"preset": "quadratic-1d", "n": 5, "seed": 7}, False),
+            ({"preset": "tv-1d", "mode": "tv", "n": 6, "T": 0.03,
+              "grid": {"kind": "rectangle", "nx": 6, "ny": 5}}, True)]
+    for k, (raw, verbose) in enumerate(runs):
+        out1, out2 = tmp_path / f"{k}a", tmp_path / f"{k}b"
+        for out in (out1, out2):
+            cfg = cli.parse_config(json.dumps({**raw, "out_dir": str(out)}))
+            assert cli.run(cfg, verbose=verbose) == 0
+        assert ((out1 / "metrics.jsonl").read_bytes()
+                == (out2 / "metrics.jsonl").read_bytes())
 
 
 def test_main_override_and_exit_codes(tmp_path):

@@ -355,6 +355,23 @@ def test_obstacle_fully_active():
     assert sol.complementarity <= 1e-10
 
 
+def test_obstacle_failure_names_the_complementarity_measure():
+    g = disc.interval_grid(8)
+    rng = np.random.default_rng(15)
+    w1 = rng.standard_normal(9)
+    w2 = rng.standard_normal(2)
+    model = fm.anisotropic_p_laplacian(4.0)
+    cfg = ss.StepConfig(tol=1e-14, max_iter=1)
+    with pytest.raises(ss.StepNonConverged,
+                       match="^complementarity measure .* exceeds tol") as err:
+        ss.solve_step_obstacle(g, model, 0.0, 0.1, w1, w2, cfg)
+    assert "stationarity" not in str(err.value)
+    assert err.value.residual == err.value.log[-1]["residual"] > cfg.tol
+    # the unconstrained step keeps its stationarity residual
+    with pytest.raises(ss.StepNonConverged, match="^stationarity residual"):
+        ss.solve_step(g, model, 0.0, 0.1, w1, w2, cfg)
+
+
 def test_obstacle_mixed_sign_vs_projected_gradient():
     g = disc.interval_grid(8)
     rng = np.random.default_rng(15)
@@ -877,7 +894,7 @@ def _hand_over_after_five_iterations(real):
     the multiplier finish starts from a loose point."""
 
     def dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
-                   p0=None, handover=0.0):
+                   p0=None, handover=0.0, handover_cap=math.inf):
         if not handover:
             return real(grid, w1, w2, prox, gap_of, gap_target, period,
                         max_iter, p0)
@@ -904,3 +921,129 @@ def test_tv_route_matches_the_exact_1d_prox(n, seed, log_rho, log_h):
     for s in (sol, early):
         assert np.max(np.abs(s.u - ref)) <= 1e-6
         assert s.fenchel_cells.min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# total variation: warm steps along a flow
+
+
+def _tv_profile():
+    """The 16 x 16 step profile of the tv-2d benchmark workload."""
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    return g, ((x > 0.5) & (y > 0.3)).astype(float)
+
+
+def test_tv_cold_route_keeps_its_log():
+    g, prev = _tv_profile()
+    sol = ss.tv_step(g, 1.0, 0.01, prev)
+    fista, finish = sol.iterations
+    assert (fista["iters"], fista["exit"]) == (400, "handover")
+    assert "pd_gap" in fista and "rounds" not in fista
+    assert "rounds" in finish and "pd_gap" not in finish
+    # a flow's first step has no dual to start from: the same step
+    traj = fd.run_flow(fd.ProblemData(g, prev, T=0.02,
+                                      model=fm.total_variation(1.0, 2)), 2)
+    assert traj.step_logs[0] == sol.iterations
+    assert np.array_equal(traj.fields[1], sol.u)
+    assert np.array_equal(traj.etas[0], sol.eta)
+
+
+def test_tv_flow_carries_no_state_between_flows():
+    g, prev = _tv_profile()
+    prob = fd.ProblemData(g, prev, T=0.05, model=fm.total_variation(1.0, 2))
+    a, b = fd.run_flow(prob, 5), fd.run_flow(prob, 5)
+    assert np.array_equal(a.fields, b.fields)
+    assert np.array_equal(a.etas, b.etas)
+    assert np.array_equal(a.step_certificates, b.step_certificates)
+    assert a.step_logs == b.step_logs
+    # the steps after the first start from the carried dual
+    assert all(log[0]["iters"] < a.step_logs[0][0]["iters"]
+               for log in a.step_logs[1:])
+
+
+def _warm_data():
+    """Step 2 of the tv-2d profile: its data and the dual of step 1."""
+    g, prev = _tv_profile()
+    first = ss.tv_step(g, 1.0, 0.01, prev)
+    return g, first.u, first.u[g.boundary_nodes], first.dual
+
+
+def test_tv_warm_step_projects_a_carried_dual_outside_the_balls():
+    g, w1, w2, dual = _warm_data()
+    rho, h = 1.0, 0.01
+    wc = rho * h * g.cell_volumes
+    carried = 3.0 * dual
+    assert np.any(np.linalg.norm(carried, axis=1) > wc * (1.0 + 1e-3))
+    with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
+        sol = ss.solve_step(g, fm.total_variation(rho, 2), 0.0, h, w1, w2,
+                            dual=carried)
+    p0 = spy.call_args_list[0].args[8]
+    assert np.all(np.linalg.norm(p0, axis=1) <= wc * (1.0 + 1e-15))
+    assert np.array_equal(carried, 3.0 * dual)
+    assert sol.residual <= ss.StepConfig().tol
+    assert 0.0 <= sol.fenchel_total <= ss.StepConfig().certificate_tol
+    _check_tv_dual(g, rho, h, sol)
+
+
+def test_tv_warm_step_out_of_dual_iterations_reports_max_iter():
+    g, w1, w2, dual = _warm_data()
+    with pytest.raises(ss.StepNonConverged) as err:
+        ss.solve_step(g, fm.total_variation(1.0, 2), 0.0, 0.01, w1, w2,
+                      ss.StepConfig(pd_max_iter=5), dual=dual)
+    assert [(s["iters"], s["exit"]) for s in err.value.log] == [(5, "max_iter")]
+
+
+def test_tv_warm_handover_is_never_looser_than_a_cold_one():
+    # on rough data the dual moves far from one step to the next, so a warm
+    # start's first gap is not small; handed over at a tenth of it, step 5
+    # left the multiplier loop a start it could not finish in its rounds,
+    # and FISTA fell back for 1700 more iterations
+    g = disc.rectangle_grid(10, 12)
+    y0 = np.random.default_rng(2284).standard_normal(g.n_nodes)
+    model = fm.total_variation(2.65, 2)
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=5 * 0.0133, model=model), 5)
+    handovers = 0
+    for i, log in enumerate(traj.step_logs[1:], start=1):
+        assert not any("fallback" in s for s in log)
+        if log[0]["exit"] == "handover":
+            handovers += 1
+            # the gap at p = 0 is h times the TV energy of the data
+            cold_scale = traj.h * fd._energy(g, model, traj.fields[i])
+            assert log[0]["pd_gap"] <= 1e-5 * cold_scale
+    assert handovers
+
+
+def _m_norm(grid, v):
+    return math.sqrt(float(v @ (grid.mass * v)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(shape=st.one_of(st.tuples(st.integers(2, 24)),
+                       st.tuples(st.integers(2, 12), st.integers(2, 12))),
+       seed=st.integers(0, 2**16), log_rho=st.floats(-1.0, 0.5),
+       log_h=st.floats(-2.5, -0.5), steps=st.integers(5, 10))
+def test_warm_tv_flow_properties(shape, seed, log_rho, log_h, steps):
+    g = disc.interval_grid(*shape) if len(shape) == 1 else disc.rectangle_grid(*shape)
+    y0 = np.random.default_rng(seed).standard_normal(g.n_nodes)
+    rho, h = 10.0 ** log_rho, 10.0 ** log_h
+    model = fm.total_variation(rho, g.dimension)
+    cfg = ss.StepConfig()
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=steps * h, model=model), steps,
+                       cfg)
+    assert fd.energy_trace(traj).max_increase <= 1e-10
+    for i in range(steps):
+        u = traj.fields[i + 1]
+        gaps = model.fenchel_gap(0.0, g.cell_centers, disc.gradient(g, u),
+                                 traj.etas[i])
+        assert gaps.min() >= -1e-10
+        assert traj.step_certificates[i] <= cfg.certificate_tol
+        # phi is 1-strongly convex in the M-norm and h * certificate bounds
+        # phi(u) - min phi, so both steps lie within sqrt(2 h cert) of the
+        # minimizer; a certificate is known only to its rounding, of order
+        # eps times the TV energy it is taken against
+        cold = ss.tv_step(g, rho, traj.h, traj.fields[i], cfg)
+        floor = 1e-14 * (1.0 + fd._energy(g, model, u))
+        bound = sum(math.sqrt(2.0 * traj.h * max(cert, floor))
+                    for cert in (traj.step_certificates[i], cold.fenchel_total))
+        assert _m_norm(g, u - cold.u) <= bound
