@@ -119,10 +119,15 @@ def _reject_unknown(d, allowed, where):
 
 
 def _deep_merge(base, override):
+    """``override`` merged into ``base`` key by key; a nested spec that
+    names another ``profile`` than its base replaces it whole, so a
+    preset's profile keys never reach another profile's builder."""
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
+        old = out.get(k)
+        if (isinstance(v, dict) and isinstance(old, dict)
+                and v.get("profile", old.get("profile")) == old.get("profile")):
+            out[k] = _deep_merge(old, v)
         else:
             out[k] = v
     return out

@@ -13,6 +13,7 @@ Initial data may alternatively use a named profile, e.g.
 from __future__ import annotations
 
 import ast
+import inspect
 
 import numpy as np
 
@@ -120,6 +121,11 @@ def _profile(spec, dimension, seed):
     except KeyError:
         raise ExpressionError(
             f"unknown profile {name!r}; known: {sorted(PROFILES)}") from None
+    keys = set(inspect.signature(builder).parameters) - {"dimension", "seed"}
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ExpressionError(f"profile {name!r} does not take {unknown}; "
+                              f"it takes {sorted(keys)}")
     return builder(dimension=dimension, seed=seed, **spec)
 
 

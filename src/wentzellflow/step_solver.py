@@ -24,6 +24,14 @@ lam |grad u|^2 viscosity term is added, with lam driven down a geometric
 schedule and every stage warm-started.  The viscosity is dropped on the
 final stage so the last solve targets the pure envelope problem.
 
+The obstacle step, constrained to u >= 0 nodewise, runs the same stages
+by the same damped Newton as a semismooth Newton on the complementarity
+residual min(u, M^{-1} g) = 0, the primal-dual active-set method: each
+iteration moves the nodes where M^{-1} g > u to 0 and solves the Newton
+system on the others by the same banded Cholesky.  It has no stall exit,
+no lagged factor and no rescue, so it runs every stage, a stalled one
+too, and is judged on the last.
+
 The multivalued flux section eta is recovered from the regularized flux
 at the final lam.  On cells where the subdifferential is genuinely
 multivalued (flux jumps, the kink of the total-variation law) the weak
@@ -107,31 +115,19 @@ class StepNonConverged(RuntimeError):
 class StepConfig:
     """Solver and continuation parameters for one implicit step.
 
-    The route follows the flux law: total-variation steps take the
-    accelerated dual solver, finished by a multiplier loop whose inner
-    problems take the damped Newton; every other law takes the damped
-    Newton on the generalized Hessian (each system solved by banded
-    Cholesky), with envelope continuation for nonsmooth laws.  On 2D grids
-    with bandwidth kd >= 32 one Newton iteration of a smooth law solves its
-    system inexactly instead: at most 8 conjugate-gradient iterations
-    preconditioned by a held factor, then, if they miss, a fresh factor
-    and a direct solve.  ``max_iter`` bounds the Newton iterations either
-    way; the inner CG iterations do not count against it.  A
-    total-variation step stops once its Fenchel certificate is below
-    ``1e-3 * certificate_tol``, a step started from a carried dual below
-    ``1e-4 * certificate_tol``; ``pd_max_iter`` bounds its accelerated
-    dual iterations, before the multiplier loop and after a fallback
-    together, warm or cold, and each Newton solve of the loop takes at
-    most ``max_iter`` iterations.  The dual rescue of a stalled
-    continuation has the cold certificate target and its own
-    ``pd_max_iter`` iterations.
-
-    Both iteration limits must be positive.
-
-    For nonsmooth laws the achievable weak-form residual scales with
-    ``lam_min`` (the returned field is the minimizer of the lam_min
-    envelope problem), so tightening ``tol`` requires tightening
-    ``lam_min`` along with it.
+    ``tol`` bounds the returned field's weak-form residual (on an obstacle
+    step its complementarity measure) and ``certificate_tol`` its Fenchel
+    certificate; a total-variation step stops once the certificate is below
+    ``1e-3 * certificate_tol``, or ``1e-4 *`` from a carried dual.
+    ``max_iter`` bounds the Newton iterations of a stage or of a multiplier
+    round's inner solve (CG iterations on a lagged factor do not count);
+    ``pd_max_iter`` bounds a TV step's accelerated dual iterations, before
+    the multiplier loop and after a fallback together, and those of a dual
+    rescue.  Both limits must be positive.  ``lam0``, ``lam_decay`` and
+    ``lam_min`` set a nonsmooth law's envelope continuation; its achievable
+    weak-form residual scales with ``lam_min`` (the returned field is the
+    minimizer of the lam_min envelope problem), so tightening ``tol``
+    requires tightening ``lam_min`` along with it.
     """
 
     tol: float = 1e-8
@@ -472,18 +468,28 @@ def _stage_entries(iters, residual, exit_, fallbacks, counts=None):
     return entries
 
 
-def _minimize_newton(prob, u0, tol, max_iter, lagged=None):
-    """Damped Newton with a stall exit (no 2x progress over 12 iterations).
+def _minimize_newton(prob, u0, tol, max_iter, lagged=None, nonneg=False):
+    """Damped Newton, over u >= 0 when ``nonneg``.
 
-    The full step is accepted whenever it reduces the scaled residual (the
-    endgame, where objective differences sit below rounding); otherwise an
-    Armijo backtracking on the objective globalizes.  Each direction is the
-    banded Cholesky solve of the Newton system, or, given a ``_LaggedFactor``
-    ``lagged``, its inexact solve by CG preconditioned with that factor.  A
-    Newton system that is not positive definite, or a direction that is not
-    one of descent, gives way to the scaled gradient -M^{-1} g.  Returns the
-    final u and its stage log entries (see ``_stage_entries``), with exit
-    "converged", "stall" or "max_iter".
+    The residual is max |min(u, r)|, r = M^{-1} g (max |r| without the
+    bound).  On the bound each iteration is a semismooth Newton step on
+    min(u, r) = 0 (the primal-dual active-set method of Hintermueller, Ito
+    and Kunisch, SIAM J. Optim. 13, 2002): the nodes of A = {r > u} move to
+    0 and the Newton system is solved on the rest.  The full step is taken
+    whenever it cuts the residual to 0.9x (the endgame, where objective
+    differences sit below rounding), on the bound only if it also raises
+    the objective by at most 1e-12 of its size, since no stall exit or
+    rescue stops a cycle of full steps there; otherwise an Armijo
+    backtracking on the objective globalizes.  Each direction is the
+    banded Cholesky solve of the Newton system, or, given a
+    ``_LaggedFactor`` ``lagged`` (never on the bound), its inexact solve by
+    CG preconditioned with that factor.  A Newton system that is not
+    positive definite, or a direction that is not one of descent, gives
+    way to the scaled gradient -M^{-1} g.  A stall (no 2x progress over 12
+    iterations) ends the loop off the bound; on it the returned u is >= 0
+    exactly and the residual is taken there.  Returns the final u and its
+    stage log entries (see ``_stage_entries``), with exit "converged",
+    "stall" or "max_iter".
     """
     u = u0.copy()
     m = prob.mass
@@ -495,23 +501,36 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None):
     counts = None if lagged is None else {"factorizations": 0, "cg_iters": 0}
     it = 0
     exit_ = "max_iter"
+
+    def residual(v, g):
+        r = g / m
+        return float(np.max(np.abs(np.minimum(v, r) if nonneg else r))), r
+
     for it in range(max_iter + 1):
         g = prob.grad(u)
-        res = float(np.max(np.abs(g) / m))
-        if res <= tol:
+        res, r = residual(u, g)
+        if res <= tol and not (nonneg and u.min() < 0.0):
             exit_ = "converged"
             break
         if res < 0.5 * best:
             best, since_best = res, 0
         else:
             since_best += 1
-            if since_best > 12 and it >= 15:
+            if since_best > 12 and it >= 15 and not nonneg:
                 exit_ = "stall"
                 break
         if it == max_iter:
             break
+        active = r > u if nonneg else None
         try:
-            if lagged is None:
+            if active is not None and active.any():
+                # d = -u on A, so the free rows' right-hand side gains H_FA u_A
+                u_a = np.where(active, u, 0.0)
+                rhs = -g
+                if u_a.any():
+                    rhs = rhs + _hess_product(prob.grid, prob.hess_blocks(u))(u_a)
+                d = _newton_solve(plan, prob.hess(u), rhs, fixed=active) - u_a
+            elif lagged is None:
                 d = _newton_solve(plan, prob.hess(u), -g)
             else:
                 d = lagged.direction(prob, u, g, res, counts)
@@ -523,19 +542,23 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None):
             d = -g / m
             slope = float(g @ d)
         un_full = u + d
-        res_full = float(np.max(np.abs(prob.grad(un_full)) / m))
-        if res_full <= 0.9 * res:
+        if residual(un_full, prob.grad(un_full))[0] <= 0.9 * res and (
+                not nonneg or prob.value(un_full)
+                <= prob.value(u) + 1e-12 * abs(prob.value(u))):
             u = un_full
             continue
-        u = _armijo(prob, u, d, slope)
+        u = _armijo(prob, u, d, slope, nonneg)
+    if nonneg and u.min() < 0.0:
+        u = np.maximum(u, 0.0)
+        res = residual(u, prob.grad(u))[0]
     return u, _stage_entries(it, res, exit_, fallbacks, counts)
 
 
-def _armijo(prob, u, d, slope, slack=0.0, nonneg=False):
+def _armijo(prob, u, d, slope, nonneg=False):
     """Armijo backtracking on the objective along d from u, halving from
     the full step: the first trial point u + alpha d (projected onto u >= 0
-    when ``nonneg``) whose value is at most f(u) + 1e-4 alpha slope + slack,
-    or the last one tried once alpha falls to 1e-14."""
+    when ``nonneg``) whose value is at most f(u) + 1e-4 alpha slope, or the
+    last one tried once alpha falls to 1e-14."""
     f0 = prob.value(u)
     alpha = 1.0
     un = u
@@ -543,7 +566,7 @@ def _armijo(prob, u, d, slope, slack=0.0, nonneg=False):
         un = u + alpha * d
         if nonneg:
             un = np.maximum(un, 0.0)
-        if prob.value(un) <= f0 + 1e-4 * alpha * slope + slack:
+        if prob.value(un) <= f0 + 1e-4 * alpha * slope:
             break
         alpha *= 0.5
     return un
@@ -636,8 +659,9 @@ def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
     return sol
 
 
-def _default_start(grid, w1, w2):
-    return _rhs(grid, w1, w2) / grid.mass
+def _start(grid, w1, w2, u0=None):
+    return (_rhs(grid, w1, w2) / grid.mass if u0 is None
+            else grid.check_field(u0).copy())
 
 
 def _scaled_envelope_prox(model, t, xs, lam, s):
@@ -769,29 +793,13 @@ def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0):
     return u, p / a[:, None], gap, it, exit_
 
 
-def _stages(model, cfg):
-    """(lam, viscosity, tol) of each Newton stage: one stage, lam None, for
-    a smooth law, else the lam schedule, with viscosity and the warm-start
-    tolerance on every stage but the last."""
-    if model.is_smooth:
-        return [(None, False, cfg.tol)]
-    *lams, last = cfg.lam_schedule()
-    # warm-start quality along the path is absolute, not relative to tol
-    inter_tol = min(1e-8, max(100.0 * cfg.tol, 1e-12))
-    return [(lam, True, inter_tol) for lam in lams] + [(last, False, cfg.tol)]
-
-
-def _section(grid, model, t, u, cfg):
-    """Flux section at u: the selection for smooth laws, else the
-    regularized flux of the lam_min envelope."""
-    gu = disc.gradient(grid, u)
-    if model.is_smooth:
-        return model.select(t, grid.cell_centers, gu)
-    return model.yosida(t, grid.cell_centers, cfg.lam_min, gu)
-
-
-def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged):
-    """Run the stages of ``_stages``; returns (u, eta, clean).
+def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
+                  nonneg=False):
+    """Run the Newton stages of a step, over u >= 0 when ``nonneg``: one
+    stage, lam None, for a smooth law, else the lam schedule, with viscosity
+    and a warm-start tolerance on every stage but the last.  Returns
+    (u, eta, clean), eta the selection at u for a smooth law, else the
+    regularized flux of the lam_min envelope.
 
     The smooth law's one stage reuses the ``_LaggedFactor`` ``lagged`` on
     grids with kd >= 4 * _CG_CAP; continuation stages change lam severalfold
@@ -799,21 +807,31 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged):
     bands factor faster than CG iterates, so they keep the direct solve.
     ``clean`` turns False when a stage stalls far above its target (active
     sets chattering on the jump set); the caller then hands the field to
-    the dual solve instead of grinding through the remaining stages.
+    the dual solve instead of grinding through the remaining stages.  On
+    the bound there is no such exit and every stage runs.
     """
     if grid.gram_plan.kd < 4 * _CG_CAP:
         lagged = None
+    stages = [(None, False, cfg.tol)]
+    if not model.is_smooth:
+        *lams, last = cfg.lam_schedule()
+        # warm-start quality along the path is absolute, not relative to tol
+        inter_tol = min(1e-8, max(100.0 * cfg.tol, 1e-12))
+        stages = [(lam, True, inter_tol) for lam in lams] + [(last, False, cfg.tol)]
     clean = True
-    for lam, viscosity, stage_tol in _stages(model, cfg):
+    for lam, viscosity, stage_tol in stages:
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
         u, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter,
-                                    lagged if lam is None else None)
+                                    lagged if lam is None else None, nonneg)
         log.append({"lam": lam or 0.0, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
-        if stage["residual"] > max(1e-4, 1e3 * stage_tol):
+        if not nonneg and stage["residual"] > max(1e-4, 1e3 * stage_tol):
             clean = False
             break
-    return u, _section(grid, model, t, u, cfg), clean
+    gu = disc.gradient(grid, u)
+    eta = (model.select(t, grid.cell_centers, gu) if model.is_smooth
+           else model.yosida(t, grid.cell_centers, cfg.lam_min, gu))
+    return u, eta, clean
 
 
 def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
@@ -839,7 +857,7 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     w1, w2 = _check_data(grid, h, w1, w2)
     if model.kind == "tv":
         return _solve_tv(grid, model, h, w1, w2, cfg, dual)
-    u = _default_start(grid, w1, w2) if u0 is None else grid.check_field(u0).copy()
+    u = _start(grid, w1, w2, u0)
     log = []
     u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
                                   _LaggedFactor() if lagged is None else lagged)
@@ -862,67 +880,23 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
     """Implicit step constrained to u >= 0 nodewise.
 
     The reported residual is the complementarity measure
-    max_i |min(u_i, r_i)| with r the mass-scaled unconstrained residual:
-    at every node either u vanishes (and r >= 0) or r vanishes.  The
-    stages are those of ``solve_step``, each by projected Newton; there is
-    no stall break and no dual rescue.
+    max_i |min(u_i, r_i)| at the returned field, r the mass-scaled
+    unconstrained residual: at every node either u = 0 (and r >= 0) or r
+    vanishes.  The stages are those of ``solve_step``, each by
+    ``_minimize_newton`` on the bound; with no stall exit and no rescue,
+    every stage runs, and the last one's measure decides.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
-    u = np.maximum(_default_start(grid, w1, w2) if u0 is None
-                   else grid.check_field(u0).copy(), 0.0)
+    u = np.maximum(_start(grid, w1, w2, u0), 0.0)
     log = []
-    for lam, viscosity, stage_tol in _stages(model, cfg):
-        prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
-        u, stage = _minimize_newton_bound(prob, u, stage_tol, cfg.max_iter)
-        log.append({"lam": lam or 0.0, **stage,
-                    "objective": step_objective(grid, model, t, h, w1, w2, u)})
-    eta = _section(grid, model, t, u, cfg)
+    u, eta, _ = _continuation(grid, model, t, h, w1, w2, u, cfg, log, None,
+                              nonneg=True)
     if not model.is_smooth:
         eta = _polish_eta(grid, model, t, h, u, eta, _rhs(grid, w1, w2),
                           row_mask=u > 1e-12)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
-                   complementarity=stage["residual"])
-
-
-def _minimize_newton_bound(prob, u0, tol, max_iter):
-    """Projected (active-set) Newton for minimization over {u >= 0}.
-
-    The Newton system is solved on the free nodes, with the active ones
-    fixed at d = 0; if it is not positive definite the direction falls
-    back to the scaled gradient on the free nodes.  Returns the final u
-    and its stage log entries (see ``_stage_entries``; the residual is the
-    complementarity measure), with exit "converged" or "max_iter"."""
-    m = prob.mass
-    plan = prob.grid.gram_plan
-    u = np.maximum(u0, 0.0)
-    comp = np.inf
-    fallbacks = 0
-    it = 0
-    exit_ = "max_iter"
-    for it in range(max_iter + 1):
-        g = prob.grad(u)
-        r = g / m
-        comp = float(np.max(np.abs(np.minimum(u, r))))
-        if comp <= tol:
-            exit_ = "converged"
-            break
-        if it == max_iter:
-            break
-        active = (u <= 1e-14) & (r > 0)
-        free = ~active
-        try:
-            d = _newton_solve(plan, prob.hess(u), -g, fixed=active)
-        except np.linalg.LinAlgError:
-            fallbacks += 1
-            d = np.where(active, 0.0, -r)
-        slope = min(float(g[free] @ d[free]), 0.0)
-        un = _armijo(prob, u, d, slope, 1e-16 * abs(prob.value(u)), nonneg=True)
-        if np.array_equal(un, u):
-            scale = max(1.0, float(np.max(prob.hess(u)[0] / m)))
-            un = np.maximum(u - g / (m * (1.0 + scale)), 0.0)
-        u = un
-    return u, _stage_entries(it, comp, exit_, fallbacks)
+                   complementarity=log[-1]["residual"])
 
 
 def tv_step(grid, rho, h, prev, cfg=None):
@@ -989,7 +963,7 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
         p0 = project(np.asarray(p0, dtype=float).reshape(
             wc.size, len(grid.grad_ops)))
         target *= 0.1
-        q0 = disc.gradient(grid, _default_start(grid, w1, w2))
+        q0 = disc.gradient(grid, _start(grid, w1, w2))
         handover, cap = 0.1, 1e-5 * gap_of(np.zeros_like(p0), q0)
 
     def fista(p0, handover, max_iter):

@@ -187,6 +187,46 @@ def test_run_obstacle_mode(tmp_path):
     assert man["checks"]["complementarity"] is True
 
 
+def test_run_obstacle_mode_2d_plaplacian(tmp_path):
+    # |cos(pi x) cos(pi y)| touches 0 along two lines
+    raw = {
+        "mode": "obstacle",
+        "grid": {"kind": "rectangle", "nx": 34, "ny": 4},
+        "model": {"id": "plaplacian", "p": 4.0},
+        "sources": {"y0": "((cos(pi*x)*cos(pi*y))**2)**0.5"},
+        "T": 0.05, "n": 5,
+        "step": {"tol": 1e-10},
+        "out_dir": str(tmp_path),
+    }
+    assert cli.run(cli.config_from_dict(raw)) == 0
+    man = json.load(open(tmp_path / "manifest.json"))
+    assert man["checks"]["nonnegative"] is True
+    assert man["checks"]["complementarity"] is True
+
+
+def test_profile_of_another_name_replaces_the_preset_spec(tmp_path):
+    # tv-1d's y0 is {"profile": "step", "split": 0.5}; "split" must not
+    # reach the plateaus builder
+    raw = {"preset": "tv-1d", "n": 4, "T": 0.02, "out_dir": str(tmp_path),
+           "sources": {"y0": {"profile": "plateaus"}}}
+    cfg = cli.config_from_dict(raw)
+    assert cfg.sources["y0"] == {"profile": "plateaus"}
+    assert cli.run(cfg) == 0
+    # the same profile still merges key by key
+    cfg = cli.config_from_dict({"preset": "tv-1d",
+                                "sources": {"y0": {"split": 0.3}}})
+    assert cfg.sources["y0"] == {"profile": "step", "split": 0.3}
+
+
+def test_unknown_profile_key_is_a_config_error(tmp_path, capsys):
+    raw = {"preset": "constant-1d", "out_dir": str(tmp_path),
+           "sources": {"y0": {"profile": "step", "bogus": 1}}}
+    assert cli.run(cli.config_from_dict(raw)) == 2
+    assert "bogus" in capsys.readouterr().err
+    with pytest.raises(ex.ExpressionError, match="does not take"):
+        ex.make_initial({"profile": "noise", "seed": 3}, 1)
+
+
 def test_run_tv_mode(tmp_path):
     raw = {"preset": "tv-1d", "mode": "tv", "n": 10, "T": 0.05,
            "out_dir": str(tmp_path)}

@@ -443,6 +443,83 @@ def test_fractured_obstacle_step_mixed_sign_is_optimal():
             assert ss.step_objective(g, model, 0.0, h, w1, w2, trial) >= f0 - 1e-10
 
 
+@pytest.mark.parametrize("law", ["p4", "loggrowth"])
+@pytest.mark.parametrize("start", ["abs", "positive_part"])
+def test_smooth_2d_obstacle_flow_with_contact_converges(law, start):
+    # the field touches 0 along the zero lines of cos(pi x) cos(pi y); a
+    # projected Newton with a strict active set and no full step stopped
+    # here at complementarity 1e-8 or 3e-10 (max_iter)
+    g = disc.rectangle_grid(34, 4)
+    x, y = g.nodes.T
+    c = np.cos(np.pi * x) * np.cos(np.pi * y)
+    y0 = np.abs(c) if start == "abs" else np.maximum(c, 0.0)
+    model = (fm.anisotropic_p_laplacian(4.0, dimension=2) if law == "p4"
+             else fm.log_growth(dimension=2))
+    cfg = ss.StepConfig(tol=1e-10)
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=0.05, model=model), 5, cfg,
+                       obstacle=True)
+    assert traj.fields.min() >= 0.0
+    assert np.max(traj.step_residuals) <= cfg.tol
+    assert all(log[-1]["exit"] == "converged" for log in traj.step_logs)
+
+
+def test_fractured_2d_obstacle_flow_runs_through_a_stalled_stage():
+    # from |cos(pi x) cos(pi y)| two continuation stages of step 3 end at
+    # max_iter near 7e-3, far above their target, and the last stage still
+    # converges: the obstacle step, which has no rescue, runs every stage
+    # and is judged on the last
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    y0 = np.abs(np.cos(np.pi * x) * np.cos(np.pi * y))
+    model = fm.fractured_medium(4.0, thresholds=0.5, dimension=2)
+    cfg = ss.StepConfig()
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=0.03, model=model), 3, cfg,
+                       obstacle=True)
+    assert traj.fields.min() >= 0.0
+    assert np.max(traj.step_residuals) <= cfg.tol
+    assert np.max(traj.step_certificates) <= cfg.certificate_tol
+    assert any(s["residual"] > 1e-4 for log in traj.step_logs for s in log)
+
+
+OBSTACLE_LAWS = {
+    "quadratic": fm.quadratic,
+    "p4": lambda dim: fm.anisotropic_p_laplacian(4.0, dimension=dim),
+    "loggrowth": lambda dim: fm.log_growth(dimension=dim),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(OBSTACLE_LAWS)),
+       shape=st.one_of(st.tuples(st.integers(2, 16)),
+                       st.tuples(st.integers(2, 8), st.integers(2, 8))),
+       seed=st.integers(0, 2**16), shift=st.floats(-1.0, 3.0),
+       log_h=st.floats(-2.5, -0.5))
+def test_smooth_obstacle_step_is_feasible_complementary_and_optimal(
+        law, shape, seed, shift, log_h):
+    g = (disc.interval_grid(*shape) if len(shape) == 1
+         else disc.rectangle_grid(*shape))
+    model = OBSTACLE_LAWS[law](g.dimension)
+    rng = np.random.default_rng(seed)
+    w1 = shift + rng.standard_normal(g.n_nodes)
+    w2 = shift + rng.standard_normal(g.boundary_nodes.size)
+    h = 10.0 ** log_h
+    cfg = ss.StepConfig(tol=1e-10)
+    sol = ss.solve_step_obstacle(g, model, 0.0, h, w1, w2, cfg)
+    assert sol.u.min() >= 0.0
+    assert sol.complementarity <= cfg.tol
+    # no feasible perturbation lowers the step functional
+    f0 = ss.step_objective(g, model, 0.0, h, w1, w2, sol.u)
+    dirs = rng.standard_normal((20, g.n_nodes))
+    for eps in (1e-2, 1e-4, 1e-6):
+        for v in dirs:
+            trial = np.maximum(sol.u + eps * v, 0.0)
+            assert ss.step_objective(g, model, 0.0, h, w1, w2, trial) >= f0 - 1e-10
+    # where the unconstrained step is feasible already, it is the answer
+    free = ss.solve_step(g, model, 0.0, h, w1, w2, cfg)
+    if free.u.min() >= 0.0:
+        assert np.max(np.abs(sol.u - free.u)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # fixed-pattern Hessian assembly
 
