@@ -265,19 +265,21 @@ class _Metrics:
         self.fh.close()
 
 
-def _flow_metrics(metrics, traj, grid, energies=None):
+def _flow_metrics(metrics, traj, rep):
+    """One row per field, its norms and energy read from the diagnostics
+    record ``rep``."""
     for i in range(traj.n_steps + 1):
         row = {
             "step": i,
             "t": float(traj.times[i]),
-            "norm_domain": disc.norm_domain(grid, traj.fields[i]),
-            "norm_boundary": disc.norm_boundary(grid, disc.trace(grid, traj.fields[i])),
+            "norm_domain": float(rep.norms_domain[i]),
+            "norm_boundary": float(rep.norms_boundary[i]),
         }
         if i > 0:
             row["residual"] = float(traj.step_residuals[i - 1])
             row["certificate"] = float(traj.step_certificates[i - 1])
-        if energies is not None:
-            row["energy"] = float(energies[i])
+        if rep.energies is not None:
+            row["energy"] = float(rep.energies[i])
         metrics.write(**row)
 
 
@@ -288,7 +290,7 @@ def run(cfg, verbose=False):
     metrics stream as additional JSON lines.
     """
     try:
-        grid, model, problem, step_cfg = _build(cfg)
+        grid, _, problem, step_cfg = _build(cfg)
     except (ConfigError, ValueError, ex.ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -309,8 +311,8 @@ def run(cfg, verbose=False):
     code = 0
     try:
         if cfg.mode in ("flow", "obstacle", "tv"):
-            code = _run_flow_mode(cfg, grid, model, problem, step_cfg,
-                                  metrics, manifest, verbose)
+            code = _run_flow_mode(cfg, problem, step_cfg, metrics, manifest,
+                                  verbose)
         elif cfg.mode == "convergence":
             code = _run_convergence(cfg, problem, step_cfg, metrics, manifest)
         elif cfg.mode == "contraction":
@@ -334,8 +336,7 @@ def run(cfg, verbose=False):
     return code
 
 
-def _run_flow_mode(cfg, grid, model, problem, step_cfg, metrics, manifest,
-                   verbose=False):
+def _run_flow_mode(cfg, problem, step_cfg, metrics, manifest, verbose=False):
     traj = fd.run_flow(problem, cfg.n_steps, step_cfg,
                        obstacle=cfg.mode == "obstacle")
     if verbose:
@@ -345,7 +346,6 @@ def _run_flow_mode(cfg, grid, model, problem, step_cfg, metrics, manifest,
                               **{k: v for k, v in stage.items() if v is not None})
     rep = fd.stability_report(traj)
     checks = {"gronwall": rep.gronwall_pass}
-    energies = rep.energies
     if problem.autonomous:
         er = fd.energy_trace(traj)
         checks["energy_monotone"] = er.monotone_pass
@@ -355,7 +355,7 @@ def _run_flow_mode(cfg, grid, model, problem, step_cfg, metrics, manifest,
     if cfg.mode == "obstacle":
         checks["nonnegative"] = bool(traj.fields.min() >= -1e-12)
         checks["complementarity"] = bool(np.max(traj.step_residuals) <= 1e-6)
-    _flow_metrics(metrics, traj, grid, energies)
+    _flow_metrics(metrics, traj, rep)
     fd.export_trajectory(traj, os.path.join(cfg.out_dir, "fields"),
                          cfg.save_every)
     manifest["results"]["diagnostics"] = rep.to_dict()

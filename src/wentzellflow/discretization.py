@@ -26,6 +26,7 @@ __all__ = [
     "integrate_domain",
     "integrate_boundary",
     "time_average",
+    "time_moments",
     "norm_domain",
     "norm_boundary",
     "grad_norm_p",
@@ -399,11 +400,13 @@ def _sample(fn, t, pts):
     raise ValueError(f"source returned shape {out.shape} for {pts.shape[0]} points")
 
 
-def time_average(fn, i, h, grid, where="domain"):
-    """Average of f(t, x) over the i-th step interval [(i-1)h, ih].
+def time_moments(fn, i, h, grid, where="domain"):
+    """Averages of f(t, x) and of f(t, x)^2 over the i-th step interval
+    [(i-1)h, ih], both from one set of samples.
 
     Uses fixed 5-point Gauss-Legendre quadrature in t and samples at the
     grid nodes (``where="domain"``) or boundary nodes (``where="boundary"``).
+    ``fn`` takes a scalar time and the (n, N) sample points.
     """
     if i < 1:
         raise ValueError("step index must be >= 1")
@@ -413,6 +416,14 @@ def time_average(fn, i, h, grid, where="domain"):
     t0 = (i - 1) * h
     mid, half = t0 + h / 2.0, h / 2.0
     acc = np.zeros(pts.shape[0])
+    acc_sq = np.zeros(pts.shape[0])
     for tau, w in zip(_GL5_NODES, _GL5_WEIGHTS):
-        acc += w * _sample(fn, mid + half * tau, pts)
-    return acc / 2.0
+        v = _sample(fn, mid + half * tau, pts)
+        acc += w * v
+        acc_sq += w * (v * v)
+    return acc / 2.0, acc_sq / 2.0
+
+
+def time_average(fn, i, h, grid, where="domain"):
+    """Average of f(t, x) over the i-th step interval (``time_moments``)."""
+    return time_moments(fn, i, h, grid, where)[0]

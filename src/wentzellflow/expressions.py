@@ -85,8 +85,9 @@ def make_source(spec, dimension, seed=0):
     fn = compile_expression(spec, variables)
 
     def source(t, pts):
-        out = fn(t=t, **_coord_env(pts, dimension))
-        return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
+        out = np.empty(pts.shape[0])
+        out[...] = fn(t=t, **_coord_env(pts, dimension))
+        return out
 
     return source
 

@@ -13,10 +13,10 @@ diagnostics here.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +88,11 @@ class ProblemData:
 
 @dataclass
 class Trajectory:
-    """Implicit-Euler iterates plus the recovered flux sections."""
+    """Implicit-Euler iterates plus the recovered flux sections.
+
+    ``source_sq`` holds each step's h int ||f||^2 and h int ||g||^2 (zero
+    for an absent source), from the samples that made the step data.
+    """
 
     problem: ProblemData
     h: float
@@ -97,11 +101,21 @@ class Trajectory:
     etas: np.ndarray            # (n, n_cells, N)
     step_residuals: np.ndarray
     step_certificates: np.ndarray
+    source_sq: np.ndarray       # (n, 2)
     step_logs: list = field(default_factory=list)
 
     @property
     def grid(self):
         return self.problem.grid
+
+    @cached_property
+    def energies(self):
+        """Energy (potential at t = 0) of every field, computed once; the
+        reports share this array, so it is read-only."""
+        out = np.array([_energy(self.grid, self.problem.model, u)
+                        for u in self.fields])
+        out.flags.writeable = False
+        return out
 
     @property
     def n_steps(self):
@@ -219,6 +233,7 @@ def run_flow(problem, n, cfg=None, obstacle=False):
     etas = np.empty((n, grid.n_cells, grid.dimension))
     residuals = np.empty(n)
     certs = np.empty(n)
+    source_sq = np.empty((n, 2))
     logs = []
     fields[0] = y
     # one lagged Newton factor and one carried dual per flow, never on the
@@ -226,12 +241,11 @@ def run_flow(problem, n, cfg=None, obstacle=False):
     lagged = _LaggedFactor()
     dual = None
     for i in range(1, n + 1):
-        w1 = y.copy()
-        w2 = y[grid.boundary_nodes].copy()
-        if problem.f is not None:
-            w1 = w1 + h * disc.time_average(problem.f, i, h, grid, "domain")
-        if problem.g is not None:
-            w2 = w2 + h * disc.time_average(problem.g, i, h, grid, "boundary")
+        fbar, gbar, source_sq[i - 1] = _step_sources(problem, i, h)
+        w1 = y.copy() if fbar is None else y + h * fbar
+        w2 = y[grid.boundary_nodes]
+        if gbar is not None:
+            w2 = w2 + h * gbar
         try:
             if obstacle:
                 sol = solve_step_obstacle(grid, problem.model, i * h, h, w1,
@@ -251,34 +265,27 @@ def run_flow(problem, n, cfg=None, obstacle=False):
         certs[i - 1] = sol.fenchel_total
         logs.append(sol.iterations)
     return Trajectory(problem, h, np.arange(n + 1) * h, fields, etas,
-                      residuals, certs, logs)
+                      residuals, certs, source_sq, logs)
+
+
+def _step_sources(problem, i, h):
+    """Step i's source averages fbar, gbar (None for an absent source) and
+    [h int ||f||^2, h int ||g||^2] over the step, all from one 5-point
+    sampling of each source."""
+    grid = problem.grid
+    fbar = gbar = None
+    sq = np.zeros(2)
+    if problem.f is not None:
+        fbar, fsq = disc.time_moments(problem.f, i, h, grid, "domain")
+        sq[0] = h * float(grid.node_weights @ fsq)
+    if problem.g is not None:
+        gbar, gsq = disc.time_moments(problem.g, i, h, grid, "boundary")
+        sq[1] = h * float(grid.boundary_weights @ gsq)
+    return fbar, gbar, sq
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
-
-
-def _source_sq_integrals(problem, n, h):
-    """Per-step integrals of ||f||^2 and ||g||^2 by 5-point quadrature."""
-    grid = problem.grid
-    fa = np.zeros(n)
-    ga = np.zeros(n)
-
-    def fsq(t, pts):
-        return np.asarray(problem.f(t, pts), dtype=float) ** 2
-
-    def gsq(t, pts):
-        return np.asarray(problem.g(t, pts), dtype=float) ** 2
-
-    for i in range(1, n + 1):
-        if problem.f is not None:
-            fa[i - 1] = h * float(
-                grid.node_weights @ disc.time_average(fsq, i, h, grid, "domain"))
-        if problem.g is not None:
-            ga[i - 1] = h * float(
-                grid.boundary_weights @ disc.time_average(gsq, i, h, grid,
-                                                          "boundary"))
-    return fa, ga
 
 
 def stability_report(traj):
@@ -305,7 +312,6 @@ def stability_report(traj):
     pot_sum = 0.0
     dq_d = 0.0
     dq_b = 0.0
-    energies = [] if problem.autonomous else None
     for i in range(1, n + 1):
         gy = disc.gradient(grid, traj.fields[i])
         grad_sum += h * disc.grad_norm_p(grid, gy, p) ** p
@@ -314,11 +320,7 @@ def stability_report(traj):
         dy = (traj.fields[i] - traj.fields[i - 1]) / h
         dq_d += h * disc.norm_domain(grid, dy) ** 2
         dq_b += h * disc.norm_boundary(grid, disc.trace(grid, dy)) ** 2
-    if energies is not None:
-        energies = np.array([_energy(grid, model, traj.fields[i])
-                             for i in range(n + 1)])
-
-    fa, ga = _source_sq_integrals(problem, n, h)
+    fa, ga = traj.source_sq.T
     c0 = (h * float(fa.sum() + ga.sum()) + norms_d[0] ** 2 + norms_b[0] ** 2
           + 2.0 * problem.T * abs(c10) * grid.domain_measure)
     bound = 2.0 * np.exp(problem.T) * (norms_d[0] ** 2 + norms_b[0] ** 2 + c0)
@@ -335,7 +337,7 @@ def stability_report(traj):
         gronwall_pass=ok,
         norms_domain=norms_d,
         norms_boundary=norms_b,
-        energies=energies,
+        energies=traj.energies if problem.autonomous else None,
     )
 
 
@@ -410,7 +412,8 @@ def contraction_check(problem, perturbed, n, cfg=None):
 
         delta = ProblemData(grid, np.zeros(grid.n_nodes), dfun, dgun,
                             problem.T, problem.model)
-        df, dg = _source_sq_integrals(delta, n, h)
+        df, dg = np.array([_step_sources(delta, i, h)[2]
+                           for i in range(1, n + 1)]).T
     dists = np.empty(n + 1)
     data = np.empty(n + 1)
     for m in range(n + 1):
@@ -443,11 +446,9 @@ def energy_trace(traj, tol=1e-10, dissipation_tol=1e-8):
         raise Inapplicable("energy decay applies to autonomous, source-free "
                            "flows only")
     grid = problem.grid
-    model = problem.model
     n = traj.n_steps
     h = traj.h
-    energies = np.array([_energy(grid, model, traj.fields[i])
-                         for i in range(n + 1)])
+    energies = traj.energies
     increases = np.diff(energies)
     max_inc = float(increases.max(initial=0.0))
     viol = 0.0
@@ -594,13 +595,23 @@ def asymptotics_check(problem, t_long, n_long, cfg=None, tol=1e-6):
 
 
 def export_trajectory(traj, outdir, save_every=1):
-    """Write one CSV per saved slice plus a manifest of times and energies."""
+    """Write one CSV per saved slice plus a manifest of times and energies.
+
+    Every ``save_every``-th slice is saved, and the last one always.
+    """
     os.makedirs(outdir, exist_ok=True)
     grid = traj.grid
+    n = traj.n_steps
+    # the "i,x0[,x1]," start of each grid row, formatted once per export
+    prefixes = [f"{i}," + "".join(f"{c:.17g}," for c in x)
+                for i, x in enumerate(grid.nodes.tolist())]
+    header = ",".join(["node"] + [f"x{a}" for a in range(grid.dimension)]
+                      + ["value"]) + "\r\n"
     saved = []
-    for i in range(0, traj.n_steps + 1, save_every):
+    for i in sorted({*range(0, n + 1, save_every), n}):
         name = f"field_{i:06d}.csv"
-        _write_field_csv(os.path.join(outdir, name), grid, traj.fields[i])
+        _write_field_csv(os.path.join(outdir, name), header, prefixes,
+                         traj.fields[i])
         saved.append({"step": i, "t": float(traj.times[i]), "file": name})
     manifest = {
         "times": [float(t) for t in traj.times],
@@ -609,20 +620,16 @@ def export_trajectory(traj, outdir, save_every=1):
         "saved_fields": saved,
     }
     if traj.problem.autonomous:
-        manifest["energies"] = [
-            _energy(grid, traj.problem.model, traj.fields[i])
-            for i in range(traj.n_steps + 1)]
+        manifest["energies"] = [float(v) for v in traj.energies]
     path = os.path.join(outdir, "trajectory.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     return path
 
 
-def _write_field_csv(path, grid, u):
-    cols = ["node"] + [f"x{a}" for a in range(grid.dimension)] + ["value"]
+def _write_field_csv(path, header, prefixes, u):
+    """One slice as CSV, byte for byte as ``csv.writer`` writes it (CRLF
+    line ends, no quoting), values to 17 significant digits."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for i in range(grid.n_nodes):
-            row = [i] + [f"{c:.17g}" for c in grid.nodes[i]] + [f"{u[i]:.17g}"]
-            w.writerow(row)
+        fh.write(header + "".join(f"{pre}{v:.17g}\r\n"
+                                  for pre, v in zip(prefixes, u.tolist())))

@@ -638,11 +638,11 @@ def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
     weak_res = _weak_residual(grid, h, u, eta, _rhs(grid, w1, w2))
     # the constrained step replaces stationarity by complementarity
     residual = weak_res if complementarity is None else complementarity
-    objective = step_objective(grid, model, t, h, w1, w2, u)
-    sol = StepSolution(u=u, eta=eta, objective=objective, residual=residual,
-                       fenchel_cells=gaps, fenchel_total=total,
-                       iterations=log, complementarity=complementarity,
-                       dual=dual)
+    # every route logs the objective at the field it returns
+    sol = StepSolution(u=u, eta=eta, objective=log[-1]["objective"],
+                       residual=residual, fenchel_cells=gaps,
+                       fenchel_total=total, iterations=log,
+                       complementarity=complementarity, dual=dual)
     if residual > cfg.tol:
         measure = ("stationarity residual" if complementarity is None
                    else "complementarity measure")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from wentzellflow import cli
 from wentzellflow import expressions as ex
+from wentzellflow import flow_driver as fd
 
 
 def cfg_text(**over):
@@ -248,6 +250,26 @@ def test_metrics_deterministic(tmp_path):
             assert cli.run(cfg, verbose=verbose) == 0
         assert ((out1 / "metrics.jsonl").read_bytes()
                 == (out2 / "metrics.jsonl").read_bytes())
+
+
+def test_run_flow_with_sources_is_reproducible(tmp_path):
+    raw = {"preset": "plaplacian-1d", "n": 20,
+           "sources": {"f": "sin(pi*x)*exp(-t)", "g": "cos(t)"}}
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        cfg = cli.config_from_dict({**raw, "out_dir": str(out)})
+        assert cli.run(cfg) == 0
+        man = json.load(open(out / "manifest.json"))
+        assert man["checks"] == {"gronwall": True}
+    names = sorted(os.listdir(outs[0] / "fields"))
+    assert len(names) == 22 and names == sorted(os.listdir(outs[1] / "fields"))
+    for rel in ["metrics.jsonl"] + [f"fields/{n}" for n in names]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+    _, _, problem, step_cfg = cli._build(cfg)
+    traj = fd.run_flow(problem, cfg.n_steps, step_cfg)
+    with open(outs[0] / "fields" / "field_000020.csv", newline="") as fh:
+        values = [float(r["value"]) for r in csv.DictReader(fh)]
+    assert np.array_equal(values, traj.fields[-1])
 
 
 def test_main_override_and_exit_codes(tmp_path):

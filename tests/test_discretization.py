@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,24 @@ def test_time_average_full_period_sine():
     out = disc.time_average(lambda t, pts: np.full(pts.shape[0], np.sin(t)),
                             1, 2 * np.pi, g)
     assert np.max(np.abs(out)) < 1e-3
+
+
+@pytest.mark.parametrize("where", ["domain", "boundary"])
+@pytest.mark.parametrize("fn", [
+    lambda t, pts: np.sin(3.0 * t + pts[:, 0]) * np.exp(pts[:, 1] - t),
+    lambda t, pts: math.cos(7.0 * t) - 0.3,
+    lambda t, pts: np.float64(t) ** 3,
+], ids=["array", "python-scalar", "numpy-scalar"])
+def test_time_moments_match_time_average_of_f_and_f_squared(fn, where):
+    g = disc.rectangle_grid(5, 3)
+
+    def fsq(t, pts):
+        return np.asarray(fn(t, pts), dtype=float) ** 2
+
+    for i, h in ((1, 0.1), (4, 0.37), (250, 1e-3)):
+        mean, mean_sq = disc.time_moments(fn, i, h, g, where)
+        assert np.array_equal(mean, disc.time_average(fn, i, h, g, where))
+        assert np.array_equal(mean_sq, disc.time_average(fsq, i, h, g, where))
 
 
 def test_time_average_validates():

@@ -1,3 +1,8 @@
+import csv
+import io
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -147,6 +152,55 @@ def test_stability_adversarial_source_still_bounded():
     assert rep.max_norm_domain > 0.1  # the source really kicked
 
 
+def test_gronwall_bound_reuses_the_flow_source_samples():
+    f, g_src = plap4_mms()
+    g = disc.interval_grid(16)
+    prob = fd.ProblemData(g, np.sin(np.pi * g.nodes[:, 0]), f, g_src, 0.5,
+                          fm.anisotropic_p_laplacian(4.0))
+    n = 20
+    traj = fd.run_flow(prob, n, TIGHT)
+    rep = fd.stability_report(traj)
+    # the bound as computed from a second sampling of f^2 and g^2 per step
+    h = traj.h
+    fa, ga = np.zeros(n), np.zeros(n)
+    for i in range(1, n + 1):
+        fa[i - 1] = h * float(g.node_weights @ disc.time_average(
+            lambda t, p: np.asarray(f(t, p), dtype=float) ** 2, i, h, g))
+        ga[i - 1] = h * float(g.boundary_weights @ disc.time_average(
+            lambda t, p: np.asarray(g_src(t, p), dtype=float) ** 2, i, h, g,
+            "boundary"))
+    assert np.array_equal(traj.source_sq, np.column_stack([fa, ga]))
+    nd, nb = rep.norms_domain[0], rep.norms_boundary[0]
+    c10 = prob.model.growth.c10
+    c0 = (h * float(fa.sum() + ga.sum()) + nd ** 2 + nb ** 2
+          + 2.0 * prob.T * abs(c10) * g.domain_measure)
+    assert rep.gronwall_bound == 2.0 * np.exp(prob.T) * (nd ** 2 + nb ** 2 + c0)
+    assert rep.gronwall_pass
+
+
+def test_energies_are_computed_once_and_shared(tmp_path, monkeypatch):
+    g = disc.interval_grid(8)
+    prob = fd.ProblemData(g, np.cos(np.pi * g.nodes[:, 0]), None, None, 0.2,
+                          fm.anisotropic_p_laplacian(4.0))
+    traj = fd.run_flow(prob, 6)
+    fresh = [fd._energy(g, prob.model, u) for u in traj.fields]
+    calls = []
+    real = fd._energy
+    monkeypatch.setattr(fd, "_energy",
+                        lambda *a: calls.append(1) or real(*a))
+    rep = fd.stability_report(traj)
+    er = fd.energy_trace(traj)
+    path = fd.export_trajectory(traj, tmp_path)
+    manifest = json.loads(open(path).read())
+    assert len(calls) == traj.n_steps + 1
+    assert rep.energies.tolist() == fresh
+    assert er.energies.tolist() == fresh
+    assert manifest["energies"] == fresh
+    assert rep.energies is er.energies and not er.energies.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# convergence study
 # ---------------------------------------------------------------------------
 # convergence study
 
@@ -490,6 +544,41 @@ def test_obstacle_flow_rejects_infeasible_start():
     prob = fd.ProblemData(g, np.full(9, -1.0), None, None, 0.5, fm.quadratic(1))
     with pytest.raises(fd.Inapplicable):
         fd.run_flow(prob, 3, obstacle=True)
+
+
+def test_export_always_writes_the_last_slice(tmp_path):
+    g = disc.interval_grid(4)
+    prob = fd.ProblemData(g, np.full(5, 1.0), None, None, 0.25, fm.quadratic(1))
+    traj = fd.run_flow(prob, 5)
+    path = fd.export_trajectory(traj, tmp_path, save_every=2)
+    man = json.loads(open(path).read())
+    assert [s["step"] for s in man["saved_fields"]] == [0, 2, 4, 5]
+    assert sorted(os.listdir(tmp_path)) == [
+        "field_000000.csv", "field_000002.csv", "field_000004.csv",
+        "field_000005.csv", "trajectory.json"]
+
+
+def test_field_csv_bytes_match_csv_writer(tmp_path):
+    g = disc.rectangle_grid(3, 2)
+    x, y = g.nodes.T
+    y0 = np.cos(np.pi * x) * np.sin(np.pi * y) - 1e-300
+    y0[0] = -0.0
+    prob = fd.ProblemData(g, y0, None, None, 0.3, fm.quadratic(2))
+    traj = fd.run_flow(prob, 3)
+    path = fd.export_trajectory(traj, tmp_path, save_every=2)
+    saved = json.loads(open(path).read())["saved_fields"]
+    assert [s["step"] for s in saved] == [0, 2, 3]
+    for entry in saved:
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["node", "x0", "x1", "value"])
+        u = traj.fields[entry["step"]]
+        for i in range(g.n_nodes):
+            w.writerow([i] + [f"{c:.17g}" for c in g.nodes[i]]
+                       + [f"{u[i]:.17g}"])
+        assert (tmp_path / entry["file"]).read_bytes() == buf.getvalue().encode()
+    first_row = (tmp_path / "field_000000.csv").read_bytes().split(b"\r\n")[1]
+    assert first_row == b"0,0,0,-0"
 
 
 def test_trajectory_export(tmp_path):

@@ -47,6 +47,69 @@ def test_step_objective_constant_formula():
     assert val == pytest.approx(expected)
 
 
+def _route_smooth_1d():
+    g = disc.interval_grid(32)
+    w1 = 0.5 * np.cos(2 * np.pi * g.nodes[:, 0])
+    sol = ss.solve_step(g, fm.anisotropic_p_laplacian(4.0), 0.01, 0.01, w1,
+                        w1[g.boundary_nodes], ss.StepConfig(tol=1e-10))
+    return g, fm.anisotropic_p_laplacian(4.0), 0.01, 0.01, w1, sol
+
+
+def _route_lagged_2d():
+    g = disc.rectangle_grid(34, 34)
+    assert g.gram_plan.kd >= 4 * ss._CG_CAP
+    x, y = g.nodes.T
+    y0 = np.cos(np.pi * x) * np.cos(np.pi * y)
+    model = fm.anisotropic_p_laplacian(4, dimension=2)
+    h, cfg = 0.0025, ss.StepConfig(tol=1e-10)
+    held = ss._LaggedFactor()
+    first = ss.solve_step(g, model, h, h, y0, y0[g.boundary_nodes], cfg,
+                          u0=y0, lagged=held)
+    sol = ss.solve_step(g, model, 2 * h, h, first.u,
+                        first.u[g.boundary_nodes], cfg, u0=first.u,
+                        lagged=held)
+    assert sol.iterations[-1]["cg_iters"] > 0
+    return g, model, 2 * h, h, first.u, sol
+
+
+def _route_rescue():
+    g = disc.rectangle_grid(16, 16)
+    x, y = g.nodes.T
+    w1 = 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
+    model = fm.fractured_medium(4.0, thresholds=0.5, dimension=2)
+    sol = ss.solve_step(g, model, 0.01, 0.01, w1, w1[g.boundary_nodes])
+    assert sol.iterations[-1]["rescue"] == "dual"
+    return g, model, 0.01, 0.01, w1, sol
+
+
+def _route_tv():
+    g, prev = _tv_profile()
+    sol = ss.tv_step(g, 1.0, 0.01, prev)
+    assert "rounds" in sol.iterations[-1]
+    return g, fm.total_variation(1.0, 2), 0.0, 0.01, prev, sol
+
+
+def _route_obstacle():
+    g = disc.interval_grid(16)
+    w1 = np.sin(2 * np.pi * g.nodes[:, 0])
+    model = fm.anisotropic_p_laplacian(4.0)
+    sol = ss.solve_step_obstacle(g, model, 0.1, 0.1, w1, w1[g.boundary_nodes],
+                                 ss.StepConfig(tol=1e-10))
+    assert 0 < np.count_nonzero(sol.u == 0.0) < g.n_nodes
+    return g, model, 0.1, 0.1, w1, sol
+
+
+@pytest.mark.parametrize("route", [_route_smooth_1d, _route_lagged_2d,
+                                   _route_rescue, _route_tv, _route_obstacle],
+                         ids=["smooth-1d", "lagged-2d", "rescue", "tv",
+                              "obstacle"])
+def test_reported_objective_is_the_objective_of_the_returned_field(route):
+    # the step reports the objective its last stage logged at its field
+    g, model, t, h, w1, sol = route()
+    assert sol.objective == ss.step_objective(g, model, t, h, w1,
+                                              w1[g.boundary_nodes], sol.u)
+
+
 @pytest.mark.parametrize("model", [fm.quadratic(1),
                                    fm.anisotropic_p_laplacian(4.0)],
                          ids=lambda m: m.kind)
