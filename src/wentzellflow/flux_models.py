@@ -870,6 +870,7 @@ class AnisotropicPLaplacian(_SeparableModel):
             fn, c = _as_coeff(a, "alpha")
             self._alpha.append(fn)
             consts.append(c)
+        self._alpha_const = consts
         self._kappa = [None if k is None else _as_coeff(k, "kappa")[0] for k in kappas]
         self._kappa_const = [0.0 if k is None else (float(k) if not callable(k) else None)
                              for k in kappas]
@@ -1034,8 +1035,30 @@ def _power_growth(p, a_lo, a_hi, dimension, kappa_consts=None, delta_consts=None
     return Growth("strong", p=p, c1=c1, c2=c2, c10=c10, c20=c20, c3=c3, c30=c30)
 
 
+def _power_axis_convex(alpha, p, kappa):
+    """Whether alpha |s|^p / p + kappa log(1 + |s|) + delta s is convex.
+
+    It is iff kappa >= 0 (the kink at 0) and j''(s) = alpha (p - 1) s^(p-2)
+    - kappa / (1 + s)^2 >= 0 for s > 0, that is alpha (p - 1) s^(p-2)
+    (1 + s)^2 >= kappa, whose left side is least at s* = (2 - p) / p for
+    p <= 2 and tends to 0 at s = 0 for p > 2.
+    """
+    if kappa <= 0.0 or p > 2.0:
+        return kappa == 0.0
+    s = (2.0 - p) / p
+    return alpha * (p - 1.0) * s ** (p - 2.0) * (1.0 + s) ** 2 >= kappa
+
+
 def _check_convexity(model, n=60, radius=6.0, tol=1e-8):
-    """Reject parameter combinations that break convexity of the potential."""
+    """Reject parameter combinations that break convexity of the potential:
+    exactly, axis by axis, for a power law with constant alpha and kappa,
+    otherwise on random chords."""
+    if isinstance(model, AnisotropicPLaplacian):
+        consts = list(zip(model._alpha_const, model._kappa_const))
+        if all(a is not None and k is not None for a, k in consts):
+            if not all(_power_axis_convex(a, model.p, k) for a, k in consts):
+                raise ValueError("potential is not convex for these parameters")
+            return
     rng = np.random.default_rng(7)
     x0 = np.zeros((1, model.dimension))
     for _ in range(4):

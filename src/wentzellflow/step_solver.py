@@ -63,14 +63,23 @@ misses the gap target within its round budget, FISTA resumes from the
 loop's best dual point.
 
 Consecutive steps of a flow differ by O(h), so ``run_flow`` hands each
-total-variation step the previous step's dual point.  Such a warm step
-runs the same FISTA, multiplier loop and fallback from that point,
-projected onto the current polar balls.  Its first gap is usually small
-already, so it hands over at a tenth of it (never above the level at which
-a cold step would), and it stops at a tenth of the cold gap target, since
-a warm start stopped at the cold target lands at a looser point than a
-cold one.  A step without a dual (a flow's first step, ``tv_step``)
-starts from zero.
+step the previous step's dual point, p = h vol eta, when that step ended
+on the dual route (``StepSolution.dual``; None otherwise).  A warm
+total-variation step runs the same FISTA, multiplier loop and fallback
+from that point, projected onto the current polar balls.  Its first gap is
+usually small already, so it hands over at a tenth of it (never above the
+level at which a cold step would), and it stops at a tenth of the cold gap
+target, since a warm start stopped at the cold target lands at a looser
+point than a cold one.  A step without a dual (a flow's first step,
+``tv_step``) starts from zero.
+
+Any other nonsmooth catalog law given a dual skips the continuation and
+the polish and runs the rescue's dual solve from it, checking the gap
+every 50 iterations.  It stops at a hundredth of the cold target, or below
+the cold target once the gap falls less than tenfold per check; a solve
+that ends above the cold target gives way to the cold route from u0.  A
+``Custom`` law keeps the cold route: its grid-sup conjugate can
+underestimate j*, so its gap is no sound stopping test.
 """
 
 from __future__ import annotations
@@ -117,17 +126,21 @@ class StepConfig:
 
     ``tol`` bounds the returned field's weak-form residual (on an obstacle
     step its complementarity measure) and ``certificate_tol`` its Fenchel
-    certificate; a total-variation step stops once the certificate is below
-    ``1e-3 * certificate_tol``, or ``1e-4 *`` from a carried dual.
+    certificate.  The dual solver's cold target is a certificate of
+    ``1e-3 * certificate_tol`` (never below 1e-14).  A total-variation step
+    stops at it, or at a tenth of it from a carried dual; the rescue of a
+    nonsmooth step stops at it, and a warm nonsmooth step at a hundredth
+    of it, or below it once its gap falls less than tenfold per check.
     ``max_iter`` bounds the Newton iterations of a stage or of a multiplier
     round's inner solve (CG iterations on a lagged factor do not count);
     ``pd_max_iter`` bounds a TV step's accelerated dual iterations, before
     the multiplier loop and after a fallback together, and those of a dual
-    rescue.  Both limits must be positive.  ``lam0``, ``lam_decay`` and
-    ``lam_min`` set a nonsmooth law's envelope continuation; its achievable
-    weak-form residual scales with ``lam_min`` (the returned field is the
-    minimizer of the lam_min envelope problem), so tightening ``tol``
-    requires tightening ``lam_min`` along with it.
+    rescue or of a warm nonsmooth step's dual solve, each on its own.  Both
+    limits must be positive.  ``lam0``, ``lam_decay`` and ``lam_min`` set a
+    nonsmooth law's envelope continuation; its achievable weak-form
+    residual scales with ``lam_min`` (the returned field is the minimizer
+    of the lam_min envelope problem), so tightening ``tol`` requires
+    tightening ``lam_min`` along with it.
     """
 
     tol: float = 1e-8
@@ -167,7 +180,10 @@ class StepSolution:
     the obstacle variant it is the complementarity measure instead);
     ``fenchel_total`` is sum_cells vol * (j(grad u) + j*(eta) - eta.grad u),
     the optimizer certificate that eta is (close to) a section of the
-    subdifferential at grad u.
+    subdifferential at grad u.  ``dual`` is the dual point p = h vol eta,
+    an (n_cells, N) array, of a step that ended on the dual route (a
+    total-variation step, a rescue, a warm nonsmooth step), else None; a
+    flow hands it to its next step.
     """
 
     u: np.ndarray
@@ -764,12 +780,20 @@ def _gap_target(cfg):
     return max(1e-14, 1e-3 * cfg.certificate_tol)
 
 
-def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0):
-    """Dual solve of the lam_min-envelope step.
+def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
+    """Dual solve of the lam_min-envelope step from the dual point p0 (an
+    (n_cells, N) array p = h vol eta); appends its log entry and returns
+    (u, eta, p, gap).
 
     The per-cell dual prox reduces to the resolvent, which handles flux
     jumps exactly, so this route is immune to the active-set chatter that
-    can stall the Newton stages.
+    can stall the Newton stages.  A cold solve (``rescue`` "dual") checks
+    its gap every 200 iterations against the cold target.  A ``warm`` one
+    (``rescue`` "warm", p0 the previous step's dual) checks it every 50
+    and stops at a hundredth of that target, or below the target once the
+    gap falls less than tenfold per check (``_dual_solve``'s handover
+    exit): a warm start stopped at the cold target lands at a looser point
+    than a cold one.
     """
     xs = grid.cell_centers
     vol = grid.cell_volumes
@@ -787,10 +811,19 @@ def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0):
         except fm.UnboundedConjugate:
             return np.inf
 
+    target = _gap_target(cfg)
+    if warm:
+        stop = dict(gap_target=0.01 * target, period=50, handover=np.inf,
+                    handover_cap=target)
+    else:
+        stop = dict(gap_target=target, period=200)
     u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox, gap_of,
-                                       _gap_target(cfg), 200, cfg.pd_max_iter,
-                                       p0)
-    return u, p / a[:, None], gap, it, exit_
+                                       max_iter=cfg.pd_max_iter, p0=p0, **stop)
+    log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
+                "exit": exit_, "rescue": "warm" if warm else "dual",
+                "certificate": gap,
+                "objective": step_objective(grid, model, t, h, w1, w2, u)})
+    return u, p / a[:, None], p, gap
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
@@ -848,32 +881,41 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     ``lagged``, a ``_LaggedFactor``, carries the Newton factor of a smooth
     law from step to step of one flow (``run_flow`` passes one per flow);
     without it the step holds its own.  ``dual``, an (n_cells, N) array,
-    is the dual point a total-variation step starts from (``run_flow``
-    passes the previous step's ``StepSolution.dual``); it is projected
-    onto the step's polar balls, and the warm step hands over and stops
-    as ``_solve_tv`` says.  Other laws ignore it.
+    is the dual point a nonsmooth step starts from (``run_flow`` passes the
+    previous step's ``StepSolution.dual``).  A total-variation step
+    projects it onto its polar balls, and hands over and stops as
+    ``_solve_tv`` says.  Another nonsmooth catalog law skips the
+    continuation and the polish and runs the dual solve of the rescue from
+    it (log entry ``"rescue": "warm"``, stops as ``_dual_rescue`` says); if
+    that ends above the cold gap target, the step takes the cold route from
+    ``u0`` after it.  Smooth and ``Custom`` laws ignore it.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
     if model.kind == "tv":
         return _solve_tv(grid, model, h, w1, w2, cfg, dual)
-    u = _start(grid, w1, w2, u0)
     log = []
+    if dual is not None and not model.is_smooth and model.kind != "custom":
+        dual = np.asarray(dual, dtype=float).reshape(grid.n_cells,
+                                                     len(grid.grad_ops))
+        u, eta, p, gap = _dual_rescue(grid, model, t, h, w1, w2, cfg, dual,
+                                      log, warm=True)
+        if gap <= _gap_target(cfg):
+            return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
+    u = _start(grid, w1, w2, u0)
     u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
                                   _LaggedFactor() if lagged is None else lagged)
+    p = None
     if not model.is_smooth:
         rhs = _rhs(grid, w1, w2)
         if clean:
             eta = _polish_eta(grid, model, t, h, u, eta, rhs)
         if not clean or _weak_residual(grid, h, u, eta, rhs) > cfg.tol:
             # Newton stages chattered on the jump set; the dual route is exact
-            p0 = eta * (h * grid.cell_volumes)[:, None]
-            u, eta, gap, it, exit_ = _dual_rescue(grid, model, t, h, w1, w2,
-                                                  cfg, p0)
-            log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
-                        "exit": exit_, "rescue": "dual", "certificate": gap,
-                        "objective": step_objective(grid, model, t, h, w1, w2, u)})
-    return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log)
+            u, eta, p, _ = _dual_rescue(grid, model, t, h, w1, w2, cfg,
+                                        eta * (h * grid.cell_volumes)[:, None],
+                                        log)
+    return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
 
 
 def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):

@@ -359,6 +359,36 @@ def test_convexity_rejection():
         fm.anisotropic_p_laplacian(4.0, alpha=0.001, kappa=5.0)
 
 
+@pytest.mark.parametrize("p, kw", [(4.0, {"kappa": 0.5}),
+                                   (2.0, {"alpha": 1.0, "kappa": 1.5}),
+                                   (1.5, {"kappa": 1.6}),
+                                   (2.0, {"kappa": -0.1})])
+def test_convexity_rejects_a_log_term_past_the_power_curvature(p, kw):
+    # constant coefficients take the exact test: with p = 4 and kappa = 0.5,
+    # j(0.1) exceeds the mean of j(0) and j(0.2) by 1.9e-3, which the
+    # sampled chords miss; a negative kappa puts a concave kink at 0
+    with pytest.raises(ValueError, match="not convex"):
+        fm.anisotropic_p_laplacian(p, **kw)
+
+
+@pytest.mark.parametrize("p, kw", [(2.0, {"alpha": 1.0, "kappa": 0.5, "delta": 0.2}),
+                                   (2.0, {"alpha": 1.0, "kappa": 1.0}),
+                                   (1.5, {"kappa": 0.5}),
+                                   (4.0, {"kappa": 0.0})])
+def test_convexity_accepts_the_catalog_log_laws(p, kw):
+    model = fm.anisotropic_p_laplacian(p, **kw)
+    s = np.linspace(-4.0, 4.0, 2001)[:, None]
+    j = model.potential(0.0, np.zeros((1, 1)), s)
+    assert np.all(j[1:-1] <= 0.5 * (j[:-2] + j[2:]) + 1e-13)
+
+
+def test_convexity_of_callable_coefficients_is_sampled():
+    # a callable kappa has no exact test; the chords still catch a gross one
+    with pytest.raises(ValueError):
+        fm.anisotropic_p_laplacian(
+            4.0, alpha=0.001, kappa=lambda t, xs: np.full(xs.shape[0], 5.0))
+
+
 def test_plaplacian_lower_order_terms_normalized():
     model = fm.anisotropic_p_laplacian(2.0, alpha=1.0, kappa=0.5, delta=0.2)
     assert fm.potential(model, 0.0, ORIGIN, [0.0]) == 0.0

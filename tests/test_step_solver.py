@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -1187,3 +1188,148 @@ def test_warm_tv_flow_properties(shape, seed, log_rho, log_h, steps):
         bound = sum(math.sqrt(2.0 * traj.h * max(cert, floor))
                     for cert in (traj.step_certificates[i], cold.fenchel_total))
         assert _m_norm(g, u - cold.u) <= bound
+
+
+# ---------------------------------------------------------------------------
+# warm dual route of a nonsmooth flow
+
+# the fractured-1d benchmark profile: step 4 is the first to end in the dual
+# rescue, and step 5 is clean on the cold route
+FRACTURED_CFG = ss.StepConfig(tol=1e-10, lam_min=1e-11, lam_decay=0.1)
+FRACTURED_H = 1.0 / 200
+
+
+def _fractured_problem(steps):
+    g = disc.interval_grid(32)
+    y0 = 0.5 * np.cos(2 * np.pi * g.nodes[:, 0])
+    model = fm.fractured_medium(4, alpha=1.0, thresholds=0.5)
+    return fd.ProblemData(g, y0, T=steps * FRACTURED_H, model=model)
+
+
+def _fractured_step(prob, i, prev, cfg=FRACTURED_CFG, dual=None):
+    """Step i of the profile from the field ``prev``, as ``run_flow`` takes it."""
+    g = prob.grid
+    return ss.solve_step(g, prob.model, i * FRACTURED_H, FRACTURED_H, prev,
+                         prev[g.boundary_nodes], cfg, u0=prev, dual=dual)
+
+
+def test_nonsmooth_flow_carries_no_state_between_flows():
+    prob = _fractured_problem(8)
+    a, b = (fd.run_flow(prob, 8, FRACTURED_CFG) for _ in range(2))
+    assert np.array_equal(a.fields, b.fields)
+    assert np.array_equal(a.etas, b.etas)
+    assert np.array_equal(a.step_certificates, b.step_certificates)
+    assert a.step_logs == b.step_logs
+
+
+def test_only_a_step_on_the_dual_route_returns_its_dual():
+    prob = _fractured_problem(8)
+    traj = fd.run_flow(prob, 8, FRACTURED_CFG)
+    vol = prob.grid.cell_volumes
+    routes = []
+    for i in range(1, 9):
+        sol = _fractured_step(prob, i, traj.fields[i - 1])
+        routes.append("rescue" in sol.iterations[-1])
+        assert (sol.dual is not None) == routes[-1]
+        if routes[-1]:
+            assert np.allclose(sol.dual, FRACTURED_H * vol[:, None] * sol.eta,
+                               rtol=1e-14, atol=0.0)
+    assert any(routes) and not all(routes)
+
+
+def test_step_after_a_rescue_starts_warm():
+    traj = fd.run_flow(_fractured_problem(8), 8, FRACTURED_CFG)
+    kinds = [[s.get("rescue") for s in log] for log in traj.step_logs]
+    assert kinds[:3] == [[None] * len(k) for k in kinds[:3]]
+    assert kinds[3][-1] == "dual"
+    # each warm step ends on the dual route, so the next one starts warm too
+    assert kinds[4:] == [["warm"]] * 4
+    for log in traj.step_logs[4:]:
+        assert log[0]["exit"] in ("converged", "handover")
+        assert log[0]["certificate"] <= ss._gap_target(FRACTURED_CFG)
+
+
+def test_warm_miss_falls_back_to_the_cold_route():
+    prob = _fractured_problem(5)
+    traj = fd.run_flow(prob, 5, FRACTURED_CFG)
+    dual = _fractured_step(prob, 4, traj.fields[3]).dual
+    cfg = dataclasses.replace(FRACTURED_CFG, pd_max_iter=3)
+    warm = _fractured_step(prob, 5, traj.fields[4], cfg, dual)
+    cold = _fractured_step(prob, 5, traj.fields[4], cfg)
+    first, *rest = warm.iterations
+    assert (first["rescue"], first["iters"], first["exit"]) == ("warm", 3, "max_iter")
+    assert first["certificate"] > ss._gap_target(cfg)
+    assert rest == cold.iterations
+    assert not any("rescue" in s for s in rest)
+    assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.eta, cold.eta)
+    assert warm.dual is None
+
+
+def _sine_step(model, dual=None):
+    g = disc.interval_grid(12)
+    w1 = np.sin(2 * np.pi * g.nodes[:, 0])
+    return ss.solve_step(g, model, 0.0, 0.01, w1, w1[g.boundary_nodes],
+                         ss.StepConfig(tol=1e-9, lam_min=1e-9), dual=dual)
+
+
+@pytest.mark.parametrize("model", [fm.quadratic(1),
+                                   fm.anisotropic_p_laplacian(4.0),
+                                   fm.log_growth(1.0)], ids=lambda m: m.kind)
+def test_smooth_step_ignores_a_carried_dual(model):
+    with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
+        a = _sine_step(model, dual=np.full((12, 1), 0.01))
+    spy.assert_not_called()
+    b = _sine_step(model)
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.eta, b.eta)
+    assert a.iterations == b.iterations
+    assert a.dual is None
+
+
+def test_custom_flow_stays_cold():
+    # a Custom law's numeric conjugate can underestimate j*, so its gap is no
+    # sound stopping test for a warm solve; a rescued step still returns its
+    # dual, and the step given it takes the cold route
+    model = fm.custom_model(lambda s: np.cosh(s) - 1.0, beta=np.sinh)
+    cold = _sine_step(model)
+    assert cold.iterations[-1]["rescue"] == "dual" and cold.dual is not None
+    again = _sine_step(model, dual=cold.dual)
+    assert np.array_equal(again.u, cold.u)
+    assert again.iterations == cold.iterations
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 20), seed=st.integers(0, 2**16),
+       threshold=st.floats(0.2, 1.0), amp=st.floats(0.2, 1.0),
+       log_h=st.floats(-3.0, -1.5), steps=st.integers(3, 8))
+def test_warm_fractured_flow_agrees_with_cold_steps(n, seed, threshold, amp,
+                                                    log_h, steps):
+    g = disc.interval_grid(n)
+    x = g.nodes[:, 0]
+    noise = np.random.default_rng(seed).standard_normal(g.n_nodes)
+    y0 = amp * (np.cos(2 * np.pi * x) + 0.1 * noise)
+    model = fm.fractured_medium(4.0, thresholds=threshold)
+    cfg = ss.StepConfig(tol=1e-9, lam_min=1e-9)
+    h = 10.0 ** log_h
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=steps * h, model=model), steps,
+                       cfg)
+    # phi is 1-strongly convex in the M-norm; a step's field lies within
+    # 2 |M^{-1} r|_M + sqrt(2 h cert) of the minimizer, r its weak-form
+    # residual, and a certificate is known only to its rounding
+    mass = math.sqrt(float(g.mass.sum()))
+
+    def radius(sol):
+        floor = 1e-14 * (1.0 + fd._energy(g, model, sol.u))
+        return (2.0 * mass * sol.residual
+                + math.sqrt(2.0 * h * max(sol.fenchel_total, floor)))
+
+    for i in range(steps):
+        u = traj.fields[i + 1]
+        gaps = model.fenchel_gap(0.0, g.cell_centers, disc.gradient(g, u),
+                                 traj.etas[i])
+        assert gaps.min() >= -1e-10
+        warm = ss.StepSolution(u, traj.etas[i], 0.0, traj.step_residuals[i],
+                               gaps, traj.step_certificates[i])
+        cold = ss.solve_step(g, model, (i + 1) * h, h, traj.fields[i],
+                             traj.fields[i][g.boundary_nodes], cfg,
+                             u0=traj.fields[i])
+        assert _m_norm(g, u - cold.u) <= radius(warm) + radius(cold)
