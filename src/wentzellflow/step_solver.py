@@ -24,13 +24,23 @@ lam |grad u|^2 viscosity term is added, with lam driven down a geometric
 schedule and every stage warm-started.  The viscosity is dropped on the
 final stage so the last solve targets the pure envelope problem.
 
+An Armijo line search on the objective globalizes the Newton steps.  A
+rejected trial step gives way to the minimizer of the quadratic through
+the objective's value and slope at the start and its value at the trial,
+kept within [0.1, 0.5] of the trial step.  At small lam a stage's Newton
+model holds only inside the envelope's narrow kink window, so the step it
+accepts can be 2^-20 of the full one; the interpolation reaches it in a
+few trials where halving takes twenty.
+
 The obstacle step, constrained to u >= 0 nodewise, runs the same stages
 by the same damped Newton as a semismooth Newton on the complementarity
 residual min(u, M^{-1} g) = 0, the primal-dual active-set method: each
 iteration moves the nodes where M^{-1} g > u to 0 and solves the Newton
-system on the others by the same banded Cholesky.  It has no stall exit,
-no lagged factor and no rescue, so it runs every stage, a stalled one
-too, and is judged on the last.
+system on the others by the same banded Cholesky.  Its line search
+halves instead of interpolating, since the projected path
+max(u + alpha d, 0) is not the smooth restriction the quadratic models.
+It has no stall exit, no lagged factor and no rescue, so it runs every
+stage, a stalled one too, and is judged on the last.
 
 The multivalued flux section eta is recovered from the regularized flux
 at the final lam.  On cells where the subdifferential is genuinely
@@ -471,14 +481,19 @@ class _LaggedFactor:
         return None, _CG_CAP
 
 
-def _stage_entries(iters, residual, exit_, fallbacks, counts=None):
+def _stage_entries(iters, residual, exit_, fallbacks, backtracks, ls_floor,
+                   counts=None):
     """A Newton stage's log entries.  "fallbacks", the number of Newton
-    systems whose factorization failed, is there only when it is nonzero,
+    systems whose factorization failed, "backtracks", the line searches'
+    rejected trials, and "ls_floor", the line searches that reached the
+    1e-14 floor without sufficient decrease, are there only when nonzero,
     as "rescue" is only on rescue stages; "factorizations" and "cg_iters"
     (``counts``) only on a stage that reused a lagged factor."""
     entries = {"iters": iters, "residual": residual, "exit": exit_}
-    if fallbacks:
-        entries["fallbacks"] = fallbacks
+    for key, value in (("fallbacks", fallbacks), ("backtracks", backtracks),
+                       ("ls_floor", ls_floor)):
+        if value:
+            entries[key] = value
     if counts is not None:
         entries.update(counts)
     return entries
@@ -495,8 +510,9 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None, nonneg=False):
     whenever it cuts the residual to 0.9x (the endgame, where objective
     differences sit below rounding), on the bound only if it also raises
     the objective by at most 1e-12 of its size, since no stall exit or
-    rescue stops a cycle of full steps there; otherwise an Armijo
-    backtracking on the objective globalizes.  Each direction is the
+    rescue stops a cycle of full steps there; otherwise the Armijo line
+    search ``_armijo`` on the objective globalizes, interpolating off the
+    bound and halving on it.  Each direction is the
     banded Cholesky solve of the Newton system, or, given a
     ``_LaggedFactor`` ``lagged`` (never on the bound), its inexact solve by
     CG preconditioned with that factor.  A Newton system that is not
@@ -513,7 +529,7 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None, nonneg=False):
     best = np.inf
     since_best = 0
     res = np.inf
-    fallbacks = 0
+    fallbacks = backtracks = ls_floor = 0
     counts = None if lagged is None else {"factorizations": 0, "cg_iters": 0}
     it = 0
     exit_ = "max_iter"
@@ -563,29 +579,48 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None, nonneg=False):
                 <= prob.value(u) + 1e-12 * abs(prob.value(u))):
             u = un_full
             continue
-        u = _armijo(prob, u, d, slope, nonneg)
+        u, rejected, floored = _armijo(prob, u, d, slope, nonneg)
+        backtracks += rejected
+        ls_floor += floored
     if nonneg and u.min() < 0.0:
         u = np.maximum(u, 0.0)
         res = residual(u, prob.grad(u))[0]
-    return u, _stage_entries(it, res, exit_, fallbacks, counts)
+    return u, _stage_entries(it, res, exit_, fallbacks, backtracks, ls_floor,
+                             counts)
 
 
 def _armijo(prob, u, d, slope, nonneg=False):
-    """Armijo backtracking on the objective along d from u, halving from
-    the full step: the first trial point u + alpha d (projected onto u >= 0
-    when ``nonneg``) whose value is at most f(u) + 1e-4 alpha slope, or the
-    last one tried once alpha falls to 1e-14."""
+    """Armijo backtracking on the objective along d from u, from the full
+    step alpha = 1: the first trial point u + alpha d (projected onto
+    u >= 0 when ``nonneg``) whose value is at most f(u) + 1e-4 alpha slope.
+
+    Off the bound a rejected alpha gives way to the minimizer of the
+    quadratic through f(u), the slope and f(u + alpha d), clamped to
+    [0.1 alpha, 0.5 alpha], or to alpha / 2 when that quadratic does not
+    curve upward (safeguarded interpolation: Nocedal and Wright, Numerical
+    Optimization, 2nd ed., Sec. 3.5).  On the bound the projected path is
+    not the smooth restriction the quadratic models, so alpha halves.
+    Returns (point, rejected trials, floored); once alpha falls to 1e-14
+    the last trial is returned with floored True.
+    """
     f0 = prob.value(u)
     alpha = 1.0
-    un = u
+    rejected = 0
     while alpha > 1e-14:
         un = u + alpha * d
         if nonneg:
             un = np.maximum(un, 0.0)
-        if prob.value(un) <= f0 + 1e-4 * alpha * slope:
-            break
-        alpha *= 0.5
-    return un
+        f = prob.value(un)
+        if f <= f0 + 1e-4 * alpha * slope:
+            return un, rejected, False
+        rejected += 1
+        curv = f - f0 - slope * alpha
+        if nonneg or not curv > 0:
+            alpha *= 0.5
+        else:
+            alpha = min(max(-slope * alpha * alpha / (2.0 * curv), 0.1 * alpha),
+                        0.5 * alpha)
+    return un, rejected, True
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,204 @@ def test_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
+# line search
+
+
+def _halving(prob, u, d, slope, nonneg=False):
+    """Armijo backtracking by plain halving from alpha = 1, for comparison."""
+    f0 = prob.value(u)
+    alpha = 1.0
+    un = u
+    while alpha > 1e-14:
+        un = u + alpha * d
+        if nonneg:
+            un = np.maximum(un, 0.0)
+        if prob.value(un) <= f0 + 1e-4 * alpha * slope:
+            break
+        alpha *= 0.5
+    return un
+
+
+def _trials(search, prob, u, d, slope, nonneg=False):
+    """(result, the points passed to ``prob.value``) of one line search."""
+    points = []
+    real = prob.value
+
+    def value(v):
+        points.append(v.copy())
+        return real(v)
+
+    prob.value = value
+    try:
+        return search(prob, u, d, slope, nonneg), points
+    finally:
+        del prob.value
+
+
+def _alpha(point, u, d):
+    """The step length of the trial point u + alpha d, read off d's largest
+    entry."""
+    i = int(np.argmax(np.abs(d)))
+    return float((point[i] - u[i]) / d[i])
+
+
+def _meets_armijo(prob, u, point, d, slope):
+    # the step length is read back from the point, to its rounding
+    alpha = _alpha(point, u, d) * (1.0 - 1e-6)
+    return prob.value(point) <= prob.value(u) + 1e-4 * alpha * slope
+
+
+def _newton_direction(prob, u):
+    g = prob.grad(u)
+    d = ss._newton_solve(prob.grid.gram_plan, prob.hess(u), -g)
+    return d, float(g @ d)
+
+
+def _quadratic_stage():
+    g = disc.interval_grid(16)
+    w1 = 1.0 + 0.5 * np.cos(2 * np.pi * g.nodes[:, 0])
+    prob = ss._StageProblem(g, fm.quadratic(1), 0.0, 0.05, w1,
+                            w1[g.boundary_nodes], None, False)
+    return prob, w1.copy()
+
+
+def test_line_search_lands_on_a_quadratic_restriction_in_two_trials():
+    # along 8 times the Newton direction the objective is the quadratic with
+    # its minimum at alpha = 1/8, which the interpolation hits
+    prob, u = _quadratic_stage()
+    d, slope = _newton_direction(prob, u)
+    d, slope = 8.0 * d, 8.0 * slope
+    (un, rejected, floored), points = _trials(ss._armijo, prob, u, d, slope)
+    assert len(points) - 1 <= 2 and (rejected, floored) == (1, False)
+    assert _alpha(un, u, d) == pytest.approx(0.125, rel=1e-9)
+    assert _meets_armijo(prob, u, un, d, slope)
+
+
+def _kink_crossing_search():
+    """The first line search of the lam = 1e-6 stage of a cold 1D fractured
+    step, as (stage problem, u, d, slope)."""
+    g = disc.interval_grid(16)
+    w1 = 0.3 * np.cos(2 * np.pi * g.nodes[:, 0])
+    model = fm.fractured_medium(4, thresholds=0.5)
+    searches = []
+    real = ss._armijo
+
+    def spy(prob, u, d, slope, nonneg=False):
+        if prob.lam == 1e-6 and not searches:
+            searches.append((prob, u.copy(), d.copy(), slope))
+        return real(prob, u, d, slope, nonneg)
+
+    with mock.patch.object(ss, "_armijo", spy):
+        ss.solve_step(g, model, 0.0, 0.05, w1, w1[g.boundary_nodes],
+                      ss.StepConfig())
+    return searches[0]
+
+
+def test_line_search_interpolates_across_a_kink_window():
+    prob, u, d, slope = _kink_crossing_search()
+    # the full step carries a cell's gradient across the threshold 0.5,
+    # out of the window in which the stage's Newton model holds
+    grid = prob.grid
+    before = np.abs(disc.gradient(grid, u)[:, 0]) - 0.5
+    after = np.abs(disc.gradient(grid, u + d)[:, 0]) - 0.5
+    assert np.any(before * after < 0)
+    (un, rejected, floored), points = _trials(ss._armijo, prob, u, d, slope)
+    _, halved = _trials(_halving, prob, u, d, slope)
+    alphas = np.array([_alpha(p, u, d) for p in points[1:]])
+    assert np.array_equal(points[1], u + d)
+    assert not floored and rejected == len(alphas) - 1
+    ratios = alphas[1:] / alphas[:-1]
+    assert np.all((ratios >= 0.1 - 1e-6) & (ratios <= 0.5 + 1e-6))
+    assert _meets_armijo(prob, u, un, d, slope)
+    assert len(halved) >= 10 and len(points) < len(halved)
+
+
+@pytest.mark.parametrize("case", ["quadratic", "kink"])
+def test_line_search_halves_on_the_bound(case):
+    # the projected path is no smooth restriction: on the bound the trials
+    # are max(u + 2^-k d, 0), k = 0, 1, 2, ..., exactly
+    if case == "quadratic":
+        prob, u = _quadratic_stage()
+        d, slope = _newton_direction(prob, u)
+        d, slope = 64.0 * d, 64.0 * slope
+    else:
+        prob, u, d, slope = _kink_crossing_search()
+    (un, rejected, floored), points = _trials(ss._armijo, prob, u, d, slope,
+                                              nonneg=True)
+    assert len(points) >= 4 and rejected == len(points) - 2 + floored
+    assert np.array_equal(points[0], u)
+    for k, point in enumerate(points[1:]):
+        assert np.array_equal(point, np.maximum(u + 0.5 ** k * d, 0.0))
+    assert np.array_equal(un, points[-1])
+    assert np.array_equal(un, _halving(prob, u, d, slope, nonneg=True))
+
+
+def test_stage_log_counts_backtracks_and_floored_line_searches():
+    prob, u, d, slope = _kink_crossing_search()
+    # one Newton iteration from the kink point: its full step is rejected
+    _, rejected, _ = ss._armijo(prob, u, d, slope)
+    _, stage = ss._minimize_newton(prob, u, 1e-30, 1)
+    assert (stage["iters"], stage["exit"]) == (1, "max_iter")
+    assert stage["backtracks"] == rejected > 0 and "ls_floor" not in stage
+    # an objective that rejects every trial drives the search to its floor
+    real = prob.value
+    calls = []
+
+    def value(v):
+        calls.append(v)
+        return real(v) + (0.0 if len(calls) == 1 else 1.0)
+
+    prob.value = value
+    _, stage = ss._minimize_newton(prob, u, 1e-30, 1)
+    assert stage["ls_floor"] == 1 and stage["backtracks"] > rejected
+    # a stage whose full steps are all taken has neither key
+    g = prob.grid
+    sol = ss.solve_step(g, fm.quadratic(1), 0.0, 0.05, u, u[g.boundary_nodes],
+                        ss.StepConfig(tol=1e-11))
+    assert not {"backtracks", "ls_floor"} & set(sol.iterations[0])
+
+
+LINE_SEARCH_LAWS = {
+    "quadratic": fm.quadratic(1),
+    "p4": fm.anisotropic_p_laplacian(4.0),
+    "loggrowth": fm.log_growth(1.0),
+    "fractured": fm.fractured_medium(4.0, thresholds=0.5),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(LINE_SEARCH_LAWS)), n=st.integers(2, 16),
+       seed=st.integers(0, 2**16), log_lam=st.floats(-8.0, -2.0),
+       viscosity=st.booleans(), log_h=st.floats(-3.0, -1.0),
+       k=st.integers(0, 12))
+def test_line_search_properties(law, n, seed, log_lam, viscosity, log_h, k):
+    g = disc.interval_grid(n)
+    rng = np.random.default_rng(seed)
+    w1 = rng.standard_normal(g.n_nodes)
+    lam = 10.0 ** log_lam if law == "fractured" else None
+    prob = ss._StageProblem(g, LINE_SEARCH_LAWS[law], 0.0, 10.0 ** log_h, w1,
+                            w1[g.boundary_nodes], lam,
+                            viscosity and lam is not None)
+    for nonneg in (False, True):
+        u = rng.standard_normal(g.n_nodes)
+        if nonneg:
+            u = np.abs(u)
+        d, slope = _newton_direction(prob, u)
+        if not slope < 0:
+            continue
+        d, slope = 2.0 ** k * d, 2.0 ** k * slope
+        (un, rejected, floored), points = _trials(ss._armijo, prob, u, d,
+                                                  slope, nonneg)
+        ref, halved = _trials(_halving, prob, u, d, slope, nonneg)
+        if nonneg:
+            assert np.array_equal(un, ref) and len(points) == len(halved)
+            continue
+        assert rejected == len(points) - 2 + floored
+        assert floored or _meets_armijo(prob, u, un, d, slope)
+        assert len(points) <= len(halved) + 1
+
+
+# ---------------------------------------------------------------------------
 # obstacle variant
 
 
@@ -1193,8 +1391,8 @@ def test_warm_tv_flow_properties(shape, seed, log_rho, log_h, steps):
 # ---------------------------------------------------------------------------
 # warm dual route of a nonsmooth flow
 
-# the fractured-1d benchmark profile: step 4 is the first to end in the dual
-# rescue, and step 5 is clean on the cold route
+# the fractured-1d benchmark profile: one of its first steps ends in the dual
+# rescue, and the steps after it run warm
 FRACTURED_CFG = ss.StepConfig(tol=1e-10, lam_min=1e-11, lam_decay=0.1)
 FRACTURED_H = 1.0 / 200
 
@@ -1240,11 +1438,13 @@ def test_only_a_step_on_the_dual_route_returns_its_dual():
 def test_step_after_a_rescue_starts_warm():
     traj = fd.run_flow(_fractured_problem(8), 8, FRACTURED_CFG)
     kinds = [[s.get("rescue") for s in log] for log in traj.step_logs]
-    assert kinds[:3] == [[None] * len(k) for k in kinds[:3]]
-    assert kinds[3][-1] == "dual"
+    # the first rescue comes at step 4 at the latest, after cold steps
+    k = next(i for i, kind in enumerate(kinds) if kind[-1] == "dual")
+    assert k <= 3
+    assert kinds[:k] == [[None] * len(kind) for kind in kinds[:k]]
     # each warm step ends on the dual route, so the next one starts warm too
-    assert kinds[4:] == [["warm"]] * 4
-    for log in traj.step_logs[4:]:
+    assert kinds[k + 1:] == [["warm"]] * (7 - k)
+    for log in traj.step_logs[k + 1:]:
         assert log[0]["exit"] in ("converged", "handover")
         assert log[0]["certificate"] <= ss._gap_target(FRACTURED_CFG)
 
