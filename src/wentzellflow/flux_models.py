@@ -607,6 +607,10 @@ class FluxModel:
 
     kind = "abstract"
     selection_ball = False  # True when the multivalued set is a norm ball
+    # Height of the law's flux jump, the width scale of a step's multiplier
+    # loop (``step_solver._multiplier_finish``); 0 where the loop does not
+    # finish the law's steps.
+    kink_scale = 0.0
 
     def __init__(self, dimension, growth, time_lipschitz=0.0,
                  time_dependent=False, smooth=False):
@@ -944,6 +948,8 @@ class FracturedMedium(_SeparableModel):
         growth = _power_growth(self.p, a_lo, a_hi + 1.0, dimension)
         super().__init__(dimension, growth, time_lipschitz=time_lipschitz,
                          time_dependent=time_dependent, smooth=False)
+        # the jump interval [alpha th^(p-1), (alpha + 1) th^(p-1)] is th^(p-1) high
+        self.kink_scale = max(th ** (self.p - 1.0) for th in self.thresholds)
 
     def _laws(self, t, xs):
         return [_FracturedAxis(self._alpha[a](t, xs), self.p, self.thresholds[a])
@@ -981,6 +987,7 @@ class TotalVariation(_RadialModel):
         self.rho = float(rho)
         if not self.rho > 0:
             raise ValueError("TV weight rho must be positive")
+        self.kink_scale = self.rho
         growth = Growth("singular", gamma1=1.0, gamma2=0.0)
         super().__init__(dimension, growth, smooth=False)
 

@@ -6,90 +6,30 @@ The step objective is
              + 1/2 int_Gamma u^2 - b(u),
     b(psi) = int_Omega w1 psi + int_Gamma w2 psi,
 
-discretized with the grid quadrature.  One damped Newton iteration on the
-generalized Hessian minimizes every smooth problem of the package.  The
-Hessian is SPD on the grid's fixed pattern of bandwidth kd (1 on
-intervals, nx + 2 on rectangles), so each Newton system is one banded
-Cholesky solve, O(n kd^2) work and O(n kd) memory.  A smooth law is one
-Newton stage, the step functional itself.  On wide bands (kd >= 32,
-rectangles at least 30 cells wide) its Hessians barely move from one
-Newton iteration or step to the next, so a factor is reused: each
-direction is an inexact Newton solve by conjugate gradients on the
-matrix-free Hessian, preconditioned by the banded Cholesky factor of an
-earlier system, and a new factor is made only when CG misses its forcing
-term within 8 iterations (``_LaggedFactor``; ``run_flow`` holds one per
-flow).  A nonsmooth law runs a continuation in the envelope parameter
-lam, where the potential is replaced by its smooth envelope and a
-lam |grad u|^2 viscosity term is added, with lam driven down a geometric
-schedule and every stage warm-started.  The viscosity is dropped on the
-final stage so the last solve targets the pure envelope problem.
+discretized with the grid quadrature.  Its Hessian is SPD on the grid's
+fixed pattern of bandwidth kd (1 on intervals, nx + 2 on rectangles), so
+one damped Newton (``_minimize_newton``, each system one banded Cholesky
+solve) minimizes every smooth problem of the package.  The route a step
+takes follows its flux law; each is described where it is implemented:
 
-An Armijo line search on the objective globalizes the Newton steps.  A
-rejected trial step gives way to the minimizer of the quadratic through
-the objective's value and slope at the start and its value at the trial,
-kept within [0.1, 0.5] of the trial step.  At small lam a stage's Newton
-model holds only inside the envelope's narrow kink window, so the step it
-accepts can be 2^-20 of the full one; the interpolation reaches it in a
-few trials where halving takes twenty.
+- a smooth law: one Newton stage (``_continuation``), on wide bands with a
+  factor held over the flow (``_LaggedFactor``);
+- another law: a continuation in the envelope parameter lam
+  (``_continuation``) and the recovery of the multivalued flux section
+  (``_polish_eta``); a stalled continuation or a flux that misses ``tol``
+  goes to the dual route (``_dual_finish``): the multiplier loop
+  (``_multiplier_finish``) for a law with a flux jump, else, and after a
+  loop that misses, the accelerated dual solver (``_dual_rescue``);
+- such a step handed the previous step's dual point (``StepSolution.dual``,
+  which ``run_flow`` carries) goes to the dual route from it at once
+  (``solve_step``);
+- total variation: the dual solver, then the multiplier loop (``_solve_tv``);
+- the obstacle step u >= 0: the same stages by a semismooth Newton
+  (``solve_step_obstacle``).
 
-The obstacle step, constrained to u >= 0 nodewise, runs the same stages
-by the same damped Newton as a semismooth Newton on the complementarity
-residual min(u, M^{-1} g) = 0, the primal-dual active-set method: each
-iteration moves the nodes where M^{-1} g > u to 0 and solves the Newton
-system on the others by the same banded Cholesky.  Its line search
-halves instead of interpolating, since the projected path
-max(u + alpha d, 0) is not the smooth restriction the quadratic models.
-It has no stall exit, no lagged factor and no rescue, so it runs every
-stage, a stalled one too, and is judged on the last.
-
-The multivalued flux section eta is recovered from the regularized flux
-at the final lam.  On cells where the subdifferential is genuinely
-multivalued (flux jumps, the kink of the total-variation law) the weak
-form itself determines the interior section value, so the recovery is
-finished by a small bounded least-squares solve for those entries; this
-removes the double-precision floor that pure pointwise recovery hits once
-the envelope window shrinks below machine resolution.  The per-cell
-Fenchel gaps j(grad u) + j*(eta) - eta . grad u certify the recovery.
-
-Total-variation steps, and nonsmooth steps whose continuation stalls, go
-through one accelerated dual solver (FISTA with gradient-based adaptive
-restart) that keeps the dual cell variables; its primal iterate is
-dual-feasible by construction, so the weak-form residual vanishes
-identically and the Fenchel gap is the stopping measure.  For total
-variation the per-cell dual prox is the projection onto the rho-ball; for
-the envelope rescue it is the resolvent through the Moreau identity.
-
-FISTA is sublinear, so a total-variation step leaves it at a loose
-handover point, once its gap is below 1e-5 of the gap at its first check
-and has fallen less than tenfold over the last check period (in 1D it
-rarely slows down and finishes alone).  A method of multipliers on the
-lam-envelope of the TV law finishes the step: each round minimizes the
-continuation stage with its envelope argument shifted by the current flux,
-grad u + lam eta, by the same damped Newton on the same banded Cholesky,
-then updates eta to the regularized flux at that argument.  The returned
-pair u = M^{-1}(rhs - K^T p), p = h vol eta is dual-feasible after every
-round, so the weak form holds exactly and the gap is exact.  If the loop
-misses the gap target within its round budget, FISTA resumes from the
-loop's best dual point.
-
-Consecutive steps of a flow differ by O(h), so ``run_flow`` hands each
-step the previous step's dual point, p = h vol eta, when that step ended
-on the dual route (``StepSolution.dual``; None otherwise).  A warm
-total-variation step runs the same FISTA, multiplier loop and fallback
-from that point, projected onto the current polar balls.  Its first gap is
-usually small already, so it hands over at a tenth of it (never above the
-level at which a cold step would), and it stops at a tenth of the cold gap
-target, since a warm start stopped at the cold target lands at a looser
-point than a cold one.  A step without a dual (a flow's first step,
-``tv_step``) starts from zero.
-
-Any other nonsmooth catalog law given a dual skips the continuation and
-the polish and runs the rescue's dual solve from it, checking the gap
-every 50 iterations.  It stops at a hundredth of the cold target, or below
-the cold target once the gap falls less than tenfold per check; a solve
-that ends above the cold target gives way to the cold route from u0.  A
-``Custom`` law keeps the cold route: its grid-sup conjugate can
-underestimate j*, so its gap is no sound stopping test.
+Every route ends in ``_finish``, which certifies the returned pair by its
+weak-form residual and per-cell Fenchel gaps j(grad u) + j*(eta) -
+eta . grad u.
 """
 
 from __future__ import annotations
@@ -136,16 +76,14 @@ class StepConfig:
 
     ``tol`` bounds the returned field's weak-form residual (on an obstacle
     step its complementarity measure) and ``certificate_tol`` its Fenchel
-    certificate.  The dual solver's cold target is a certificate of
-    ``1e-3 * certificate_tol`` (never below 1e-14).  A total-variation step
-    stops at it, or at a tenth of it from a carried dual; the rescue of a
-    nonsmooth step stops at it, and a warm nonsmooth step at a hundredth
-    of it, or below it once its gap falls less than tenfold per check.
+    certificate.  The dual route's cold target is a certificate of
+    ``1e-3 * certificate_tol`` (never below 1e-14; ``_gap_target``), at
+    which each of its solvers stops or from which it sets its own stop.
     ``max_iter`` bounds the Newton iterations of a stage or of a multiplier
     round's inner solve (CG iterations on a lagged factor do not count);
     ``pd_max_iter`` bounds a TV step's accelerated dual iterations, before
     the multiplier loop and after a fallback together, and those of a dual
-    rescue or of a warm nonsmooth step's dual solve, each on its own.  Both
+    rescue on its own.  Both
     limits must be positive.  ``lam0``, ``lam_decay`` and ``lam_min`` set a
     nonsmooth law's envelope continuation; its achievable weak-form
     residual scales with ``lam_min`` (the returned field is the minimizer
@@ -192,8 +130,8 @@ class StepSolution:
     the optimizer certificate that eta is (close to) a section of the
     subdifferential at grad u.  ``dual`` is the dual point p = h vol eta,
     an (n_cells, N) array, of a step that ended on the dual route (a
-    total-variation step, a rescue, a warm nonsmooth step), else None; a
-    flow hands it to its next step.
+    total-variation step, a multiplier loop, a rescue), else None; a flow
+    hands it to its next step.
     """
 
     u: np.ndarray
@@ -598,7 +536,10 @@ def _armijo(prob, u, d, slope, nonneg=False):
     quadratic through f(u), the slope and f(u + alpha d), clamped to
     [0.1 alpha, 0.5 alpha], or to alpha / 2 when that quadratic does not
     curve upward (safeguarded interpolation: Nocedal and Wright, Numerical
-    Optimization, 2nd ed., Sec. 3.5).  On the bound the projected path is
+    Optimization, 2nd ed., Sec. 3.5).  At small lam a stage's Newton model
+    holds only inside the envelope's narrow kink window, so the accepted
+    step can be 2^-20 of the full one: interpolation reaches it in a few
+    trials where halving takes twenty.  On the bound the projected path is
     not the smooth restriction the quadratic models, so alpha halves.
     Returns (point, rejected trials, floored); once alpha falls to 1e-14
     the last trial is returned with floored True.
@@ -633,7 +574,9 @@ def _polish_eta(grid, model, t, h, u, eta, rhs, row_mask=None, mv_tol=1e-5):
     Entries whose admissible interval is wider than the detection tolerance
     are treated as unknowns of a box-constrained least-squares problem on
     the weak-form residual (restricted to ``row_mask`` nodes when given);
-    single-valued entries keep their pointwise value.
+    single-valued entries keep their pointwise value.  This removes the
+    double-precision floor that pointwise recovery hits once the envelope
+    window shrinks below machine resolution.
     """
     gu = disc.gradient(grid, u)
     lo, hi = model.selection_bounds(t, grid.cell_centers, gu, mv_tol)
@@ -810,9 +753,31 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
     return primal(p), p.reshape(shape), gap, it + 1, exit_
 
 
+def _inter_tol(cfg):
+    """Residual tolerance of an intermediate continuation stage, and the
+    loosest a multiplier round's inner solve of a non-TV step may take: a
+    warm start's quality is absolute, not relative to ``tol``."""
+    return min(1e-8, max(100.0 * cfg.tol, 1e-12))
+
+
 def _gap_target(cfg):
     """Fenchel total at which the dual solver stops."""
     return max(1e-14, 1e-3 * cfg.certificate_tol)
+
+
+def _fenchel_gap_of(grid, model, t, h):
+    """The exact Fenchel certificate gap_of(p, K u) of the dual point p =
+    h vol eta at the field u; +inf where j*(eta) is."""
+    xs, vol = grid.cell_centers, grid.cell_volumes
+    a = (h * vol)[:, None]
+
+    def gap_of(p, q):
+        try:
+            return float(vol @ model.fenchel_gap(t, xs, q, p / a))
+        except fm.UnboundedConjugate:
+            return np.inf
+
+    return gap_of
 
 
 def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
@@ -830,21 +795,14 @@ def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     exit): a warm start stopped at the cold target lands at a looser point
     than a cold one.
     """
-    xs = grid.cell_centers
-    vol = grid.cell_volumes
-    a = h * vol
+    a = h * grid.cell_volumes
     tau = grid.dual_plan.tau
-    env_prox = _scaled_envelope_prox(model, t, xs, cfg.lam_min, a / tau)
+    env_prox = _scaled_envelope_prox(model, t, grid.cell_centers, cfg.lam_min,
+                                     a / tau)
 
     def prox(x):
         # prox_{tau V*}(x) = x - tau prox_{V / tau}(x / tau)
         return x - tau * env_prox(x / tau)
-
-    def gap_of(p, q):
-        try:
-            return float(vol @ model.fenchel_gap(t, xs, q, p / a[:, None]))
-        except fm.UnboundedConjugate:
-            return np.inf
 
     target = _gap_target(cfg)
     if warm:
@@ -852,13 +810,54 @@ def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
                     handover_cap=target)
     else:
         stop = dict(gap_target=target, period=200)
-    u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox, gap_of,
+    u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox,
+                                       _fenchel_gap_of(grid, model, t, h),
                                        max_iter=cfg.pd_max_iter, p0=p0, **stop)
     log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
                 "exit": exit_, "rescue": "warm" if warm else "dual",
                 "certificate": gap,
                 "objective": step_objective(grid, model, t, h, w1, w2, u)})
     return u, p / a[:, None], p, gap
+
+
+def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
+    """Finish a nonsmooth step on the dual route from the dual point p0 (an
+    (n_cells, N) array p = h vol eta): the previous step's dual when
+    ``warm``, else the stalled continuation's flux.  Appends the route's
+    log entries and returns (u, eta, p, certificate).
+
+    A law with a flux jump (``kink_scale`` > 0) runs the multiplier loop
+    ``_multiplier_finish`` from p0 and its primal u0 = M^{-1}(rhs - K^T p0)
+    with the exact Fenchel gap, for up to 40 rounds whose inner solves stop
+    no looser than an intermediate continuation stage (log entry
+    ``rescue`` "loop", with its ``certificate``).  It stops at 1e-4 of the
+    cold gap target, or at 1e-3 of it once a round gains nothing (the inner
+    solves' rounding floor): its rounds converge fast, and a stop at 1e-3
+    alone lands the 40-step fractured-1d benchmark flow 7e-8 off a tight
+    solve of its step maps, against 2e-8 at 1e-4.  If the loop misses,
+    its entry gains ``fallback`` and the FISTA rescue ``_dual_rescue``, warm
+    or cold as the step is, resumes from the loop's best dual point; a law
+    without a jump goes there directly.
+    """
+    if model.kink_scale > 0:
+        gap_of = _fenchel_gap_of(grid, model, t, h)
+
+        def h_gap(p, q):
+            return h * gap_of(p, q)
+
+        target = h * _gap_target(cfg)
+        u0 = (_rhs(grid, w1, w2) - grid.grad_stack_t @ p0.ravel()) / grid.mass
+        u, p, gap, entry = _multiplier_finish(
+            grid, model, t, h, w1, w2, u0, p0, h_gap(p0, disc.gradient(grid, u0)),
+            h_gap, 1e-4 * target, cfg.max_iter, max_rounds=40,
+            tol_cap=_inter_tol(cfg), accept=1e-3 * target)
+        entry.update(rescue="loop", certificate=gap / h)
+        log.append(entry)
+        if gap <= 1e-3 * target:
+            return u, p / (h * grid.cell_volumes)[:, None], p, gap / h
+        entry["fallback"] = True
+        p0 = p
+    return _dual_rescue(grid, model, t, h, w1, w2, cfg, p0, log, warm)
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
@@ -883,9 +882,8 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     stages = [(None, False, cfg.tol)]
     if not model.is_smooth:
         *lams, last = cfg.lam_schedule()
-        # warm-start quality along the path is absolute, not relative to tol
-        inter_tol = min(1e-8, max(100.0 * cfg.tol, 1e-12))
-        stages = [(lam, True, inter_tol) for lam in lams] + [(last, False, cfg.tol)]
+        stages = ([(lam, True, _inter_tol(cfg)) for lam in lams]
+                  + [(last, False, cfg.tol)])
     clean = True
     for lam, viscosity, stage_tol in stages:
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
@@ -917,13 +915,13 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     law from step to step of one flow (``run_flow`` passes one per flow);
     without it the step holds its own.  ``dual``, an (n_cells, N) array,
     is the dual point a nonsmooth step starts from (``run_flow`` passes the
-    previous step's ``StepSolution.dual``).  A total-variation step
-    projects it onto its polar balls, and hands over and stops as
-    ``_solve_tv`` says.  Another nonsmooth catalog law skips the
-    continuation and the polish and runs the dual solve of the rescue from
-    it (log entry ``"rescue": "warm"``, stops as ``_dual_rescue`` says); if
-    that ends above the cold gap target, the step takes the cold route from
-    ``u0`` after it.  Smooth and ``Custom`` laws ignore it.
+    previous step's ``StepSolution.dual``).  A total-variation step starts
+    ``_solve_tv`` from it.  Another nonsmooth catalog law skips the
+    continuation and the polish and finishes on the dual route from it
+    (``_dual_finish``, warm); if that ends above the cold gap target, the
+    step takes the cold route from ``u0`` after it.  Smooth laws ignore it,
+    and so do ``Custom`` laws: their grid-sup conjugate can underestimate
+    j*, so their gap is no sound stopping test for a warm start.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
@@ -933,7 +931,7 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     if dual is not None and not model.is_smooth and model.kind != "custom":
         dual = np.asarray(dual, dtype=float).reshape(grid.n_cells,
                                                      len(grid.grad_ops))
-        u, eta, p, gap = _dual_rescue(grid, model, t, h, w1, w2, cfg, dual,
+        u, eta, p, gap = _dual_finish(grid, model, t, h, w1, w2, cfg, dual,
                                       log, warm=True)
         if gap <= _gap_target(cfg):
             return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
@@ -947,7 +945,7 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
             eta = _polish_eta(grid, model, t, h, u, eta, rhs)
         if not clean or _weak_residual(grid, h, u, eta, rhs) > cfg.tol:
             # Newton stages chattered on the jump set; the dual route is exact
-            u, eta, p, _ = _dual_rescue(grid, model, t, h, w1, w2, cfg,
+            u, eta, p, _ = _dual_finish(grid, model, t, h, w1, w2, cfg,
                                         eta * (h * grid.cell_volumes)[:, None],
                                         log)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
@@ -1055,7 +1053,8 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
     u, p, gap, it, exit_ = fista(p0, handover, cfg.pd_max_iter)
     if gap > target and exit_ != "max_iter":
         u, p, gap, finish = _multiplier_finish(
-            grid, model, h, w1, w2, u, p, gap, gap_of, target, cfg.max_iter)
+            grid, model, 0.0, h, w1, w2, u, p, gap, gap_of, target,
+            cfg.max_iter, max_rounds=20)
         log.append(finish)
         if gap > target:
             finish["fallback"] = True
@@ -1064,9 +1063,9 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
                    dual=p)
 
 
-def _multiplier_finish(grid, model, h, w1, w2, u0, p, gap, gap_of, target,
-                       max_iter):
-    """Method of multipliers on the lam-envelope of a TV step, from the dual
+def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
+                       max_iter, max_rounds, tol_cap=np.inf, accept=0.0):
+    """Method of multipliers on the lam-envelope of a step, from the dual
     point p with gap ``gap`` and its primal u0 = M^{-1}(rhs - K^T p).
 
     Each round minimizes the stage whose envelope argument is shifted by
@@ -1077,18 +1076,24 @@ def _multiplier_finish(grid, model, h, w1, w2, u0, p, gap, gap_of, target,
     K u0 folded into the shift, so the envelope argument carries no
     rounding of u0 and the Newton residual no rounding floor of order
     eps / lam.  The returned pair (u, p) is dual-feasible whatever the
-    inner accuracy, so every round's gap is exact.
+    inner accuracy, so every round's gap is exact.  ``gap_of`` and
+    ``target`` are in the units h * certificate.
 
-    lam rho, the envelope's kink width in gradient units, starts at a tenth
-    of the start's RMS error bound sqrt(2 gap / |Omega|); lam shrinks 4x
-    after a round that less than halves the gap, and grows 4x, never to
-    shrink below that again, after an inner solve that fails and gains
-    nothing.  The
-    inner solve stops once its mass-scaled residual, read as a gradient
+    lam times the law's ``kink_scale`` (its flux jump height), the
+    envelope's kink width in gradient units, starts at a tenth of the
+    start's RMS error bound sqrt(2 gap / |Omega|); lam shrinks 4x after a
+    round that less than halves the gap, and grows 4x, never to shrink
+    below that again, after an inner solve that fails and gains nothing.
+    The inner solve stops once its mass-scaled residual, read as a gradient
     error of width^-1 times it on every cell, would add a tenth of the best
     gap; an inner solve that stalls at rounding but still gains sets a
-    floor of twice its residual.  After 20 rounds it returns the best
-    round's (u, p, gap) and its stage log entries.
+    floor of twice its residual; and the tolerance, that floor included,
+    is never above ``tol_cap``.  A start at or below ``target`` runs no
+    round, and a round that gains nothing ends the loop once the best gap
+    is at most ``accept``.  After at most ``max_rounds`` rounds it returns
+    the best round's (u, p, gap) and its log entry: the inner solves' Newton iterations,
+    fallbacks, backtracks and floored line searches summed (see
+    ``_stage_entries``), the last one's residual and exit, and the rounds.
     """
     vol = grid.cell_volumes
     a = (h * vol)[:, None]
@@ -1096,25 +1101,30 @@ def _multiplier_finish(grid, model, h, w1, w2, u0, p, gap, gap_of, target,
     rhs = _rhs(grid, w1, w2)
     area = float(vol.sum())
     width = float(vol.min()) ** (1.0 / len(grid.grad_ops))
-    tol_per_gap = 0.1 * width / (model.rho * area * h)
+    scale = model.kink_scale
+    tol_per_gap = 0.1 * width / (scale * area * h)
 
     def primal(eta):
         return (rhs - grid.grad_stack_t @ (eta * a).ravel()) / m
 
     ku0 = disc.gradient(grid, u0)
     w1d, w2d = w1 - u0, w2 - u0[grid.boundary_nodes]
-    lam = 0.1 * math.sqrt(2.0 * gap / area) / model.rho
+    lam = 0.1 * math.sqrt(2.0 * gap / area) / scale
     best = (gap, np.zeros_like(u0), p / a)
     _, delta, eta = best
-    iters = 0
+    work = dict.fromkeys(("iters", "fallbacks", "backtracks", "ls_floor"), 0)
+    stage = {"residual": 0.0, "exit": "converged"}
+    rounds = 0
     lam_low = tol_low = 0.0
-    for rounds in range(1, 21):
-        prob = _StageProblem(grid, model, 0.0, h, w1d, w2d, lam, False,
+    while gap > target and rounds < max_rounds:
+        rounds += 1
+        prob = _StageProblem(grid, model, t, h, w1d, w2d, lam, False,
                              shift=ku0 + lam * eta)
-        tol = max(tol_low, max(target, best[0]) * tol_per_gap)
+        tol = min(tol_cap, max(tol_low, max(target, best[0]) * tol_per_gap))
         delta_new, stage = _minimize_newton(prob, delta, tol, max_iter)
-        iters += stage["iters"]
-        eta_new = model.yosida(0.0, grid.cell_centers, lam,
+        for key in work:
+            work[key] += stage.get(key, 0)
+        eta_new = model.yosida(t, grid.cell_centers, lam,
                                disc.gradient(grid, delta_new) + ku0 + lam * eta)
         failed = stage["exit"] != "converged"
         last, gap = gap, gap_of(eta_new * a,
@@ -1123,6 +1133,8 @@ def _multiplier_finish(grid, model, h, w1, w2, u0, p, gap, gap_of, target,
             best = (gap, delta_new, eta_new)
             if failed:
                 tol_low = 2.0 * stage["residual"]
+        elif best[0] <= accept:
+            break
         elif failed:
             lam *= 4.0
             lam_low = lam
@@ -1135,7 +1147,9 @@ def _multiplier_finish(grid, model, h, w1, w2, u0, p, gap, gap_of, target,
             lam /= 4.0
     gap, _, eta = best
     u = primal(eta)
+    entry = _stage_entries(work["iters"], stage["residual"], stage["exit"],
+                           work["fallbacks"], work["backtracks"],
+                           work["ls_floor"])
     return u, eta * a, gap, {
-        "lam": lam, "iters": iters, "residual": stage["residual"],
-        "exit": stage["exit"], "rounds": rounds,
-        "objective": step_objective(grid, model, 0.0, h, w1, w2, u)}
+        "lam": lam, **entry, "rounds": rounds,
+        "objective": step_objective(grid, model, t, h, w1, w2, u)}

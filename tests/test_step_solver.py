@@ -74,12 +74,21 @@ def _route_lagged_2d():
 
 
 def _route_rescue():
+    # a Custom law keeps the cold FISTA rescue
+    g, model, t, h, w1 = _sine_data(fm.custom_model(lambda s: np.cosh(s) - 1.0,
+                                                    beta=np.sinh))
+    sol = _sine_step(model)
+    assert sol.iterations[-1]["rescue"] == "dual"
+    return g, model, t, h, w1, sol
+
+
+def _route_loop():
     g = disc.rectangle_grid(16, 16)
     x, y = g.nodes.T
     w1 = 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
     model = fm.fractured_medium(4.0, thresholds=0.5, dimension=2)
     sol = ss.solve_step(g, model, 0.01, 0.01, w1, w1[g.boundary_nodes])
-    assert sol.iterations[-1]["rescue"] == "dual"
+    assert sol.iterations[-1]["rescue"] == "loop"
     return g, model, 0.01, 0.01, w1, sol
 
 
@@ -101,8 +110,9 @@ def _route_obstacle():
 
 
 @pytest.mark.parametrize("route", [_route_smooth_1d, _route_lagged_2d,
-                                   _route_rescue, _route_tv, _route_obstacle],
-                         ids=["smooth-1d", "lagged-2d", "rescue", "tv",
+                                   _route_rescue, _route_loop, _route_tv,
+                                   _route_obstacle],
+                         ids=["smooth-1d", "lagged-2d", "rescue", "loop", "tv",
                               "obstacle"])
 def test_reported_objective_is_the_objective_of_the_returned_field(route):
     # the step reports the objective its last stage logged at its field
@@ -1139,7 +1149,7 @@ def test_tv_step_16x16_meets_tolerances_with_feasible_dual():
 # total variation: FISTA, the multiplier finish and its fallback
 
 
-def _skip_finish(grid, model, h, w1, w2, u, p, gap, *args, **kwargs):
+def _skip_finish(grid, model, t, h, w1, w2, u, p, gap, *args, **kwargs):
     """Stand-in for ``_multiplier_finish`` that gains nothing, so FISTA
     resumes from its handover point: a FISTA-only solve."""
     return u, p, gap, {"lam": 0.0, "iters": 0, "residual": 0.0,
@@ -1286,6 +1296,27 @@ def test_tv_cold_route_keeps_its_log():
     assert traj.step_logs[0] == sol.iterations
     assert np.array_equal(traj.fields[1], sol.u)
     assert np.array_equal(traj.etas[0], sol.eta)
+
+
+def test_tv_loop_entry_reports_its_line_search_work(monkeypatch):
+    g, prev = _tv_profile()
+    real = ss._armijo
+    work = [0, 0]
+
+    def spy(prob, *args):
+        point, rejected, floored = real(prob, *args)
+        if prob.shift is not None:  # a multiplier round's inner solve
+            work[0] += rejected
+            work[1] += floored
+        return point, rejected, floored
+
+    monkeypatch.setattr(ss, "_armijo", spy)
+    traj = fd.run_flow(fd.ProblemData(g, prev, T=0.05,
+                                      model=fm.total_variation(1.0, 2)), 5)
+    loops = [s for log in traj.step_logs for s in log if "rounds" in s]
+    assert len(loops) == 5 and work[0] > 0
+    assert sum(s.get("backtracks", 0) for s in loops) == work[0]
+    assert sum(s.get("ls_floor", 0) for s in loops) == work[1]
 
 
 def test_tv_flow_carries_no_state_between_flows():
@@ -1438,37 +1469,109 @@ def test_only_a_step_on_the_dual_route_returns_its_dual():
 def test_step_after_a_rescue_starts_warm():
     traj = fd.run_flow(_fractured_problem(8), 8, FRACTURED_CFG)
     kinds = [[s.get("rescue") for s in log] for log in traj.step_logs]
-    # the first rescue comes at step 4 at the latest, after cold steps
-    k = next(i for i, kind in enumerate(kinds) if kind[-1] == "dual")
-    assert k <= 3
+    # the first step on the dual route comes at step 4 at the latest, after
+    # cold steps, and the multiplier loop finishes its stalled continuation
+    k = next(i for i, kind in enumerate(kinds) if kind[-1] is not None)
+    assert k <= 3 and kinds[k][-1] == "loop"
     assert kinds[:k] == [[None] * len(kind) for kind in kinds[:k]]
-    # each warm step ends on the dual route, so the next one starts warm too
-    assert kinds[k + 1:] == [["warm"]] * (7 - k)
-    for log in traj.step_logs[k + 1:]:
-        assert log[0]["exit"] in ("converged", "handover")
-        assert log[0]["certificate"] <= ss._gap_target(FRACTURED_CFG)
+    # each warm step ends in the loop, so the next one starts warm too
+    assert kinds[k + 1:] == [["loop"]] * (7 - k)
+    for log in traj.step_logs[k:]:
+        assert "fallback" not in log[-1]
+        assert log[-1]["certificate"] <= 1e-4 * ss._gap_target(FRACTURED_CFG)
 
 
-def test_warm_miss_falls_back_to_the_cold_route():
+def test_warm_miss_falls_back_to_the_cold_route(monkeypatch):
     prob = _fractured_problem(5)
     traj = fd.run_flow(prob, 5, FRACTURED_CFG)
     dual = _fractured_step(prob, 4, traj.fields[3]).dual
     cfg = dataclasses.replace(FRACTURED_CFG, pd_max_iter=3)
+    # a loop with no rounds misses, then FISTA out of iterations misses too
+    real = ss._multiplier_finish
+    monkeypatch.setattr(ss, "_multiplier_finish",
+                        lambda *a, **k: real(*a, **{**k, "max_rounds": 0}))
     warm = _fractured_step(prob, 5, traj.fields[4], cfg, dual)
     cold = _fractured_step(prob, 5, traj.fields[4], cfg)
-    first, *rest = warm.iterations
-    assert (first["rescue"], first["iters"], first["exit"]) == ("warm", 3, "max_iter")
-    assert first["certificate"] > ss._gap_target(cfg)
+    loop, fista, *rest = warm.iterations
+    assert (loop["rescue"], loop["rounds"], loop["fallback"]) == ("loop", 0, True)
+    assert (fista["rescue"], fista["iters"], fista["exit"]) == ("warm", 3, "max_iter")
+    assert fista["certificate"] > ss._gap_target(cfg)
     assert rest == cold.iterations
     assert not any("rescue" in s for s in rest)
     assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.eta, cold.eta)
     assert warm.dual is None
 
 
-def _sine_step(model, dual=None):
+def test_loop_miss_resumes_fista_from_the_loops_best_dual(monkeypatch):
+    prob = _fractured_problem(5)
+    traj = fd.run_flow(prob, 5, FRACTURED_CFG)
+    dual = _fractured_step(prob, 4, traj.fields[3]).dual
+    real = ss._multiplier_finish
+    starts = []
+
+    def one_round(*a, **k):
+        out = real(*a, **{**k, "max_rounds": 1})
+        starts.append(out[1])
+        return out
+
+    monkeypatch.setattr(ss, "_multiplier_finish", one_round)
+    with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
+        sol = _fractured_step(prob, 5, traj.fields[4], dual=dual)
+    loop, fista = sol.iterations
+    assert (loop["rounds"], loop["fallback"]) == (1, True)
+    assert loop["certificate"] > 1e-4 * ss._gap_target(FRACTURED_CFG)
+    assert fista["rescue"] == "warm" and fista["exit"] in ("converged", "handover")
+    assert np.array_equal(spy.call_args.kwargs["p0"], starts[0])
+    assert sol.fenchel_total <= ss._gap_target(FRACTURED_CFG)
+
+
+def test_warm_step_already_at_its_target_runs_no_round():
+    # constant data and a zero dual: the start's gap is 0, and a round would
+    # start from lam = 0
     g = disc.interval_grid(12)
-    w1 = np.sin(2 * np.pi * g.nodes[:, 0])
-    return ss.solve_step(g, model, 0.0, 0.01, w1, w1[g.boundary_nodes],
+    c = np.full(g.n_nodes, 0.3)
+    for p in (1.5, 4.0):
+        model = fm.fractured_medium(p, thresholds=0.5)
+        sol = ss.solve_step(g, model, 0.0, 0.01, c, c[g.boundary_nodes],
+                            dual=np.zeros((g.n_cells, 1)))
+        (entry,) = sol.iterations
+        assert (entry["rescue"], entry["rounds"], entry["iters"]) == ("loop", 0, 0)
+        assert entry["certificate"] <= 1e-4 * ss._gap_target(ss.StepConfig())
+        assert np.allclose(sol.u, 0.3, rtol=0.0, atol=1e-15)
+        assert sol.dual is not None
+
+
+def test_law_without_a_jump_keeps_the_fista_route():
+    model = fm.fractured_medium(4.0, thresholds=0.0)
+    assert model.kink_scale == 0.0
+    cold = _sine_step(model)
+    sol = _sine_step(model, dual=np.full((12, 1), 0.01))
+    kinds = [s.get("rescue") for s in sol.iterations]
+    assert kinds[0] == "warm" and "loop" not in kinds
+    assert np.max(np.abs(sol.u - cold.u)) <= 1e-6
+
+
+def test_kink_scale_is_the_flux_jump_height():
+    assert fm.total_variation(2.5, 2).kink_scale == 2.5
+    model = fm.fractured_medium(3.0, alpha=2.0, thresholds=[0.5, 0.25],
+                                dimension=2)
+    assert model.kink_scale == 0.25
+    laws = model._laws(0.0, np.zeros((1, 2)))
+    assert max(float(law.hi_e - law.lo_e) for law in laws) == model.kink_scale
+    for smooth_or_custom in (fm.quadratic(1), fm.anisotropic_p_laplacian(1.5),
+                             fm.log_growth(1.0),
+                             fm.custom_model(lambda s: np.cosh(s) - 1.0)):
+        assert smooth_or_custom.kink_scale == 0.0
+
+
+def _sine_data(model):
+    g = disc.interval_grid(12)
+    return g, model, 0.0, 0.01, np.sin(2 * np.pi * g.nodes[:, 0])
+
+
+def _sine_step(model, dual=None):
+    g, model, t, h, w1 = _sine_data(model)
+    return ss.solve_step(g, model, t, h, w1, w1[g.boundary_nodes],
                          ss.StepConfig(tol=1e-9, lam_min=1e-9), dual=dual)
 
 
@@ -1499,15 +1602,16 @@ def test_custom_flow_stays_cold():
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(4, 20), seed=st.integers(0, 2**16),
-       threshold=st.floats(0.2, 1.0), amp=st.floats(0.2, 1.0),
-       log_h=st.floats(-3.0, -1.5), steps=st.integers(3, 8))
-def test_warm_fractured_flow_agrees_with_cold_steps(n, seed, threshold, amp,
+       p=st.sampled_from([1.5, 4.0]), threshold=st.floats(0.2, 1.0),
+       amp=st.floats(0.2, 1.0), log_h=st.floats(-3.0, -1.5),
+       steps=st.integers(3, 8))
+def test_warm_fractured_flow_agrees_with_cold_steps(n, seed, p, threshold, amp,
                                                     log_h, steps):
     g = disc.interval_grid(n)
     x = g.nodes[:, 0]
     noise = np.random.default_rng(seed).standard_normal(g.n_nodes)
     y0 = amp * (np.cos(2 * np.pi * x) + 0.1 * noise)
-    model = fm.fractured_medium(4.0, thresholds=threshold)
+    model = fm.fractured_medium(p, thresholds=threshold)
     cfg = ss.StepConfig(tol=1e-9, lam_min=1e-9)
     h = 10.0 ** log_h
     traj = fd.run_flow(fd.ProblemData(g, y0, T=steps * h, model=model), steps,
