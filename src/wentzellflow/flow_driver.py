@@ -215,14 +215,14 @@ class AsymptoticsReport:
 def run_flow(problem, n, cfg=None, obstacle=False):
     """March the time-discretized system for n steps of size h = T/n.
 
-    Each step starts from the previous field.  A nonsmooth step also gets
-    the previous step's dual point (``StepSolution.dual``): none on the
-    first step, nor after a step that did not end on the dual route.  A
-    total-variation step starts its dual solve from it, and another
-    nonsmooth catalog law takes the warm dual route of ``solve_step``.  A
-    smooth law's steps share one lagged Newton factor.  Both live only in
-    this call, so two flows of one problem repeat the same solves bit for
-    bit.
+    Each step starts from the previous field.  It also gets the previous
+    step's dual point (``StepSolution.dual``): none on the first step, nor
+    after a step that did not end on the dual route.  A total-variation
+    step starts its dual solve from it, a step of a law with a flux jump
+    (``kink_scale`` > 0) its multiplier loop (``solve_step``), and every
+    other step ignores it.  A smooth law's steps share one lagged Newton
+    factor.  Both live only in this call, so two flows of one problem
+    repeat the same solves bit for bit.
     """
     if n < 1:
         raise ValueError("need at least one step")

@@ -130,7 +130,7 @@ class GrowthReport:
 # scalar machinery
 
 
-def _as_coeff(c, name):
+def _as_coeff(c):
     """Normalize a coefficient: callable of (t, points), or a float."""
     if callable(c):
         def fn(t, xs, _c=c):
@@ -143,6 +143,29 @@ def _as_coeff(c, name):
     def const(t, xs, _v=val):
         return _v
     return const, val
+
+
+def _axis_coeffs(c, dimension):
+    """A coefficient given once or per axis (a list or tuple) as the axes'
+    callables and constants (``_as_coeff``); a None coefficient stays None,
+    with constant 0."""
+    cs = c if isinstance(c, (list, tuple)) else [c] * dimension
+    pairs = [(None, 0.0) if v is None else _as_coeff(v) for v in cs]
+    return [fn for fn, _ in pairs], [val for _, val in pairs]
+
+
+def _alpha_range(consts, alpha_bounds):
+    """(a_lo, a_hi): ``alpha_bounds``, else the range of the axes' constant
+    alphas; callable alphas need bounds, and a_lo must be positive."""
+    if alpha_bounds is not None:
+        a_lo, a_hi = alpha_bounds
+    elif all(c is not None for c in consts):
+        a_lo, a_hi = min(consts), max(consts)
+    else:
+        raise ValueError("alpha_bounds required for callable coefficients")
+    if not a_lo > 0:
+        raise ValueError("alpha must be positive")
+    return a_lo, a_hi
 
 
 def _pow(a, e):
@@ -608,8 +631,11 @@ class FluxModel:
     kind = "abstract"
     selection_ball = False  # True when the multivalued set is a norm ball
     # Height of the law's flux jump, the width scale of a step's multiplier
-    # loop (``step_solver._multiplier_finish``); 0 where the loop does not
-    # finish the law's steps.
+    # loop (``step_solver._multiplier_finish``).  A step of a law with a
+    # positive scale starts warm from the previous step's dual point, its
+    # loop stopped by the exact Fenchel gap; 0 keeps every step cold.  A
+    # law whose conjugate can be underestimated (``Custom``'s grid sup)
+    # keeps 0, since its gap is no sound stop for a warm start.
     kink_scale = 0.0
 
     def __init__(self, dimension, growth, time_lipschitz=0.0,
@@ -865,33 +891,13 @@ class AnisotropicPLaplacian(_SeparableModel):
         if not p > 1:
             raise ValueError("exponent p must exceed 1")
         self.p = float(p)
-        self._alpha = []
-        alphas = alpha if isinstance(alpha, (list, tuple)) else [alpha] * dimension
-        kappas = kappa if isinstance(kappa, (list, tuple)) else [kappa] * dimension
-        deltas = delta if isinstance(delta, (list, tuple)) else [delta] * dimension
-        consts = []
-        for a in alphas:
-            fn, c = _as_coeff(a, "alpha")
-            self._alpha.append(fn)
-            consts.append(c)
-        self._alpha_const = consts
-        self._kappa = [None if k is None else _as_coeff(k, "kappa")[0] for k in kappas]
-        self._kappa_const = [0.0 if k is None else (float(k) if not callable(k) else None)
-                             for k in kappas]
-        self._delta = [None if d is None else _as_coeff(d, "delta")[0] for d in deltas]
-        self._delta_const = [0.0 if d is None else (float(d) if not callable(d) else None)
-                             for d in deltas]
-        if alpha_bounds is not None:
-            a_lo, a_hi = alpha_bounds
-        elif all(c is not None for c in consts):
-            a_lo, a_hi = min(consts), max(consts)
-        else:
-            raise ValueError("alpha_bounds required for callable coefficients")
-        if not a_lo > 0:
-            raise ValueError("alpha must be positive")
+        self._alpha, self._alpha_const = _axis_coeffs(alpha, dimension)
+        self._kappa, self._kappa_const = _axis_coeffs(kappa, dimension)
+        self._delta, self._delta_const = _axis_coeffs(delta, dimension)
+        a_lo, a_hi = _alpha_range(self._alpha_const, alpha_bounds)
         growth = _power_growth(self.p, a_lo, a_hi, dimension,
                                self._kappa_const, self._delta_const)
-        smooth = (self.p >= 2.0 and all(k is None for k in kappas))
+        smooth = (self.p >= 2.0 and all(k is None for k in self._kappa))
         super().__init__(dimension, growth, time_lipschitz=time_lipschitz,
                          time_dependent=time_dependent, smooth=smooth)
         if validate:
@@ -926,25 +932,13 @@ class FracturedMedium(_SeparableModel):
         if not p > 1:
             raise ValueError("exponent p must exceed 1")
         self.p = float(p)
-        alphas = alpha if isinstance(alpha, (list, tuple)) else [alpha] * dimension
+        self._alpha, consts = _axis_coeffs(alpha, dimension)
         ths = thresholds if isinstance(thresholds, (list, tuple)) else [thresholds] * dimension
-        self._alpha, consts = [], []
-        for a in alphas:
-            fn, c = _as_coeff(a, "alpha")
-            self._alpha.append(fn)
-            consts.append(c)
         self.thresholds = [float(t_) for t_ in ths]
         if any(t_ < 0 for t_ in self.thresholds):
             # a jump at negative gradient would break monotonicity of beta
             raise ValueError("fractured-medium thresholds must be >= 0")
-        if alpha_bounds is not None:
-            a_lo, a_hi = alpha_bounds
-        elif all(c is not None for c in consts):
-            a_lo, a_hi = min(consts), max(consts)
-        else:
-            raise ValueError("alpha_bounds required for callable coefficients")
-        if not a_lo > 0:
-            raise ValueError("alpha must be positive")
+        a_lo, a_hi = _alpha_range(consts, alpha_bounds)
         growth = _power_growth(self.p, a_lo, a_hi + 1.0, dimension)
         super().__init__(dimension, growth, time_lipschitz=time_lipschitz,
                          time_dependent=time_dependent, smooth=False)
@@ -964,7 +958,7 @@ class LogGrowth(_RadialModel):
 
     def __init__(self, a=1.0, dimension=1, time_lipschitz=0.0,
                  time_dependent=False):
-        self._a, self._a_const = _as_coeff(a, "a")
+        self._a, self._a_const = _as_coeff(a)
         if self._a_const is not None and self._a_const <= 0:
             raise ValueError("log-growth coefficient a must be positive")
         growth = Growth("weak", gamma1=1.0, gamma2=0.0)
@@ -1128,7 +1122,7 @@ def make_model(model_id, dimension=1, **params):
     return cls(dimension=dimension, **params)
 
 
-def _point(model, x, r):
+def _point(x, r):
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
     r = np.atleast_1d(np.asarray(r, dtype=float)).reshape(1, -1)
     return x, r
@@ -1136,19 +1130,19 @@ def _point(model, x, r):
 
 def potential(model, t, x, r):
     """Potential j(t, x, r) at a single point."""
-    x, r = _point(model, x, r)
+    x, r = _point(x, r)
     return float(model.potential(t, x, r)[0])
 
 
 def flux_select(model, t, x, r):
     """One measurable selection of the flux (minimal norm at jumps)."""
-    x, r = _point(model, x, r)
+    x, r = _point(x, r)
     return model.select(t, x, r)[0]
 
 
 def conjugate(model, t, x, omega):
     """Convex conjugate j*(t, x, omega); +inf when the sup is unbounded."""
-    x, w = _point(model, x, omega)
+    x, w = _point(x, omega)
     return float(model.conjugate(t, x, w)[0])
 
 
@@ -1156,7 +1150,7 @@ def resolvent(model, t, x, lam, r):
     """Unique z with z + lam * beta(z) containing r."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    x, r = _point(model, x, r)
+    x, r = _point(x, r)
     return model.resolvent(t, x, lam, r)[0]
 
 
@@ -1164,7 +1158,7 @@ def yosida_flux(model, t, x, lam, r):
     """Single-valued Lipschitz flux (r - resolvent(lam, r)) / lam."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    x, r = _point(model, x, r)
+    x, r = _point(x, r)
     return model.yosida(t, x, lam, r)[0]
 
 
@@ -1172,14 +1166,14 @@ def moreau(model, t, x, lam, r):
     """Envelope potential inf_s |r-s|^2/(2 lam) + j(s)."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    x, r = _point(model, x, r)
+    x, r = _point(x, r)
     return float(model.moreau(t, x, lam, r)[0])
 
 
 def fenchel_gap(model, t, x, r, omega):
     """j(r) + j*(omega) - omega . r, nonnegative, zero iff omega in beta(r)."""
-    x, r = _point(model, x, r)
-    _, w = _point(model, x, omega)
+    x, r = _point(x, r)
+    _, w = _point(x, omega)
     return float(model.fenchel_gap(t, x, r, w)[0])
 
 

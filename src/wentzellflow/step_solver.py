@@ -19,9 +19,10 @@ takes follows its flux law; each is described where it is implemented:
   (``_polish_eta``); a stalled continuation or a flux that misses ``tol``
   goes to the dual route (``_dual_finish``): the multiplier loop
   (``_multiplier_finish``) for a law with a flux jump, else, and after a
-  loop that misses, the accelerated dual solver (``_dual_rescue``);
-- such a step handed the previous step's dual point (``StepSolution.dual``,
-  which ``run_flow`` carries) goes to the dual route from it at once
+  loop that misses, the accelerated dual solver (``_dual_solve``);
+- a step of a law with a flux jump handed the previous step's dual point
+  (``StepSolution.dual``, which ``run_flow`` carries) runs the multiplier
+  loop from it at once, and the cold route after a loop that misses
   (``solve_step``);
 - total variation: the dual solver, then the multiplier loop (``_solve_tv``);
 - the obstacle step u >= 0: the same stages by a semismooth Newton
@@ -82,13 +83,12 @@ class StepConfig:
     ``max_iter`` bounds the Newton iterations of a stage or of a multiplier
     round's inner solve (CG iterations on a lagged factor do not count);
     ``pd_max_iter`` bounds a TV step's accelerated dual iterations, before
-    the multiplier loop and after a fallback together, and those of a dual
-    rescue on its own.  Both
-    limits must be positive.  ``lam0``, ``lam_decay`` and ``lam_min`` set a
-    nonsmooth law's envelope continuation; its achievable weak-form
-    residual scales with ``lam_min`` (the returned field is the minimizer
-    of the lam_min envelope problem), so tightening ``tol`` requires
-    tightening ``lam_min`` along with it.
+    the multiplier loop and after a fallback together, and those of
+    another nonsmooth step's FISTA finish.  Both limits must be positive.
+    ``lam0``, ``lam_decay`` and ``lam_min`` set a nonsmooth law's envelope
+    continuation; its achievable weak-form residual scales with ``lam_min``
+    (the returned field is the minimizer of the lam_min envelope problem),
+    so tightening ``tol`` requires tightening ``lam_min`` along with it.
     """
 
     tol: float = 1e-8
@@ -130,8 +130,9 @@ class StepSolution:
     the optimizer certificate that eta is (close to) a section of the
     subdifferential at grad u.  ``dual`` is the dual point p = h vol eta,
     an (n_cells, N) array, of a step that ended on the dual route (a
-    total-variation step, a multiplier loop, a rescue), else None; a flow
-    hands it to its next step.
+    total-variation step, a multiplier loop, a FISTA finish), else None; a
+    flow hands it to its next step, which starts from it if its law is TV
+    or has a flux jump.
     """
 
     u: np.ndarray
@@ -780,51 +781,11 @@ def _fenchel_gap_of(grid, model, t, h):
     return gap_of
 
 
-def _dual_rescue(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
-    """Dual solve of the lam_min-envelope step from the dual point p0 (an
-    (n_cells, N) array p = h vol eta); appends its log entry and returns
-    (u, eta, p, gap).
-
-    The per-cell dual prox reduces to the resolvent, which handles flux
-    jumps exactly, so this route is immune to the active-set chatter that
-    can stall the Newton stages.  A cold solve (``rescue`` "dual") checks
-    its gap every 200 iterations against the cold target.  A ``warm`` one
-    (``rescue`` "warm", p0 the previous step's dual) checks it every 50
-    and stops at a hundredth of that target, or below the target once the
-    gap falls less than tenfold per check (``_dual_solve``'s handover
-    exit): a warm start stopped at the cold target lands at a looser point
-    than a cold one.
-    """
-    a = h * grid.cell_volumes
-    tau = grid.dual_plan.tau
-    env_prox = _scaled_envelope_prox(model, t, grid.cell_centers, cfg.lam_min,
-                                     a / tau)
-
-    def prox(x):
-        # prox_{tau V*}(x) = x - tau prox_{V / tau}(x / tau)
-        return x - tau * env_prox(x / tau)
-
-    target = _gap_target(cfg)
-    if warm:
-        stop = dict(gap_target=0.01 * target, period=50, handover=np.inf,
-                    handover_cap=target)
-    else:
-        stop = dict(gap_target=target, period=200)
-    u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox,
-                                       _fenchel_gap_of(grid, model, t, h),
-                                       max_iter=cfg.pd_max_iter, p0=p0, **stop)
-    log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
-                "exit": exit_, "rescue": "warm" if warm else "dual",
-                "certificate": gap,
-                "objective": step_objective(grid, model, t, h, w1, w2, u)})
-    return u, p / a[:, None], p, gap
-
-
 def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     """Finish a nonsmooth step on the dual route from the dual point p0 (an
     (n_cells, N) array p = h vol eta): the previous step's dual when
     ``warm``, else the stalled continuation's flux.  Appends the route's
-    log entries and returns (u, eta, p, certificate).
+    log entries and returns (u, eta, p), or None when a warm start misses.
 
     A law with a flux jump (``kink_scale`` > 0) runs the multiplier loop
     ``_multiplier_finish`` from p0 and its primal u0 = M^{-1}(rhs - K^T p0)
@@ -834,14 +795,20 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     cold gap target, or at 1e-3 of it once a round gains nothing (the inner
     solves' rounding floor): its rounds converge fast, and a stop at 1e-3
     alone lands the 40-step fractured-1d benchmark flow 7e-8 off a tight
-    solve of its step maps, against 2e-8 at 1e-4.  If the loop misses,
-    its entry gains ``fallback`` and the FISTA rescue ``_dual_rescue``, warm
-    or cold as the step is, resumes from the loop's best dual point; a law
-    without a jump goes there directly.
-    """
-    if model.kink_scale > 0:
-        gap_of = _fenchel_gap_of(grid, model, t, h)
+    solve of its step maps, against 2e-8 at 1e-4.  If the loop misses 1e-3
+    of the target, its entry gains ``fallback``: a warm start ends there,
+    and a cold one resumes from the loop's best dual point in FISTA, where
+    a law without a jump starts directly.
 
+    FISTA (``_dual_solve``, log entry ``rescue`` "dual") runs on the
+    lam_min-envelope step and checks its gap every 200 iterations against
+    the cold target.  Its per-cell dual prox reduces to the resolvent,
+    which handles flux jumps exactly, so this route is immune to the
+    active-set chatter that can stall the Newton stages.
+    """
+    a = h * grid.cell_volumes
+    gap_of = _fenchel_gap_of(grid, model, t, h)
+    if model.kink_scale > 0:
         def h_gap(p, q):
             return h * gap_of(p, q)
 
@@ -854,10 +821,26 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
         entry.update(rescue="loop", certificate=gap / h)
         log.append(entry)
         if gap <= 1e-3 * target:
-            return u, p / (h * grid.cell_volumes)[:, None], p, gap / h
+            return u, p / a[:, None], p
         entry["fallback"] = True
+        if warm:
+            return None
         p0 = p
-    return _dual_rescue(grid, model, t, h, w1, w2, cfg, p0, log, warm)
+    tau = grid.dual_plan.tau
+    env_prox = _scaled_envelope_prox(model, t, grid.cell_centers, cfg.lam_min,
+                                     a / tau)
+
+    def prox(x):
+        # prox_{tau V*}(x) = x - tau prox_{V / tau}(x / tau)
+        return x - tau * env_prox(x / tau)
+
+    u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox, gap_of,
+                                       _gap_target(cfg), 200, cfg.pd_max_iter,
+                                       p0=p0)
+    log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
+                "exit": exit_, "rescue": "dual", "certificate": gap,
+                "objective": step_objective(grid, model, t, h, w1, w2, u)})
+    return u, p / a[:, None], p
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
@@ -914,26 +897,25 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     ``lagged``, a ``_LaggedFactor``, carries the Newton factor of a smooth
     law from step to step of one flow (``run_flow`` passes one per flow);
     without it the step holds its own.  ``dual``, an (n_cells, N) array,
-    is the dual point a nonsmooth step starts from (``run_flow`` passes the
+    is the dual point a step may start from (``run_flow`` passes the
     previous step's ``StepSolution.dual``).  A total-variation step starts
-    ``_solve_tv`` from it.  Another nonsmooth catalog law skips the
-    continuation and the polish and finishes on the dual route from it
-    (``_dual_finish``, warm); if that ends above the cold gap target, the
-    step takes the cold route from ``u0`` after it.  Smooth laws ignore it,
-    and so do ``Custom`` laws: their grid-sup conjugate can underestimate
-    j*, so their gap is no sound stopping test for a warm start.
+    ``_solve_tv`` from it.  A step of a law with a flux jump (``kink_scale``
+    > 0) skips the continuation and the polish and runs the multiplier loop
+    from it (``_dual_finish``, warm); if the loop misses, the step takes the
+    cold route from ``u0`` after it.  Every other law ignores it.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
     if model.kind == "tv":
         return _solve_tv(grid, model, h, w1, w2, cfg, dual)
     log = []
-    if dual is not None and not model.is_smooth and model.kind != "custom":
+    if dual is not None and model.kink_scale > 0:
         dual = np.asarray(dual, dtype=float).reshape(grid.n_cells,
                                                      len(grid.grad_ops))
-        u, eta, p, gap = _dual_finish(grid, model, t, h, w1, w2, cfg, dual,
-                                      log, warm=True)
-        if gap <= _gap_target(cfg):
+        warm = _dual_finish(grid, model, t, h, w1, w2, cfg, dual, log,
+                            warm=True)
+        if warm is not None:
+            u, eta, p = warm
             return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
     u = _start(grid, w1, w2, u0)
     u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
@@ -945,9 +927,9 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
             eta = _polish_eta(grid, model, t, h, u, eta, rhs)
         if not clean or _weak_residual(grid, h, u, eta, rhs) > cfg.tol:
             # Newton stages chattered on the jump set; the dual route is exact
-            u, eta, p, _ = _dual_finish(grid, model, t, h, w1, w2, cfg,
-                                        eta * (h * grid.cell_volumes)[:, None],
-                                        log)
+            u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg,
+                                     eta * (h * grid.cell_volumes)[:, None],
+                                     log)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -82,14 +81,19 @@ def _route_rescue():
     return g, model, t, h, w1, sol
 
 
-def _route_loop():
+def _route_fractured_2d():
     g = disc.rectangle_grid(16, 16)
     x, y = g.nodes.T
     w1 = 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
     model = fm.fractured_medium(4.0, thresholds=0.5, dimension=2)
     sol = ss.solve_step(g, model, 0.01, 0.01, w1, w1[g.boundary_nodes])
-    assert sol.iterations[-1]["rescue"] == "loop"
     return g, model, 0.01, 0.01, w1, sol
+
+
+def _route_loop():
+    route = _route_fractured_2d()
+    assert route[-1].iterations[-1]["rescue"] == "loop"
+    return route
 
 
 def _route_tv():
@@ -1485,17 +1489,17 @@ def test_warm_miss_falls_back_to_the_cold_route(monkeypatch):
     prob = _fractured_problem(5)
     traj = fd.run_flow(prob, 5, FRACTURED_CFG)
     dual = _fractured_step(prob, 4, traj.fields[3]).dual
-    cfg = dataclasses.replace(FRACTURED_CFG, pd_max_iter=3)
-    # a loop with no rounds misses, then FISTA out of iterations misses too
+    # a loop with no rounds misses, and the step goes cold with no FISTA
     real = ss._multiplier_finish
     monkeypatch.setattr(ss, "_multiplier_finish",
                         lambda *a, **k: real(*a, **{**k, "max_rounds": 0}))
-    warm = _fractured_step(prob, 5, traj.fields[4], cfg, dual)
-    cold = _fractured_step(prob, 5, traj.fields[4], cfg)
-    loop, fista, *rest = warm.iterations
+    with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
+        warm = _fractured_step(prob, 5, traj.fields[4], dual=dual)
+    spy.assert_not_called()
+    cold = _fractured_step(prob, 5, traj.fields[4])
+    loop, *rest = warm.iterations
     assert (loop["rescue"], loop["rounds"], loop["fallback"]) == ("loop", 0, True)
-    assert (fista["rescue"], fista["iters"], fista["exit"]) == ("warm", 3, "max_iter")
-    assert fista["certificate"] > ss._gap_target(cfg)
+    assert loop["certificate"] > 1e-3 * ss._gap_target(FRACTURED_CFG)
     assert rest == cold.iterations
     assert not any("rescue" in s for s in rest)
     assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.eta, cold.eta)
@@ -1503,9 +1507,7 @@ def test_warm_miss_falls_back_to_the_cold_route(monkeypatch):
 
 
 def test_loop_miss_resumes_fista_from_the_loops_best_dual(monkeypatch):
-    prob = _fractured_problem(5)
-    traj = fd.run_flow(prob, 5, FRACTURED_CFG)
-    dual = _fractured_step(prob, 4, traj.fields[3]).dual
+    # the cold 16 x 16 step whose continuation stalls (``_route_loop``)
     real = ss._multiplier_finish
     starts = []
 
@@ -1516,13 +1518,15 @@ def test_loop_miss_resumes_fista_from_the_loops_best_dual(monkeypatch):
 
     monkeypatch.setattr(ss, "_multiplier_finish", one_round)
     with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
-        sol = _fractured_step(prob, 5, traj.fields[4], dual=dual)
-    loop, fista = sol.iterations
+        *_, sol = _route_fractured_2d()
+    *stages, loop, fista = sol.iterations
+    assert stages[-1]["exit"] == "stall"
     assert (loop["rounds"], loop["fallback"]) == (1, True)
-    assert loop["certificate"] > 1e-4 * ss._gap_target(FRACTURED_CFG)
-    assert fista["rescue"] == "warm" and fista["exit"] in ("converged", "handover")
+    assert loop["certificate"] > 1e-3 * ss._gap_target(ss.StepConfig())
+    assert (fista["rescue"], fista["exit"]) == ("dual", "converged")
     assert np.array_equal(spy.call_args.kwargs["p0"], starts[0])
-    assert sol.fenchel_total <= ss._gap_target(FRACTURED_CFG)
+    assert sol.fenchel_total <= ss._gap_target(ss.StepConfig())
+    assert sol.dual is not None
 
 
 def test_warm_step_already_at_its_target_runs_no_round():
@@ -1539,16 +1543,6 @@ def test_warm_step_already_at_its_target_runs_no_round():
         assert entry["certificate"] <= 1e-4 * ss._gap_target(ss.StepConfig())
         assert np.allclose(sol.u, 0.3, rtol=0.0, atol=1e-15)
         assert sol.dual is not None
-
-
-def test_law_without_a_jump_keeps_the_fista_route():
-    model = fm.fractured_medium(4.0, thresholds=0.0)
-    assert model.kink_scale == 0.0
-    cold = _sine_step(model)
-    sol = _sine_step(model, dual=np.full((12, 1), 0.01))
-    kinds = [s.get("rescue") for s in sol.iterations]
-    assert kinds[0] == "warm" and "loop" not in kinds
-    assert np.max(np.abs(sol.u - cold.u)) <= 1e-6
 
 
 def test_kink_scale_is_the_flux_jump_height():
@@ -1575,29 +1569,39 @@ def _sine_step(model, dual=None):
                          ss.StepConfig(tol=1e-9, lam_min=1e-9), dual=dual)
 
 
-@pytest.mark.parametrize("model", [fm.quadratic(1),
-                                   fm.anisotropic_p_laplacian(4.0),
-                                   fm.log_growth(1.0)], ids=lambda m: m.kind)
+@pytest.mark.parametrize("model", [
+    pytest.param(fm.quadratic(1), id="quadratic"),
+    pytest.param(fm.anisotropic_p_laplacian(4.0), id="plaplacian"),
+    pytest.param(fm.log_growth(1.0), id="loggrowth"),
+    pytest.param(fm.fractured_medium(4.0, thresholds=0.0), id="fractured-no-jump"),
+    pytest.param(fm.anisotropic_p_laplacian(1.5), id="plaplacian-1.5"),
+    pytest.param(fm.custom_model(lambda s: np.cosh(s) - 1.0, beta=np.sinh),
+                 id="custom"),
+])
 def test_smooth_step_ignores_a_carried_dual(model):
+    # only a law with a flux jump (kink_scale > 0) starts warm; every other
+    # step takes its cold route, whatever dual it is handed
+    assert model.kink_scale == 0.0
     with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
         a = _sine_step(model, dual=np.full((12, 1), 0.01))
-    spy.assert_not_called()
     b = _sine_step(model)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.eta, b.eta)
     assert a.iterations == b.iterations
-    assert a.dual is None
+    assert not any(s.get("rescue") == "loop" for s in a.iterations)
+    if model.is_smooth:
+        spy.assert_not_called()
+        assert a.dual is None
 
 
 def test_custom_flow_stays_cold():
     # a Custom law's numeric conjugate can underestimate j*, so its gap is no
-    # sound stopping test for a warm solve; a rescued step still returns its
-    # dual, and the step given it takes the cold route
+    # sound stop for a warm start: its kink_scale is 0, so a step handed a
+    # dual ignores it (test_smooth_step_ignores_a_carried_dual), while a
+    # rescued step still returns its dual
     model = fm.custom_model(lambda s: np.cosh(s) - 1.0, beta=np.sinh)
+    assert model.kink_scale == 0.0
     cold = _sine_step(model)
     assert cold.iterations[-1]["rescue"] == "dual" and cold.dual is not None
-    again = _sine_step(model, dual=cold.dual)
-    assert np.array_equal(again.u, cold.u)
-    assert again.iterations == cold.iterations
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
