@@ -632,10 +632,15 @@ class FluxModel:
     selection_ball = False  # True when the multivalued set is a norm ball
     # Height of the law's flux jump, the width scale of a step's multiplier
     # loop (``step_solver._multiplier_finish``).  A step of a law with a
-    # positive scale starts warm from the previous step's dual point, its
-    # loop stopped by the exact Fenchel gap; 0 keeps every step cold.  A
-    # law whose conjugate can be underestimated (``Custom``'s grid sup)
-    # keeps 0, since its gap is no sound stop for a warm start.
+    # positive scale ends its continuation early for the loop and starts
+    # warm from the previous step's dual point, its loop stopped by the
+    # exact Fenchel gap; 0 keeps every step cold.  A law whose conjugate can
+    # be underestimated (``Custom``'s grid sup) keeps 0, since its gap is no
+    # sound stop.  TV's and the fractured law's conjugates are closed forms;
+    # a p-Laplacian with kappa > 0 takes w s - j(s) at the root s of j'(s)
+    # = w, solved to 1e-14 relative (``_excess_root``), and as s maximizes
+    # w s - j(s), a root error e lowers j* only by j''(s) e^2 / 2, below
+    # the gap's rounding (its cold FISTA finish has always stopped on it).
     kink_scale = 0.0
 
     def __init__(self, dimension, growth, time_lipschitz=0.0,
@@ -902,6 +907,10 @@ class AnisotropicPLaplacian(_SeparableModel):
                          time_dependent=time_dependent, smooth=smooth)
         if validate:
             _check_convexity(self)
+        if all(k is not None for k in self._kappa_const):
+            # subgrad0 is [delta - kappa, delta + kappa]: a jump of 2 kappa;
+            # a callable kappa's height is not known up front, so it keeps 0
+            self.kink_scale = 2.0 * max(self._kappa_const)
 
     def _laws(self, t, xs):
         laws = []

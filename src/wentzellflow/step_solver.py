@@ -17,9 +17,11 @@ takes follows its flux law; each is described where it is implemented:
 - another law: a continuation in the envelope parameter lam
   (``_continuation``) and the recovery of the multivalued flux section
   (``_polish_eta``); a stalled continuation or a flux that misses ``tol``
-  goes to the dual route (``_dual_finish``): the multiplier loop
-  (``_multiplier_finish``) for a law with a flux jump, else, and after a
-  loop that misses, the accelerated dual solver (``_dual_solve``);
+  goes to the dual route (``_dual_finish``), the accelerated dual solver
+  (``_dual_solve``);
+- a law with a flux jump: the same stages as a warm-up, ended at the first
+  that backtracks or stalls, then the dual route's multiplier loop
+  (``_multiplier_finish``), with FISTA after a loop that misses;
 - a step of a law with a flux jump handed the previous step's dual point
   (``StepSolution.dual``, which ``run_flow`` carries) runs the multiplier
   loop from it at once, and the cold route after a loop that misses
@@ -86,9 +88,11 @@ class StepConfig:
     the multiplier loop and after a fallback together, and those of
     another nonsmooth step's FISTA finish.  Both limits must be positive.
     ``lam0``, ``lam_decay`` and ``lam_min`` set a nonsmooth law's envelope
-    continuation; its achievable weak-form residual scales with ``lam_min``
-    (the returned field is the minimizer of the lam_min envelope problem),
-    so tightening ``tol`` requires tightening ``lam_min`` along with it.
+    continuation.  A step that ends on it returns the minimizer of the
+    lam_min envelope problem, whose achievable weak-form residual scales
+    with ``lam_min``, so tightening ``tol`` requires tightening ``lam_min``
+    along with it; a step finished on the dual route (as most steps of a
+    law with a flux jump are) returns a dual-feasible field instead.
     """
 
     tol: float = 1e-8
@@ -784,8 +788,10 @@ def _fenchel_gap_of(grid, model, t, h):
 def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     """Finish a nonsmooth step on the dual route from the dual point p0 (an
     (n_cells, N) array p = h vol eta): the previous step's dual when
-    ``warm``, else the stalled continuation's flux.  Appends the route's
-    log entries and returns (u, eta, p), or None when a warm start misses.
+    ``warm``, else the flux of the stage that handed over (the lam_min
+    envelope's flux at its field; see ``_continuation``).  Appends the
+    route's log entries and returns (u, eta, p), or None when a warm start
+    misses.
 
     A law with a flux jump (``kink_scale`` > 0) runs the multiplier loop
     ``_multiplier_finish`` from p0 and its primal u0 = M^{-1}(rhs - K^T p0)
@@ -855,10 +861,16 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     grids with kd >= 4 * _CG_CAP; continuation stages change lam severalfold
     from one stage to the next, which ruins a lagged factor, and smaller
     bands factor faster than CG iterates, so they keep the direct solve.
-    ``clean`` turns False when a stage stalls far above its target (active
-    sets chattering on the jump set); the caller then hands the field to
-    the dual solve instead of grinding through the remaining stages.  On
-    the bound there is no such exit and every stage runs.
+    ``clean`` turns False, and the stages end, when a stage stalls far above
+    its target (active sets chattering on the jump set); the caller then
+    hands the field to the dual route instead of grinding through the
+    remaining stages.  For a law with a flux jump (``kink_scale`` > 0) the
+    stages are only a warm-up for the multiplier loop, and they end at the
+    first stage that rejects a full Newton step (``backtracks``) or stalls:
+    its Newton model has left the envelope's narrow kink window (see
+    ``_armijo``), which the smaller lam of the later stages only narrows,
+    while the loop's rounds work at a fixed, wider lam.  On the bound there
+    is no such exit and every stage runs.
     """
     if grid.gram_plan.kd < 4 * _CG_CAP:
         lagged = None
@@ -867,6 +879,7 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
         *lams, last = cfg.lam_schedule()
         stages = ([(lam, True, _inter_tol(cfg)) for lam in lams]
                   + [(last, False, cfg.tol)])
+    warm_up = model.kink_scale > 0
     clean = True
     for lam, viscosity, stage_tol in stages:
         prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
@@ -874,7 +887,10 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
                                     lagged if lam is None else None, nonneg)
         log.append({"lam": lam or 0.0, **stage,
                     "objective": step_objective(grid, model, t, h, w1, w2, u)})
-        if not nonneg and stage["residual"] > max(1e-4, 1e3 * stage_tol):
+        if not nonneg and (
+                stage["residual"] > max(1e-4, 1e3 * stage_tol)
+                or warm_up and ("backtracks" in stage
+                                or stage["exit"] == "stall")):
             clean = False
             break
     gu = disc.gradient(grid, u)
@@ -903,6 +919,11 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     > 0) skips the continuation and the polish and runs the multiplier loop
     from it (``_dual_finish``, warm); if the loop misses, the step takes the
     cold route from ``u0`` after it.  Every other law ignores it.
+
+    On the cold route a nonsmooth step whose continuation ran clean is
+    polished (``_polish_eta``).  It goes to ``_dual_finish`` from the flux
+    of the stage that handed over (``_continuation``), or from the polished
+    flux if that misses ``tol``.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)

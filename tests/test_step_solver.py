@@ -485,22 +485,33 @@ def test_line_search_lands_on_a_quadratic_restriction_in_two_trials():
 
 
 def _kink_crossing_search():
-    """The first line search of the lam = 1e-6 stage of a cold 1D fractured
-    step, as (stage problem, u, d, slope)."""
+    """The first line search of the lam = 1e-6 stage of a 1D fractured step
+    whose continuation runs every stage of the default schedule, as (stage
+    problem, u, d, slope).  The stages are run here one by one, since
+    ``solve_step`` hands such a step to the multiplier loop at its first
+    backtracking stage."""
     g = disc.interval_grid(16)
     w1 = 0.3 * np.cos(2 * np.pi * g.nodes[:, 0])
+    w2 = w1[g.boundary_nodes]
     model = fm.fractured_medium(4, thresholds=0.5)
+    cfg = ss.StepConfig()
+    *lams, lam_min = cfg.lam_schedule()
+    u = ss._start(g, w1, w2)
+    for lam in lams:
+        prob = ss._StageProblem(g, model, 0.0, 0.05, w1, w2, lam, True)
+        u, _ = ss._minimize_newton(prob, u, ss._inter_tol(cfg), cfg.max_iter)
+    prob = ss._StageProblem(g, model, 0.0, 0.05, w1, w2, lam_min, False)
     searches = []
     real = ss._armijo
 
     def spy(prob, u, d, slope, nonneg=False):
-        if prob.lam == 1e-6 and not searches:
+        if not searches:
             searches.append((prob, u.copy(), d.copy(), slope))
         return real(prob, u, d, slope, nonneg)
 
     with mock.patch.object(ss, "_armijo", spy):
-        ss.solve_step(g, model, 0.0, 0.05, w1, w1[g.boundary_nodes],
-                      ss.StepConfig())
+        ss._minimize_newton(prob, u, cfg.tol, cfg.max_iter)
+    assert lam_min == 1e-6
     return searches[0]
 
 
@@ -1486,17 +1497,20 @@ def test_step_after_a_rescue_starts_warm():
 
 
 def test_warm_miss_falls_back_to_the_cold_route(monkeypatch):
-    prob = _fractured_problem(5)
-    traj = fd.run_flow(prob, 5, FRACTURED_CFG)
-    dual = _fractured_step(prob, 4, traj.fields[3]).dual
+    # step 19 of the profile is the first after step 1 whose cold
+    # continuation runs every stage cleanly, so the 0-round patch below
+    # hits its warm loop only
+    prob = _fractured_problem(19)
+    traj = fd.run_flow(prob, 19, FRACTURED_CFG)
+    dual = _fractured_step(prob, 18, traj.fields[17]).dual
     # a loop with no rounds misses, and the step goes cold with no FISTA
     real = ss._multiplier_finish
     monkeypatch.setattr(ss, "_multiplier_finish",
                         lambda *a, **k: real(*a, **{**k, "max_rounds": 0}))
     with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
-        warm = _fractured_step(prob, 5, traj.fields[4], dual=dual)
+        warm = _fractured_step(prob, 19, traj.fields[18], dual=dual)
     spy.assert_not_called()
-    cold = _fractured_step(prob, 5, traj.fields[4])
+    cold = _fractured_step(prob, 19, traj.fields[18])
     loop, *rest = warm.iterations
     assert (loop["rescue"], loop["rounds"], loop["fallback"]) == ("loop", 0, True)
     assert loop["certificate"] > 1e-3 * ss._gap_target(FRACTURED_CFG)
@@ -1520,13 +1534,70 @@ def test_loop_miss_resumes_fista_from_the_loops_best_dual(monkeypatch):
     with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
         *_, sol = _route_fractured_2d()
     *stages, loop, fista = sol.iterations
-    assert stages[-1]["exit"] == "stall"
+    # the continuation handed over because its last stage stalled or
+    # backtracked
+    assert stages[-1]["exit"] == "stall" or "backtracks" in stages[-1]
     assert (loop["rounds"], loop["fallback"]) == (1, True)
     assert loop["certificate"] > 1e-3 * ss._gap_target(ss.StepConfig())
     assert (fista["rescue"], fista["exit"]) == ("dual", "converged")
     assert np.array_equal(spy.call_args.kwargs["p0"], starts[0])
     assert sol.fenchel_total <= ss._gap_target(ss.StepConfig())
     assert sol.dual is not None
+
+
+def _cosine_step(model, solve=ss.solve_step, shift=0.0):
+    """A cold 1D step from 0.3 cos 2 pi x + shift (the kink crossing data)."""
+    g = disc.interval_grid(16)
+    w1 = 0.3 * np.cos(2 * np.pi * g.nodes[:, 0]) + shift
+    return solve(g, model, 0.0, 0.05, w1, w1[g.boundary_nodes])
+
+
+def _hands_over(stage):
+    return "backtracks" in stage or stage["exit"] == "stall"
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(fm.fractured_medium(4, thresholds=0.5), id="fractured"),
+    pytest.param(fm.anisotropic_p_laplacian(1.5, kappa=0.2), id="kappa"),
+])
+def test_jump_law_continuation_hands_over_at_its_first_backtracking_stage(model):
+    with mock.patch.object(ss, "_polish_eta", wraps=ss._polish_eta) as polish:
+        sol = _cosine_step(model)
+    polish.assert_not_called()
+    *stages, loop = sol.iterations
+    assert [s["lam"] for s in stages] == ss.StepConfig().lam_schedule()[:len(stages)]
+    assert [_hands_over(s) for s in stages] == [False] * (len(stages) - 1) + [True]
+    assert loop["rescue"] == "loop" and "fallback" not in loop
+    assert sol.dual is not None
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(fm.anisotropic_p_laplacian(1.5), id="plaplacian-1.5"),
+    pytest.param(fm.fractured_medium(4.0, thresholds=0.0), id="fractured-no-jump"),
+])
+def test_jumpless_continuation_runs_every_stage(model, monkeypatch):
+    # every stage is made to log a backtrack: a law without a flux jump
+    # still runs the whole schedule and polishes
+    real = ss._minimize_newton
+
+    def backtracking(*a, **k):
+        u, stage = real(*a, **k)
+        return u, {**stage, "backtracks": stage.get("backtracks", 0) + 1}
+
+    monkeypatch.setattr(ss, "_minimize_newton", backtracking)
+    with mock.patch.object(ss, "_polish_eta", wraps=ss._polish_eta) as polish:
+        sol = _cosine_step(model)
+    polish.assert_called_once()
+    assert [s["lam"] for s in sol.iterations] == ss.StepConfig().lam_schedule()
+    assert all(_hands_over(s) for s in sol.iterations)
+    assert sol.dual is None
+
+
+def test_fractured_obstacle_step_runs_every_stage():
+    sol = _cosine_step(fm.fractured_medium(4, thresholds=0.5),
+                       ss.solve_step_obstacle, shift=-0.1)
+    assert [s["lam"] for s in sol.iterations] == ss.StepConfig().lam_schedule()
+    assert any(_hands_over(s) for s in sol.iterations)
 
 
 def test_warm_step_already_at_its_target_runs_no_round():
@@ -1552,7 +1623,16 @@ def test_kink_scale_is_the_flux_jump_height():
     assert model.kink_scale == 0.25
     laws = model._laws(0.0, np.zeros((1, 2)))
     assert max(float(law.hi_e - law.lo_e) for law in laws) == model.kink_scale
+    # a constant kappa > 0 puts a jump [delta - kappa, delta + kappa] at 0
+    model = fm.anisotropic_p_laplacian(1.5, kappa=[0.2, 0.1], delta=0.05,
+                                       dimension=2)
+    assert model.kink_scale == 0.4
+    laws = model._laws(0.0, np.zeros((1, 2)))
+    assert max(np.subtract(*law.subgrad0()[::-1]) for law in laws) == 0.4
     for smooth_or_custom in (fm.quadratic(1), fm.anisotropic_p_laplacian(1.5),
+                             fm.anisotropic_p_laplacian(4.0, kappa=0.0),
+                             fm.anisotropic_p_laplacian(
+                                 1.5, kappa=lambda t, xs: np.full(len(xs), 0.2)),
                              fm.log_growth(1.0),
                              fm.custom_model(lambda s: np.cosh(s) - 1.0)):
         assert smooth_or_custom.kink_scale == 0.0
@@ -1611,11 +1691,29 @@ def test_custom_flow_stays_cold():
        steps=st.integers(3, 8))
 def test_warm_fractured_flow_agrees_with_cold_steps(n, seed, p, threshold, amp,
                                                     log_h, steps):
+    _check_warm_flow_agrees_with_cold_steps(
+        fm.fractured_medium(p, thresholds=threshold), n, seed, amp, log_h, steps)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 20), seed=st.integers(0, 2**16),
+       p=st.sampled_from([1.5, 2.0]), kappa=st.floats(0.1, 0.5),
+       amp=st.floats(0.2, 1.0), log_h=st.floats(-3.0, -1.5),
+       steps=st.integers(3, 8))
+def test_warm_kappa_flow_agrees_with_cold_steps(n, seed, p, kappa, amp, log_h,
+                                                steps):
+    # a p-Laplacian with kappa > 0 has a flux jump of 2 kappa at 0
+    _check_warm_flow_agrees_with_cold_steps(
+        fm.anisotropic_p_laplacian(p, kappa=kappa), n, seed, amp, log_h, steps)
+
+
+def _check_warm_flow_agrees_with_cold_steps(model, n, seed, amp, log_h, steps):
+    """Each step of a flow, warm where it was handed a dual, lies as close
+    to the same step taken cold as their residuals and certificates allow."""
     g = disc.interval_grid(n)
     x = g.nodes[:, 0]
     noise = np.random.default_rng(seed).standard_normal(g.n_nodes)
     y0 = amp * (np.cos(2 * np.pi * x) + 0.1 * noise)
-    model = fm.fractured_medium(p, thresholds=threshold)
     cfg = ss.StepConfig(tol=1e-9, lam_min=1e-9)
     h = 10.0 ** log_h
     traj = fd.run_flow(fd.ProblemData(g, y0, T=steps * h, model=model), steps,
