@@ -629,7 +629,6 @@ class FluxModel:
     """Base class: shape handling and shared derived quantities."""
 
     kind = "abstract"
-    selection_ball = False  # True when the multivalued set is a norm ball
     # Height of the law's flux jump, the width scale of a step's multiplier
     # loop (``step_solver._multiplier_finish``).  A step of a law with a
     # positive scale ends its continuation early for the loop and starts
@@ -737,29 +736,6 @@ class _SeparableModel(FluxModel):
                 curv[:, a] = c
         return jl, eta, ("diag", curv) if curvature else None
 
-    def selection_bounds(self, t, xs, rs, tol):
-        """Per-axis admissible flux interval, widened at kinks within tol."""
-        xs, rs = self._batch(xs, rs)
-        laws = self._laws(t, xs)
-        los, his = [], []
-        for a, law in enumerate(laws):
-            s = rs[:, a]
-            d = law.deriv(s)
-            lo = d.copy()
-            hi = d.copy()
-            if isinstance(law, _PowerAxis) and not law.pure:
-                lo0, hi0 = law.subgrad0()
-                near = np.abs(s) <= tol
-                lo = np.where(near, lo0, lo)
-                hi = np.where(near, hi0, hi)
-            elif isinstance(law, _FracturedAxis):
-                near = (law.th > 0) & (np.abs(s - law.th) <= tol * (1.0 + law.th))
-                lo = np.where(near, law.lo_e, lo)
-                hi = np.where(near, law.hi_e, hi)
-            los.append(lo)
-            his.append(hi)
-        return np.column_stack(los), np.column_stack(his)
-
     def potential(self, t, xs, rs):
         xs, rs = self._batch(xs, rs)
         laws = self._laws(t, xs)
@@ -787,8 +763,6 @@ class _SeparableModel(FluxModel):
 class _RadialModel(FluxModel):
     """Potential phi(|r|) with convex increasing profile phi, phi(0) = 0."""
 
-    selection_ball = True
-
     def _law(self, t, xs):
         raise NotImplementedError
 
@@ -813,17 +787,6 @@ class _RadialModel(FluxModel):
         cpar = np.where(s > 0, cpar_s, inside)
         cperp = np.where(m > 0, ymag / np.maximum(m, 1e-300), cpar)
         return jl, eta, ("radial", cpar, cperp, unit)
-
-    def selection_bounds(self, t, xs, rs, tol):
-        xs, rs = self._batch(xs, rs)
-        law = self._law(t, xs)
-        m = self._mag(rs)
-        mag = np.where(m > 0, law.dphi(np.maximum(m, 1e-300)), 0.0)
-        d = self._unit(rs, m) * mag[:, None]
-        near = (m <= tol) & (law.dphi0 > 0)
-        lo = np.where(near[:, None], -law.dphi0, d)
-        hi = np.where(near[:, None], law.dphi0, d)
-        return lo, hi
 
     @staticmethod
     def _mag(rs):

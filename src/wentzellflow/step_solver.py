@@ -15,9 +15,9 @@ takes follows its flux law; each is described where it is implemented:
 - a smooth law: one Newton stage (``_continuation``), on wide bands with a
   factor held over the flow (``_LaggedFactor``);
 - another law: a continuation in the envelope parameter lam
-  (``_continuation``) and the recovery of the multivalued flux section
-  (``_polish_eta``); a stalled continuation or a flux that misses ``tol``
-  goes to the dual route (``_dual_finish``), the accelerated dual solver
+  (``_continuation``), which returns the lam_min envelope's flux; a
+  stalled continuation or a last stage that misses ``tol`` goes to the
+  dual route (``_dual_finish``), the accelerated dual solver
   (``_dual_solve``);
 - a law with a flux jump: the same stages as a warm-up, ended at the first
   that backtracks or stalls, then the dual route's multiplier loop
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.optimize import lsq_linear
+from scipy.optimize import lsq_linear  # noqa: F401  traced by perfbench/spans.py
 from scipy.sparse.linalg import spsolve  # noqa: F401  traced by perfbench/spans.py
 
 from . import discretization as disc
@@ -89,10 +89,12 @@ class StepConfig:
     another nonsmooth step's FISTA finish.  Both limits must be positive.
     ``lam0``, ``lam_decay`` and ``lam_min`` set a nonsmooth law's envelope
     continuation.  A step that ends on it returns the minimizer of the
-    lam_min envelope problem, whose achievable weak-form residual scales
-    with ``lam_min``, so tightening ``tol`` requires tightening ``lam_min``
-    along with it; a step finished on the dual route (as most steps of a
-    law with a flux jump are) returns a dual-feasible field instead.
+    lam_min envelope problem with that envelope's flux, a subgradient at
+    grad u - lam_min eta, whose Fenchel certificate scales with
+    ``lam_min``, so tightening ``certificate_tol`` requires tightening
+    ``lam_min`` along with it; a step finished on the dual route (as most
+    steps of a law with a flux jump are) returns a dual-feasible field
+    instead.
     """
 
     tol: float = 1e-8
@@ -128,8 +130,8 @@ class StepSolution:
     """Result of one implicit step.
 
     ``residual`` is the max-norm of the mass-scaled weak-form residual of
-    the unregularized system evaluated with the returned flux section (for
-    the obstacle variant it is the complementarity measure instead);
+    the returned pair (u, eta) (for the obstacle variant it is the
+    complementarity measure instead);
     ``fenchel_total`` is sum_cells vol * (j(grad u) + j*(eta) - eta.grad u),
     the optimizer certificate that eta is (close to) a section of the
     subdifferential at grad u.  ``dual`` is the dual point p = h vol eta,
@@ -569,66 +571,6 @@ def _armijo(prob, u, d, slope, nonneg=False):
     return un, rejected, True
 
 
-# ---------------------------------------------------------------------------
-# flux-section recovery
-
-
-def _polish_eta(grid, model, t, h, u, eta, rhs, row_mask=None, mv_tol=1e-5):
-    """Resolve multivalued flux entries from the weak form itself.
-
-    Entries whose admissible interval is wider than the detection tolerance
-    are treated as unknowns of a box-constrained least-squares problem on
-    the weak-form residual (restricted to ``row_mask`` nodes when given);
-    single-valued entries keep their pointwise value.  This removes the
-    double-precision floor that pointwise recovery hits once the envelope
-    window shrinks below machine resolution.
-    """
-    gu = disc.gradient(grid, u)
-    lo, hi = model.selection_bounds(t, grid.cell_centers, gu, mv_tol)
-    width = hi - lo
-    free = width > 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-    if not np.any(free):
-        return eta
-    eta = np.clip(eta, lo, hi)
-    m = grid.mass
-    rows = np.ones(grid.n_nodes, dtype=bool) if row_mask is None else row_mask
-    fixed = eta.copy()
-    fixed[free] = 0.0
-    base = _weak_form(grid, h, u, fixed, rhs)
-    a_cols, lo_f, hi_f = [], [], []
-    for a, g in enumerate(grid.grad_ops):
-        sel = free[:, a]
-        if np.any(sel):
-            # column for eta_{c,a}: h * vol_c * (row c of G_a) transposed
-            block = sps.diags(h * grid.cell_volumes[sel]) @ g[sel]
-            a_cols.append(block.T.toarray())
-            lo_f.append(lo[:, a][sel])
-            hi_f.append(hi[:, a][sel])
-    a_mat = np.hstack(a_cols)[rows]
-    lo_f = np.concatenate(lo_f)
-    hi_f = np.concatenate(hi_f)
-    scale = 1.0 / m[rows]
-    res = lsq_linear(a_mat * scale[:, None], -base[rows] * scale,
-                     bounds=(lo_f, hi_f), tol=1e-14)
-    vals = res.x
-    k = 0
-    for a in range(len(grid.grad_ops)):
-        sel = free[:, a]
-        nsel = int(sel.sum())
-        if nsel:
-            eta[sel, a] = vals[k:k + nsel]
-            k += nsel
-    if model.selection_ball:
-        # the box relaxation may poke outside the admissible norm ball
-        free_rows = free.any(axis=1)
-        cap = hi[:, 0]
-        mag = np.sqrt((eta * eta).sum(axis=1))
-        over = free_rows & (mag > cap)
-        if np.any(over):
-            eta[over] *= (cap[over] / mag[over])[:, None]
-    return eta
-
-
 def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
             complementarity=None, dual=None):
     gu = disc.gradient(grid, u)
@@ -855,7 +797,7 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     stage, lam None, for a smooth law, else the lam schedule, with viscosity
     and a warm-start tolerance on every stage but the last.  Returns
     (u, eta, clean), eta the selection at u for a smooth law, else the
-    regularized flux of the lam_min envelope.
+    flux of the lam_min envelope at u, the flux a clean step returns.
 
     The smooth law's one stage reuses the ``_LaggedFactor`` ``lagged`` on
     grids with kd >= 4 * _CG_CAP; continuation stages change lam severalfold
@@ -916,14 +858,15 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     is the dual point a step may start from (``run_flow`` passes the
     previous step's ``StepSolution.dual``).  A total-variation step starts
     ``_solve_tv`` from it.  A step of a law with a flux jump (``kink_scale``
-    > 0) skips the continuation and the polish and runs the multiplier loop
-    from it (``_dual_finish``, warm); if the loop misses, the step takes the
-    cold route from ``u0`` after it.  Every other law ignores it.
+    > 0) skips the continuation and runs the multiplier loop from it
+    (``_dual_finish``, warm); if the loop misses, the step takes the cold
+    route from ``u0`` after it.  Every other law ignores it.
 
-    On the cold route a nonsmooth step whose continuation ran clean is
-    polished (``_polish_eta``).  It goes to ``_dual_finish`` from the flux
-    of the stage that handed over (``_continuation``), or from the polished
-    flux if that misses ``tol``.
+    On the cold route a nonsmooth step returns the lam_min envelope's flux
+    when its continuation ran clean and its last stage met ``tol``: that
+    stage's Newton residual is the weak-form residual of this flux.  Else
+    it goes to ``_dual_finish`` from the flux of the stage it ended on
+    (``_continuation``).
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
@@ -942,15 +885,10 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
                                   _LaggedFactor() if lagged is None else lagged)
     p = None
-    if not model.is_smooth:
-        rhs = _rhs(grid, w1, w2)
-        if clean:
-            eta = _polish_eta(grid, model, t, h, u, eta, rhs)
-        if not clean or _weak_residual(grid, h, u, eta, rhs) > cfg.tol:
-            # Newton stages chattered on the jump set; the dual route is exact
-            u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg,
-                                     eta * (h * grid.cell_volumes)[:, None],
-                                     log)
+    if not model.is_smooth and (not clean or log[-1]["residual"] > cfg.tol):
+        # Newton stages chattered on the jump set; the dual route is exact
+        u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg,
+                                 eta * (h * grid.cell_volumes)[:, None], log)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
 
 
@@ -962,7 +900,8 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
     unconstrained residual: at every node either u = 0 (and r >= 0) or r
     vanishes.  The stages are those of ``solve_step``, each by
     ``_minimize_newton`` on the bound; with no stall exit and no rescue,
-    every stage runs, and the last one's measure decides.
+    every stage runs, the last one's measure decides, and a nonsmooth law
+    returns that stage's envelope flux.
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
@@ -970,9 +909,6 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
     log = []
     u, eta, _ = _continuation(grid, model, t, h, w1, w2, u, cfg, log, None,
                               nonneg=True)
-    if not model.is_smooth:
-        eta = _polish_eta(grid, model, t, h, u, eta, _rhs(grid, w1, w2),
-                          row_mask=u > 1e-12)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
                    complementarity=log[-1]["residual"])
 

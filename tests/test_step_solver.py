@@ -694,7 +694,7 @@ def test_tv_obstacle_step_matches_oracle():
 
 
 def test_tv_obstacle_step_2d_mixed_sign_keeps_eta_in_the_ball():
-    # the polished section must stay inside the admissible ball
+    # the envelope flux the step returns must stay inside the admissible ball
     g = disc.rectangle_grid(4, 4)
     rng = np.random.default_rng(20)
     w1 = 0.4 * rng.standard_normal(g.n_nodes)
@@ -1561,9 +1561,7 @@ def _hands_over(stage):
     pytest.param(fm.anisotropic_p_laplacian(1.5, kappa=0.2), id="kappa"),
 ])
 def test_jump_law_continuation_hands_over_at_its_first_backtracking_stage(model):
-    with mock.patch.object(ss, "_polish_eta", wraps=ss._polish_eta) as polish:
-        sol = _cosine_step(model)
-    polish.assert_not_called()
+    sol = _cosine_step(model)
     *stages, loop = sol.iterations
     assert [s["lam"] for s in stages] == ss.StepConfig().lam_schedule()[:len(stages)]
     assert [_hands_over(s) for s in stages] == [False] * (len(stages) - 1) + [True]
@@ -1577,7 +1575,7 @@ def test_jump_law_continuation_hands_over_at_its_first_backtracking_stage(model)
 ])
 def test_jumpless_continuation_runs_every_stage(model, monkeypatch):
     # every stage is made to log a backtrack: a law without a flux jump
-    # still runs the whole schedule and polishes
+    # still runs the whole schedule and returns the lam_min envelope's flux
     real = ss._minimize_newton
 
     def backtracking(*a, **k):
@@ -1585,12 +1583,28 @@ def test_jumpless_continuation_runs_every_stage(model, monkeypatch):
         return u, {**stage, "backtracks": stage.get("backtracks", 0) + 1}
 
     monkeypatch.setattr(ss, "_minimize_newton", backtracking)
-    with mock.patch.object(ss, "_polish_eta", wraps=ss._polish_eta) as polish:
-        sol = _cosine_step(model)
-    polish.assert_called_once()
-    assert [s["lam"] for s in sol.iterations] == ss.StepConfig().lam_schedule()
+    sol = _cosine_step(model)
+    g, cfg = disc.interval_grid(16), ss.StepConfig()
+    assert [s["lam"] for s in sol.iterations] == cfg.lam_schedule()
     assert all(_hands_over(s) for s in sol.iterations)
+    assert not any("rescue" in s for s in sol.iterations)
+    assert np.array_equal(sol.eta, model.yosida(0.0, g.cell_centers, cfg.lam_min,
+                                                disc.gradient(g, sol.u)))
     assert sol.dual is None
+
+
+def test_callable_kappa_step_ends_on_its_continuation():
+    # kink_scale 0 keeps every stage; the step returns the lam_min envelope's
+    # flux, whose weak-form residual is the last stage's, with no dual route
+    model = fm.anisotropic_p_laplacian(1.5, kappa=lambda t, x: 0.2 + 0.1 * x[:, 0])
+    g, cfg = disc.interval_grid(16), ss.StepConfig()
+    w1 = 0.5 * np.random.default_rng(0).standard_normal(17)
+    sol = ss.solve_step(g, model, 0.0, 0.1, w1, w1[g.boundary_nodes], cfg)
+    assert [s["lam"] for s in sol.iterations] == cfg.lam_schedule()
+    assert not any("rescue" in s for s in sol.iterations)
+    assert sol.dual is None
+    assert sol.residual <= cfg.tol
+    assert sol.fenchel_total <= cfg.certificate_tol
 
 
 def test_fractured_obstacle_step_runs_every_stage():
