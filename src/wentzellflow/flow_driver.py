@@ -545,7 +545,7 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200):
         steps = stale = 0
         while res > stage_tol and steps < max_iter and stale < _STEADY_PATIENCE:
             prob = _StageProblem(grid, model, 0.0, h, u + h * f_field,
-                                 u[grid.boundary_nodes] + h * g_vals, lam, False)
+                                 u[grid.boundary_nodes] + h * g_vals, lam)
             u, _ = _minimize_newton(prob, u, 0.1 * h * stage_tol, max_iter)
             steps += 1
             res = residual(u, lam)

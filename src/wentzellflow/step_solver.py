@@ -186,41 +186,36 @@ def _check_data(grid, h, w1, w2):
 
 def step_objective(grid, model, t, h, w1, w2, u):
     """Value of the implicit-step functional phi(u)."""
-    u = grid.check_field(u)
     w1, w2 = _check_data(grid, h, w1, w2)
-    gu = disc.gradient(grid, u)
-    jvals = model.potential(t, grid.cell_centers, gu)
-    return (_quad_part(grid.mass, _rhs(grid, w1, w2), u)
-            + h * float(grid.cell_volumes @ jvals))
+    return _StageProblem(grid, model, t, h, w1, w2, None).value(
+        grid.check_field(u))
 
 
 def step_objective_grad(grid, model, t, h, w1, w2, u):
     """Selection-based gradient of phi (the true gradient on smooth laws)."""
-    u = grid.check_field(u)
-    gu = (grid.grad_stack @ u).reshape(grid.n_cells, -1)
-    eta = model.select(t, grid.cell_centers, gu)
-    return _weak_form(grid, h, u, eta, _rhs(grid, w1, w2))
+    w1, w2 = _check_data(grid, h, w1, w2)
+    return _StageProblem(grid, model, t, h, w1, w2, None).grad(
+        grid.check_field(u))
 
 
-def regularized_objective(grid, model, t, h, lam, w1, w2, u, viscosity=True):
-    """phi with j replaced by its lam-envelope plus lam |grad u|^2 viscosity."""
+def regularized_objective(grid, model, t, h, lam, w1, w2, u):
+    """phi with j replaced by its lam-envelope."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     u = grid.check_field(u)
-    return _StageProblem(grid, model, t, h, w1, w2, lam, viscosity).value(u)
+    return _StageProblem(grid, model, t, h, w1, w2, lam).value(u)
 
 
-def regularized_objective_grad(grid, model, t, h, lam, w1, w2, u, viscosity=True):
+def regularized_objective_grad(grid, model, t, h, lam, w1, w2, u):
     u = grid.check_field(u)
-    return _StageProblem(grid, model, t, h, w1, w2, lam, viscosity).grad(u)
+    return _StageProblem(grid, model, t, h, w1, w2, lam).grad(u)
 
 
-def _curv_blocks(grid, curv, h, lam=None, viscosity=False):
-    """Per-cell (N, N) blocks d_c = h vol_c C_c, plus 2 lam vol_c I with
-    viscosity, of the generalized Hessian M + sum_c K_c^T d_c K_c; C_c is
-    the cell's clipped diagonal or radial curvature.  ``gram_plan.assemble``
-    turns them into the band, ``_hess_product`` into the matrix-free
-    product."""
+def _curv_blocks(grid, curv, h):
+    """Per-cell (N, N) blocks d_c = h vol_c C_c of the generalized Hessian
+    M + sum_c K_c^T d_c K_c; C_c is the cell's clipped diagonal or radial
+    curvature.  ``gram_plan.assemble`` turns them into the band,
+    ``_hess_product`` into the matrix-free product."""
     vol = grid.cell_volumes
     n_ax = len(grid.grad_ops)
     ax = np.arange(n_ax)
@@ -234,8 +229,6 @@ def _curv_blocks(grid, curv, h, lam=None, viscosity=False):
         d = (cpar - cperp)[:, None, None] * rhat[:, :, None] * rhat[:, None, :]
         d[:, ax, ax] += cperp[:, None]
     d *= (h * vol)[:, None, None]
-    if viscosity and lam is not None:
-        d[:, ax, ax] += (2.0 * lam * vol)[:, None]
     return d
 
 
@@ -255,25 +248,27 @@ def _hess_product(grid, blocks):
 
 
 class _StageProblem:
-    """Objective/gradient/Hessian of one continuation stage (or the smooth
-    problem for lam=None), sharing the envelope evaluation at a given u.
+    """Objective/gradient/Hessian of one continuation stage, phi with j
+    replaced by its lam-envelope (phi itself for lam=None), sharing the
+    envelope evaluation at a given u.  The lumped mass M makes every stage
+    strongly convex.
 
-    This is the one evaluator of the step functional and its regularized
-    forms.  A value alone (a line-search trial) costs grad u and the
-    envelope value (the potential on the smooth problem), the same float
-    the full evaluation gives; the flux, weak form and curvature follow
-    when the gradient or Hessian is asked for.  The last two points are
-    kept, so a rejected full Newton step and its line search's start are
-    not evaluated twice.  A multiplier ``shift`` (an (n_cells, N) array)
-    moves the envelope's argument to grad u + shift, the inner problem of
-    a multiplier round.
+    This is the one evaluator of the step functional (``step_objective``)
+    and its envelope forms (``regularized_objective``).  A value alone (a
+    line-search trial) costs grad u and the envelope value (the potential
+    on the smooth problem), the same float the full evaluation gives; the
+    flux, weak form and curvature follow when the gradient or Hessian is
+    asked for.  The last two points are kept, so a rejected full Newton
+    step and its line search's start are not evaluated twice.  A
+    multiplier ``shift`` (an (n_cells, N) array) moves the envelope's
+    argument to grad u + shift, the inner problem of a multiplier round.
     """
 
-    def __init__(self, grid, model, t, h, w1, w2, lam, viscosity, shift=None):
+    def __init__(self, grid, model, t, h, w1, w2, lam, shift=None):
         self.grid = grid
         self.model = model
         self.t, self.h = t, h
-        self.lam, self.viscosity = lam, viscosity
+        self.lam = lam
         self.shift = shift
         self.mass = grid.mass
         self.rhs = _rhs(grid, w1, w2)
@@ -299,10 +294,7 @@ class _StageProblem:
             else:
                 state["jv"], eta, state["curv"] = model.envelope_pack(
                     self.t, grid.cell_centers, self.lam, state["arg"])
-            g = _weak_form(grid, self.h, u, eta, self.rhs)
-            if self.viscosity and self.lam is not None:
-                g = g + 2.0 * self.lam * disc.grad_adjoint(grid, gu)
-            state["g"] = g
+            state["g"] = _weak_form(grid, self.h, u, eta, self.rhs)
         return state
 
     def value(self, u):
@@ -315,11 +307,8 @@ class _StageProblem:
                       if self.lam is None else
                       self.model.moreau(self.t, grid.cell_centers, self.lam,
                                         state["arg"]))
-            val = (_quad_part(self.mass, self.rhs, u)
-                   + self.h * float(grid.cell_volumes @ jv))
-            if self.viscosity and self.lam is not None:
-                val += self.lam * float(grid.cell_volumes @ (gu * gu).sum(axis=1))
-            state["val"] = val
+            state["val"] = (_quad_part(self.mass, self.rhs, u)
+                            + self.h * float(grid.cell_volumes @ jv))
         return state["val"]
 
     def grad(self, u):
@@ -332,7 +321,7 @@ class _StageProblem:
         if curv is None:
             curv = self.model.curvature(self.t, self.grid.cell_centers,
                                         state["gu"])
-        return _curv_blocks(self.grid, curv, self.h, self.lam, self.viscosity)
+        return _curv_blocks(self.grid, curv, self.h)
 
     def hess(self, u):
         """The generalized Hessian in the lower band storage of
@@ -627,8 +616,8 @@ def _scaled_envelope_prox(model, t, xs, lam, s):
     return prox
 
 
-def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
-                p0=None, handover=0.0, handover_cap=np.inf):
+def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, max_iter, p0=None,
+                handover=0.0, handover_cap=np.inf):
     """Accelerated dual solve of  min_u 1/2||u||_M^2 - b(u) + V(K u).
 
     FISTA on the dual with gradient-based adaptive restart (Beck-Teboulle
@@ -639,7 +628,7 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
     The caller supplies the per-cell dual prox ``prox(x) = prox_{tau V*}(x)``
     and the gap measure ``gap_of(p, K u)``, checked against ``gap_target``
     after the first iteration (so a converged start exits at once) and then
-    every ``period`` iterations.  The primal iterate u = M^{-1}(rhs - K^T p)
+    every 50 iterations.  The primal iterate u = M^{-1}(rhs - K^T p)
     is dual-feasible, so the weak-form residual with flux p / (h vol)
     vanishes identically.  Returns (u, p, gap, iters, exit), exit being
     "converged", "handover" (the gap is below ``handover`` times the first
@@ -678,7 +667,7 @@ def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
         else:
             y, theta = p_new + (theta - 1.0) / theta_new * step, theta_new
         p = p_new
-        if it == 0 or it % period == period - 1 or it == max_iter - 1:
+        if it == 0 or it % 50 == 49 or it == max_iter - 1:
             last, gap = gap, gap_of(p.reshape(shape),
                                     (k_op @ primal(p)).reshape(shape))
             if gap <= gap_target:
@@ -749,7 +738,7 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     a law without a jump starts directly.
 
     FISTA (``_dual_solve``, log entry ``rescue`` "dual") runs on the
-    lam_min-envelope step and checks its gap every 200 iterations against
+    lam_min-envelope step and checks its gap every 50 iterations against
     the cold target.  Its per-cell dual prox reduces to the resolvent,
     which handles flux jumps exactly, so this route is immune to the
     active-set chatter that can stall the Newton stages.
@@ -783,8 +772,7 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
         return x - tau * env_prox(x / tau)
 
     u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox, gap_of,
-                                       _gap_target(cfg), 200, cfg.pd_max_iter,
-                                       p0=p0)
+                                       _gap_target(cfg), cfg.pd_max_iter, p0=p0)
     log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
                 "exit": exit_, "rescue": "dual", "certificate": gap,
                 "objective": step_objective(grid, model, t, h, w1, w2, u)})
@@ -794,10 +782,11 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
                   nonneg=False):
     """Run the Newton stages of a step, over u >= 0 when ``nonneg``: one
-    stage, lam None, for a smooth law, else the lam schedule, with viscosity
-    and a warm-start tolerance on every stage but the last.  Returns
-    (u, eta, clean), eta the selection at u for a smooth law, else the
-    flux of the lam_min envelope at u, the flux a clean step returns.
+    stage, lam None, for a smooth law, else one per lam of the schedule,
+    each minimizing its lam-envelope problem alone, with a warm-start
+    tolerance on every stage but the last.  Returns (u, eta, clean), eta
+    the selection at u for a smooth law, else the flux of the lam_min
+    envelope at u, the flux a clean step returns.
 
     The smooth law's one stage reuses the ``_LaggedFactor`` ``lagged`` on
     grids with kd >= 4 * _CG_CAP; continuation stages change lam severalfold
@@ -816,15 +805,14 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     """
     if grid.gram_plan.kd < 4 * _CG_CAP:
         lagged = None
-    stages = [(None, False, cfg.tol)]
+    stages = [(None, cfg.tol)]
     if not model.is_smooth:
         *lams, last = cfg.lam_schedule()
-        stages = ([(lam, True, _inter_tol(cfg)) for lam in lams]
-                  + [(last, False, cfg.tol)])
+        stages = [(lam, _inter_tol(cfg)) for lam in lams] + [(last, cfg.tol)]
     warm_up = model.kink_scale > 0
     clean = True
-    for lam, viscosity, stage_tol in stages:
-        prob = _StageProblem(grid, model, t, h, w1, w2, lam, viscosity)
+    for lam, stage_tol in stages:
+        prob = _StageProblem(grid, model, t, h, w1, w2, lam)
         u, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter,
                                     lagged if lam is None else None, nonneg)
         log.append({"lam": lam or 0.0, **stage,
@@ -982,7 +970,7 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
 
     def fista(p0, handover, max_iter):
         u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, project, gap_of,
-                                           target, 50, max_iter, p0, handover,
+                                           target, max_iter, p0, handover,
                                            handover_cap=cap)
         log.append({"lam": 0.0, "iters": it, "residual": 0.0, "exit": exit_,
                     "pd_gap": gap, "objective": step_objective(
@@ -1057,7 +1045,7 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
     lam_low = tol_low = 0.0
     while gap > target and rounds < max_rounds:
         rounds += 1
-        prob = _StageProblem(grid, model, t, h, w1d, w2d, lam, False,
+        prob = _StageProblem(grid, model, t, h, w1d, w2d, lam,
                              shift=ku0 + lam * eta)
         tol = min(tol_cap, max(tol_low, max(target, best[0]) * tol_per_gap))
         delta_new, stage = _minimize_newton(prob, delta, tol, max_iter)

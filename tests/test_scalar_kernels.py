@@ -197,10 +197,9 @@ def test_value_only_trial_is_the_full_evaluations_value(law, dim, exp, theta, se
              + lam * NEAR_KINK[law][2] * rng.uniform(-0.2, 0.2, g.n_nodes))
     w1 = rng.standard_normal(g.n_nodes)
     w2 = rng.standard_normal(g.boundary_nodes.size)
-    viscous = bool(seed % 2)
     for stage_lam in ([lam, None] if model.is_smooth else [lam]):
-        trial = ss._StageProblem(g, model, 0.0, 0.3, w1, w2, stage_lam, viscous)
-        full = ss._StageProblem(g, model, 0.0, 0.3, w1, w2, stage_lam, viscous)
+        trial = ss._StageProblem(g, model, 0.0, 0.3, w1, w2, stage_lam)
+        full = ss._StageProblem(g, model, 0.0, 0.3, w1, w2, stage_lam)
         full.grad(u)
         assert (np.float64(trial.value(u)).tobytes()
                 == np.float64(full.value(u)).tobytes())

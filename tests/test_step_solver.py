@@ -155,8 +155,7 @@ def test_regularized_objective_zero_and_quadratic_form():
     model = fm.quadratic(1)
     assert ss.regularized_objective(g, model, 0.0, 0.1, 0.5,
                                     np.zeros(5), np.zeros(2), np.zeros(5)) == 0.0
-    # quadratic law: envelope shrinks the gradient term by 1/(1+lam) and the
-    # viscosity adds lam ||grad u||^2
+    # quadratic law: envelope shrinks the gradient term by 1/(1+lam)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(5)
     w1 = rng.standard_normal(5)
@@ -165,7 +164,7 @@ def test_regularized_objective_zero_and_quadratic_form():
     gu = disc.gradient(g, u)
     gnorm2 = float(g.cell_volumes @ (gu * gu).sum(axis=1))
     base = ss.step_objective(g, model, 0.0, h, w1, w2, u)
-    expected = base - h * 0.5 * gnorm2 + h * 0.5 * gnorm2 / (1 + lam) + lam * gnorm2
+    expected = base - h * 0.5 * gnorm2 + h * 0.5 * gnorm2 / (1 + lam)
     got = ss.regularized_objective(g, model, 0.0, h, lam, w1, w2, u)
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -180,8 +179,7 @@ def test_regularized_objective_recovers_phi():
     phi = ss.step_objective(g, model, 0.0, 0.1, w1, w2, u)
     prev = -np.inf
     for lam in (1e-1, 1e-2, 1e-3):
-        val = ss.regularized_objective(g, model, 0.0, 0.1, lam, w1, w2, u,
-                                       viscosity=False)
+        val = ss.regularized_objective(g, model, 0.0, 0.1, lam, w1, w2, u)
         assert prev <= val <= phi + 1e-12
         prev = val
     assert phi - prev < 0.02 * (1 + abs(phi))
@@ -468,7 +466,7 @@ def _quadratic_stage():
     g = disc.interval_grid(16)
     w1 = 1.0 + 0.5 * np.cos(2 * np.pi * g.nodes[:, 0])
     prob = ss._StageProblem(g, fm.quadratic(1), 0.0, 0.05, w1,
-                            w1[g.boundary_nodes], None, False)
+                            w1[g.boundary_nodes], None)
     return prob, w1.copy()
 
 
@@ -498,9 +496,9 @@ def _kink_crossing_search():
     *lams, lam_min = cfg.lam_schedule()
     u = ss._start(g, w1, w2)
     for lam in lams:
-        prob = ss._StageProblem(g, model, 0.0, 0.05, w1, w2, lam, True)
+        prob = ss._StageProblem(g, model, 0.0, 0.05, w1, w2, lam)
         u, _ = ss._minimize_newton(prob, u, ss._inter_tol(cfg), cfg.max_iter)
-    prob = ss._StageProblem(g, model, 0.0, 0.05, w1, w2, lam_min, False)
+    prob = ss._StageProblem(g, model, 0.0, 0.05, w1, w2, lam_min)
     searches = []
     real = ss._armijo
 
@@ -590,16 +588,14 @@ LINE_SEARCH_LAWS = {
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(law=st.sampled_from(sorted(LINE_SEARCH_LAWS)), n=st.integers(2, 16),
        seed=st.integers(0, 2**16), log_lam=st.floats(-8.0, -2.0),
-       viscosity=st.booleans(), log_h=st.floats(-3.0, -1.0),
-       k=st.integers(0, 12))
-def test_line_search_properties(law, n, seed, log_lam, viscosity, log_h, k):
+       log_h=st.floats(-3.0, -1.0), k=st.integers(0, 12))
+def test_line_search_properties(law, n, seed, log_lam, log_h, k):
     g = disc.interval_grid(n)
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal(g.n_nodes)
     lam = 10.0 ** log_lam if law == "fractured" else None
     prob = ss._StageProblem(g, LINE_SEARCH_LAWS[law], 0.0, 10.0 ** log_h, w1,
-                            w1[g.boundary_nodes], lam,
-                            viscosity and lam is not None)
+                            w1[g.boundary_nodes], lam)
     for nonneg in (False, True):
         u = rng.standard_normal(g.n_nodes)
         if nonneg:
@@ -750,22 +746,28 @@ def test_smooth_2d_obstacle_flow_with_contact_converges(law, start):
     assert all(log[-1]["exit"] == "converged" for log in traj.step_logs)
 
 
-def test_fractured_2d_obstacle_flow_runs_through_a_stalled_stage():
-    # from |cos(pi x) cos(pi y)| two continuation stages of step 3 end at
-    # max_iter near 7e-3, far above their target, and the last stage still
-    # converges: the obstacle step, which has no rescue, runs every stage
-    # and is judged on the last
+@pytest.mark.parametrize("start, n_steps", [
+    pytest.param(lambda x, y: np.abs(0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)),
+                 1, id="half-abs"),
+    pytest.param(lambda x, y: np.maximum(np.cos(2 * np.pi * x) * np.cos(np.pi * y), 0.0),
+                 4, id="positive-part"),
+    pytest.param(lambda x, y: np.abs(np.cos(np.pi * x) * np.cos(np.pi * y)),
+                 3, id="abs"),
+])
+def test_fractured_2d_obstacle_flow_converges_on_every_stage(start, n_steps):
+    # the obstacle step has no rescue: it runs the whole lam schedule and is
+    # judged on the last stage, so each stage's envelope problem must converge
     g = disc.rectangle_grid(16, 16)
-    x, y = g.nodes.T
-    y0 = np.abs(np.cos(np.pi * x) * np.cos(np.pi * y))
     model = fm.fractured_medium(4.0, thresholds=0.5, dimension=2)
     cfg = ss.StepConfig()
-    traj = fd.run_flow(fd.ProblemData(g, y0, T=0.03, model=model), 3, cfg,
-                       obstacle=True)
+    traj = fd.run_flow(fd.ProblemData(g, start(*g.nodes.T), T=0.01 * n_steps,
+                                      model=model), n_steps, cfg, obstacle=True)
     assert traj.fields.min() >= 0.0
     assert np.max(traj.step_residuals) <= cfg.tol
     assert np.max(traj.step_certificates) <= cfg.certificate_tol
-    assert any(s["residual"] > 1e-4 for log in traj.step_logs for s in log)
+    for log in traj.step_logs:
+        assert [s["lam"] for s in log] == cfg.lam_schedule()
+        assert all(s["exit"] == "converged" for s in log)
 
 
 OBSTACLE_LAWS = {
@@ -811,9 +813,9 @@ def test_smooth_obstacle_step_is_feasible_complementary_and_optimal(
 # fixed-pattern Hessian assembly
 
 
-def sum_of_products_hessian(grid, curv, h, lam=None, viscosity=False):
-    """M + sum_ab G_a^T diag(h vol C_ab) G_b (+ 2 lam G_a^T diag(vol) G_a),
-    summed matrix by matrix from ``grid.grad_ops``."""
+def sum_of_products_hessian(grid, curv, h):
+    """M + sum_ab G_a^T diag(h vol C_ab) G_b, summed matrix by matrix from
+    ``grid.grad_ops``."""
     vol = grid.cell_volumes
     ops = grid.grad_ops
     n_ax = len(ops)
@@ -829,9 +831,6 @@ def sum_of_products_hessian(grid, curv, h, lam=None, viscosity=False):
     for a in range(n_ax):
         for b in range(n_ax):
             mat = mat + h * (ops[a].T @ sps.diags(vol * coef[:, a, b]) @ ops[b])
-    if viscosity and lam is not None:
-        for g in ops:
-            mat = mat + 2.0 * lam * (g.T @ sps.diags(vol) @ g)
     return mat.toarray()
 
 
@@ -850,8 +849,7 @@ def band_to_lower(ab):
 @pytest.mark.parametrize("grid", [disc.interval_grid(7), disc.rectangle_grid(4, 3)],
                          ids=["1d", "2d"])
 @pytest.mark.parametrize("kind", ["diag", "radial"])
-@pytest.mark.parametrize("viscosity", [False, True])
-def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
+def test_curv_matrix_matches_sum_of_products(grid, kind):
     rng = np.random.default_rng(3)
     n_ax = grid.dimension
     if kind == "diag":
@@ -865,9 +863,9 @@ def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
         rhat[-1] = 0.0  # a cell with zero gradient
         curv = ("radial", rng.uniform(-0.5, 3.0, grid.n_cells),
                 rng.uniform(0.0, 2.0, grid.n_cells), rhat)
-    blocks = ss._curv_blocks(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    blocks = ss._curv_blocks(grid, curv, 0.3)
     got = grid.gram_plan.assemble(blocks, grid.mass)
-    ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    ref = sum_of_products_hessian(grid, curv, 0.3)
     assert got.shape == (grid.gram_plan.kd + 1, grid.n_nodes)
     assert got.flags.f_contiguous
     assert np.allclose(band_to_lower(got), np.tril(ref), rtol=1e-13, atol=1e-15)
@@ -881,7 +879,7 @@ def test_curv_matrix_matches_sum_of_products(grid, kind, viscosity):
 # banded Newton solve
 
 
-def random_hessian(grid, kind, viscosity, seed=4):
+def random_hessian(grid, kind, seed=4):
     """An SPD Newton matrix on the grid's fixed pattern from random
     nonnegative diagonal or radial curvature: its lower band storage and
     the CSC matrix of its sum-of-products reference."""
@@ -894,8 +892,8 @@ def random_hessian(grid, kind, viscosity, seed=4):
         rhat /= np.linalg.norm(rhat, axis=1)[:, None]
         curv = ("radial", rng.uniform(0.0, 3.0, grid.n_cells),
                 rng.uniform(0.0, 2.0, grid.n_cells), rhat)
-    ref = sum_of_products_hessian(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
-    blocks = ss._curv_blocks(grid, curv, 0.3, lam=0.05, viscosity=viscosity)
+    ref = sum_of_products_hessian(grid, curv, 0.3)
+    blocks = ss._curv_blocks(grid, curv, 0.3)
     return grid.gram_plan.assemble(blocks, grid.mass), sps.csc_matrix(ref)
 
 
@@ -904,7 +902,7 @@ def random_hessian(grid, kind, viscosity, seed=4):
     (disc.rectangle_grid(9, 3), 11), (disc.rectangle_grid(3, 9), 5)],
     ids=["1d", "4x3", "9x3", "3x9"])
 def test_band_slots_reproduce_the_csc_matrix(grid, kd):
-    ab, mat = random_hessian(grid, "radial", True)
+    ab, mat = random_hessian(grid, "radial")
     plan = grid.gram_plan
     dense = mat.toarray()
     rows, cols = np.nonzero(dense)
@@ -920,9 +918,8 @@ def test_band_slots_reproduce_the_csc_matrix(grid, kd):
 @pytest.mark.parametrize("grid", [disc.interval_grid(32), disc.rectangle_grid(16, 16)],
                          ids=["1d", "2d"])
 @pytest.mark.parametrize("kind", ["diag", "radial"])
-@pytest.mark.parametrize("viscosity", [False, True])
-def test_band_solve_matches_spsolve(grid, kind, viscosity):
-    ab, mat = random_hessian(grid, kind, viscosity)
+def test_band_solve_matches_spsolve(grid, kind):
+    ab, mat = random_hessian(grid, kind)
     rhs = np.random.default_rng(5).standard_normal(grid.n_nodes)
     ref = spsolve(mat, rhs)
     got = ss._newton_solve(grid.gram_plan, ab, rhs)
@@ -995,7 +992,7 @@ def direct_newton_flow(grid, model, y0, h, n, tol):
     y = y0.copy()
     for i in range(1, n + 1):
         prob = ss._StageProblem(grid, model, i * h, h, y,
-                                y[grid.boundary_nodes], None, False)
+                                y[grid.boundary_nodes], None)
         u = y.copy()
         for _ in range(50):
             g = prob.grad(u)
@@ -1257,13 +1254,12 @@ def _hand_over_after_five_iterations(real):
     """``_dual_solve`` whose TV call hands over after five iterations, so
     the multiplier finish starts from a loose point."""
 
-    def dual_solve(grid, w1, w2, prox, gap_of, gap_target, period, max_iter,
-                   p0=None, handover=0.0, handover_cap=math.inf):
+    def dual_solve(grid, w1, w2, prox, gap_of, gap_target, max_iter, p0=None,
+                   handover=0.0, handover_cap=math.inf):
         if not handover:
-            return real(grid, w1, w2, prox, gap_of, gap_target, period,
-                        max_iter, p0)
+            return real(grid, w1, w2, prox, gap_of, gap_target, max_iter, p0)
         u, p, gap, it, exit_ = real(grid, w1, w2, prox, gap_of, gap_target,
-                                    period, 5, p0)
+                                    5, p0)
         return u, p, gap, it, "handover" if exit_ == "max_iter" else exit_
 
     return dual_solve
@@ -1363,7 +1359,7 @@ def test_tv_warm_step_projects_a_carried_dual_outside_the_balls():
     with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
         sol = ss.solve_step(g, fm.total_variation(rho, 2), 0.0, h, w1, w2,
                             dual=carried)
-    p0 = spy.call_args_list[0].args[8]
+    p0 = spy.call_args_list[0].args[7]
     assert np.all(np.linalg.norm(p0, axis=1) <= wc * (1.0 + 1e-15))
     assert np.array_equal(carried, 3.0 * dual)
     assert sol.residual <= ss.StepConfig().tol
@@ -1605,6 +1601,14 @@ def test_callable_kappa_step_ends_on_its_continuation():
     assert sol.dual is None
     assert sol.residual <= cfg.tol
     assert sol.fenchel_total <= cfg.certificate_tol
+
+
+def test_callable_kappa_flow_takes_no_dual_route():
+    model = fm.anisotropic_p_laplacian(1.5, kappa=lambda t, x: 0.2 + 0.1 * x[:, 0])
+    g = disc.interval_grid(16)
+    y0 = 0.5 * np.cos(2 * np.pi * g.nodes[:, 0])
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=0.03, model=model), 3)
+    assert not any("rescue" in s for log in traj.step_logs for s in log)
 
 
 def test_fractured_obstacle_step_runs_every_stage():
