@@ -16,10 +16,11 @@ resolvent z + lam*beta(z) = s.  Power laws, fractured ones included,
 solve it in closed form for p = 2 and 4 (the p = 4 cubic through its
 hyperbolic form plus one Newton polish); other p, lower-order terms and
 log-growth use a safeguarded Newton iteration that raises
-RootNotConverged instead of returning an unconverged root.  Conjugates are
-exact for every catalog law (closed form, or w s* - j(s*) at the root s*
-of j'(s) = w), so Fenchel certificates never rest on an underestimated
-j*; only user-supplied custom laws fall back to a numeric grid sup.
+RootNotConverged instead of returning an unconverged root, and
+user-supplied custom laws bisect on it.  Conjugates are exact for every
+catalog law (closed form, or w s* - j(s*) at the root s* of j'(s) = w),
+so Fenchel certificates never rest on an underestimated j*; only custom
+laws fall back to a numeric grid sup, which can be low.
 Evaluations are pure functions; models are immutable after construction
 and safe to share between threads.
 
@@ -529,7 +530,10 @@ class _FracturedAxis:
 
 
 class _CustomAxis:
-    """User-supplied scalar potential, proximal map by golden section."""
+    """User-supplied scalar potential j, with j' from ``dfun`` or a central
+    difference.  The prox z of lam j at s is the root of the increasing
+    z + lam j'(z) - s, which lies between 0 and s since j is least at 0;
+    64 bisection steps halve that bracket to rounding."""
 
     def __init__(self, jfun, dfun):
         self.jfun = jfun
@@ -541,7 +545,8 @@ class _CustomAxis:
     def deriv(self, s):
         if self.dfun is not None:
             return np.asarray(self.dfun(s), dtype=float)
-        eps = 1e-7
+        # a step relative to s keeps a kink at 0 sharp
+        eps = 1e-7 * np.abs(s) + 1e-300
         return (self.value(s + eps) - self.value(s - eps)) / (2.0 * eps)
 
     def deriv2(self, s):
@@ -549,9 +554,12 @@ class _CustomAxis:
         return (self.value(s + eps) - 2.0 * self.value(s) + self.value(s - eps)) / eps ** 2
 
     def prox(self, lam, s):
-        def obj(z):
-            return (z - s) ** 2 / (2.0 * lam) + self.value(z)
-        return _golden_vec(obj, np.minimum(0.0, s) - 1e-9, np.maximum(0.0, s) + 1e-9)
+        lo, hi = np.minimum(0.0, s), np.maximum(0.0, s)
+        for _ in range(64):
+            z = 0.5 * (lo + hi)
+            above = z + lam * self.deriv(z) > s
+            lo, hi = np.where(above, lo, z), np.where(above, z, hi)
+        return 0.5 * (lo + hi)
 
     def envelope(self, lam, s, curvature=True):
         z = self.prox(lam, s)
@@ -630,16 +638,17 @@ class FluxModel:
 
     kind = "abstract"
     # Height of the law's flux jump, the width scale of a step's multiplier
-    # loop (``step_solver._multiplier_finish``).  A step of a law with a
-    # positive scale ends its continuation early for the loop and starts
-    # warm from the previous step's dual point, its loop stopped by the
-    # exact Fenchel gap; 0 keeps every step cold.  A law whose conjugate can
-    # be underestimated (``Custom``'s grid sup) keeps 0, since its gap is no
-    # sound stop.  TV's and the fractured law's conjugates are closed forms;
-    # a p-Laplacian with kappa > 0 takes w s - j(s) at the root s of j'(s)
-    # = w, solved to 1e-14 relative (``_excess_root``), and as s maximizes
-    # w s - j(s), a root error e lowers j* only by j''(s) e^2 / 2, below
-    # the gap's rounding (its cold FISTA finish has always stopped on it).
+    # loop (``step_solver._multiplier_finish``; 1 where it is 0).  A step
+    # of a law with a positive scale ends its continuation early for the
+    # loop and starts warm from the previous step's dual point, its loop
+    # stopped by the exact Fenchel gap; 0 keeps every step cold.  A law
+    # whose conjugate can be underestimated (``Custom``'s grid sup) keeps 0,
+    # since its gap is no sound stop for a warm start; its cold loop still
+    # stops on that gap.  TV's and the fractured law's conjugates are closed
+    # forms; a p-Laplacian with kappa > 0 takes w s - j(s) at the root s of
+    # j'(s) = w, solved to 1e-14 relative (``_excess_root``), and as s
+    # maximizes w s - j(s), a root error e lowers j* only by j''(s) e^2 / 2,
+    # below the gap's rounding.
     kink_scale = 0.0
 
     def __init__(self, dimension, growth, time_lipschitz=0.0,
@@ -671,14 +680,8 @@ class FluxModel:
     def select(self, t, xs, rs):
         raise NotImplementedError
 
-    def prox_map(self, t, xs, lam):
-        """The resolvent at lam as a map of (len(xs), N) arrays, the laws at
-        ``xs`` bound once and no checks per call."""
-        raise NotImplementedError
-
     def resolvent(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
-        return self.prox_map(t, xs, lam)(rs)
+        raise NotImplementedError
 
     def _envelope(self, t, xs, lam, rs, curvature):
         """(envelope value, regularized flux, envelope curvature or None)."""
@@ -745,9 +748,10 @@ class _SeparableModel(FluxModel):
         xs, rs = self._batch(xs, rs)
         return self._per_axis(self._laws(t, xs), lambda law, s: law.deriv(s), rs)
 
-    def prox_map(self, t, xs, lam):
-        laws = self._laws(t, xs)
-        return lambda rs: self._per_axis(laws, lambda law, s: law.prox(lam, s), rs)
+    def resolvent(self, t, xs, lam, rs):
+        xs, rs = self._batch(xs, rs)
+        return self._per_axis(self._laws(t, xs),
+                              lambda law, s: law.prox(lam, s), rs)
 
     def conjugate(self, t, xs, ws):
         xs, ws = self._batch(xs, ws)
@@ -809,14 +813,10 @@ class _RadialModel(FluxModel):
         mag = np.where(m > 0, law.dphi(m), 0.0)
         return self._unit(rs, m) * mag[:, None]
 
-    def prox_map(self, t, xs, lam):
-        law = self._law(t, xs)
-
-        def prox(rs):
-            m = self._mag(rs)
-            return self._unit(rs, m) * law.prox_radius(lam, m)[:, None]
-
-        return prox
+    def resolvent(self, t, xs, lam, rs):
+        xs, rs = self._batch(xs, rs)
+        m = self._mag(rs)
+        return self._unit(rs, m) * self._law(t, xs).prox_radius(lam, m)[:, None]
 
     def conjugate(self, t, xs, ws):
         xs, ws = self._batch(xs, ws)

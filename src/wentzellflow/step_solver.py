@@ -16,17 +16,17 @@ takes follows its flux law; each is described where it is implemented:
   factor held over the flow (``_LaggedFactor``);
 - another law: a continuation in the envelope parameter lam
   (``_continuation``), which returns the lam_min envelope's flux; a
-  stalled continuation or a last stage that misses ``tol`` goes to the
-  dual route (``_dual_finish``), the accelerated dual solver
-  (``_dual_solve``);
+  stalled continuation, or one whose last stage misses ``tol`` or whose
+  flux misses ``certificate_tol``, goes to the dual route
+  (``_dual_finish``), the multiplier loop (``_multiplier_finish``);
 - a law with a flux jump: the same stages as a warm-up, ended at the first
-  that backtracks or stalls, then the dual route's multiplier loop
-  (``_multiplier_finish``), with FISTA after a loop that misses;
+  that backtracks or stalls, then the multiplier loop;
 - a step of a law with a flux jump handed the previous step's dual point
   (``StepSolution.dual``, which ``run_flow`` carries) runs the multiplier
   loop from it at once, and the cold route after a loop that misses
   (``solve_step``);
-- total variation: the dual solver, then the multiplier loop (``_solve_tv``);
+- total variation: the accelerated dual solver (``_dual_solve``), then
+  the multiplier loop (``_solve_tv``);
 - the obstacle step u >= 0: the same stages by a semismooth Newton
   (``solve_step_obstacle``).
 
@@ -85,8 +85,8 @@ class StepConfig:
     ``max_iter`` bounds the Newton iterations of a stage or of a multiplier
     round's inner solve (CG iterations on a lagged factor do not count);
     ``pd_max_iter`` bounds a TV step's accelerated dual iterations, before
-    the multiplier loop and after a fallback together, and those of
-    another nonsmooth step's FISTA finish.  Both limits must be positive.
+    the multiplier loop and after a fallback together; no other step runs
+    them.  Both limits must be positive.
     ``lam0``, ``lam_decay`` and ``lam_min`` set a nonsmooth law's envelope
     continuation.  A step that ends on it returns the minimizer of the
     lam_min envelope problem with that envelope's flux, a subgradient at
@@ -136,9 +136,9 @@ class StepSolution:
     the optimizer certificate that eta is (close to) a section of the
     subdifferential at grad u.  ``dual`` is the dual point p = h vol eta,
     an (n_cells, N) array, of a step that ended on the dual route (a
-    total-variation step, a multiplier loop, a FISTA finish), else None; a
-    flow hands it to its next step, which starts from it if its law is TV
-    or has a flux jump.
+    total-variation step or a multiplier loop), else None; a flow hands it
+    to its next step, which starts from it if its law is TV or has a flux
+    jump.
     """
 
     u: np.ndarray
@@ -594,28 +594,6 @@ def _start(grid, w1, w2, u0=None):
             else grid.check_field(u0).copy())
 
 
-def _scaled_envelope_prox(model, t, xs, lam, s):
-    """The map x -> prox of s * j_lam at the rows of x,
-    (lam x + s R_{lam+s}(x)) / (lam+s).
-
-    ``s`` may vary per cell; the rows are grouped by the effective resolvent
-    parameter, and each group's resolvent bound to its laws, once, when the
-    map is built (a single group on uniform grids).
-    """
-    mus = lam + s
-    groups = [(mus == mu, model.prox_map(t, xs[mus == mu], float(mu)))
-              for mu in np.unique(mus)]
-    s_col, mus_col = s[:, None], mus[:, None]
-
-    def prox(x):
-        z = np.empty_like(x)
-        for rows, resolve in groups:
-            z[rows] = resolve(x[rows])
-        return (lam * x + s_col * z) / mus_col
-
-    return prox
-
-
 def _dual_solve(grid, w1, w2, prox, gap_of, gap_target, max_iter, p0=None,
                 handover=0.0, handover_cap=np.inf):
     """Accelerated dual solve of  min_u 1/2||u||_M^2 - b(u) + V(K u).
@@ -702,14 +680,14 @@ def _gap_target(cfg):
 
 
 def _fenchel_gap_of(grid, model, t, h):
-    """The exact Fenchel certificate gap_of(p, K u) of the dual point p =
-    h vol eta at the field u; +inf where j*(eta) is."""
+    """h times the exact Fenchel certificate, gap_of(p, K u), of the dual
+    point p = h vol eta at the field u; +inf where j*(eta) is."""
     xs, vol = grid.cell_centers, grid.cell_volumes
     a = (h * vol)[:, None]
 
     def gap_of(p, q):
         try:
-            return float(vol @ model.fenchel_gap(t, xs, q, p / a))
+            return h * float(vol @ model.fenchel_gap(t, xs, q, p / a))
         except fm.UnboundedConjugate:
             return np.inf
 
@@ -721,62 +699,34 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     (n_cells, N) array p = h vol eta): the previous step's dual when
     ``warm``, else the flux of the stage that handed over (the lam_min
     envelope's flux at its field; see ``_continuation``).  Appends the
-    route's log entries and returns (u, eta, p), or None when a warm start
+    route's log entry and returns (u, eta, p), or None when a warm start
     misses.
 
-    A law with a flux jump (``kink_scale`` > 0) runs the multiplier loop
-    ``_multiplier_finish`` from p0 and its primal u0 = M^{-1}(rhs - K^T p0)
-    with the exact Fenchel gap, for up to 40 rounds whose inner solves stop
-    no looser than an intermediate continuation stage (log entry
-    ``rescue`` "loop", with its ``certificate``).  It stops at 1e-4 of the
-    cold gap target, or at 1e-3 of it once a round gains nothing (the inner
-    solves' rounding floor): its rounds converge fast, and a stop at 1e-3
-    alone lands the 40-step fractured-1d benchmark flow 7e-8 off a tight
-    solve of its step maps, against 2e-8 at 1e-4.  If the loop misses 1e-3
-    of the target, its entry gains ``fallback``: a warm start ends there,
-    and a cold one resumes from the loop's best dual point in FISTA, where
-    a law without a jump starts directly.
-
-    FISTA (``_dual_solve``, log entry ``rescue`` "dual") runs on the
-    lam_min-envelope step and checks its gap every 50 iterations against
-    the cold target.  Its per-cell dual prox reduces to the resolvent,
-    which handles flux jumps exactly, so this route is immune to the
-    active-set chatter that can stall the Newton stages.
+    It runs the multiplier loop ``_multiplier_finish`` from p0 and its
+    primal u0 = M^{-1}(rhs - K^T p0) with the Fenchel gap (exact but for a
+    ``Custom`` law's) for up to 40 rounds, whose inner solves stop no
+    looser than an intermediate continuation stage (log entry ``rescue``
+    "loop", with its ``certificate``).  It stops at 1e-4 of the cold gap
+    target, or at 1e-3 of it once a round gains nothing (the inner solves'
+    rounding floor): a stop at 1e-3 alone lands the 40-step fractured-1d
+    benchmark flow 7e-8 off a tight solve of its step maps, against 2e-8 at
+    1e-4.  A loop that misses 1e-3 of the target ends a warm start, its
+    entry marked ``fallback``; a cold one returns the loop's best
+    dual-feasible point, and ``_finish`` judges its certificate.
     """
-    a = h * grid.cell_volumes
+    target = h * _gap_target(cfg)
     gap_of = _fenchel_gap_of(grid, model, t, h)
-    if model.kink_scale > 0:
-        def h_gap(p, q):
-            return h * gap_of(p, q)
-
-        target = h * _gap_target(cfg)
-        u0 = (_rhs(grid, w1, w2) - grid.grad_stack_t @ p0.ravel()) / grid.mass
-        u, p, gap, entry = _multiplier_finish(
-            grid, model, t, h, w1, w2, u0, p0, h_gap(p0, disc.gradient(grid, u0)),
-            h_gap, 1e-4 * target, cfg.max_iter, max_rounds=40,
-            tol_cap=_inter_tol(cfg), accept=1e-3 * target)
-        entry.update(rescue="loop", certificate=gap / h)
-        log.append(entry)
-        if gap <= 1e-3 * target:
-            return u, p / a[:, None], p
+    u0 = (_rhs(grid, w1, w2) - grid.grad_stack_t @ p0.ravel()) / grid.mass
+    u, p, gap, entry = _multiplier_finish(
+        grid, model, t, h, w1, w2, u0, p0, gap_of(p0, disc.gradient(grid, u0)),
+        gap_of, 1e-4 * target, cfg.max_iter, cfg.lam0, max_rounds=40,
+        tol_cap=_inter_tol(cfg), accept=1e-3 * target)
+    entry.update(rescue="loop", certificate=gap / h)
+    log.append(entry)
+    if warm and gap > 1e-3 * target:
         entry["fallback"] = True
-        if warm:
-            return None
-        p0 = p
-    tau = grid.dual_plan.tau
-    env_prox = _scaled_envelope_prox(model, t, grid.cell_centers, cfg.lam_min,
-                                     a / tau)
-
-    def prox(x):
-        # prox_{tau V*}(x) = x - tau prox_{V / tau}(x / tau)
-        return x - tau * env_prox(x / tau)
-
-    u, p, gap, it, exit_ = _dual_solve(grid, w1, w2, prox, gap_of,
-                                       _gap_target(cfg), cfg.pd_max_iter, p0=p0)
-    log.append({"lam": cfg.lam_min, "iters": it, "residual": 0.0,
-                "exit": exit_, "rescue": "dual", "certificate": gap,
-                "objective": step_objective(grid, model, t, h, w1, w2, u)})
-    return u, p / a[:, None], p
+        return None
+    return u, p / (h * grid.cell_volumes)[:, None], p
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
@@ -851,9 +801,10 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     route from ``u0`` after it.  Every other law ignores it.
 
     On the cold route a nonsmooth step returns the lam_min envelope's flux
-    when its continuation ran clean and its last stage met ``tol``: that
-    stage's Newton residual is the weak-form residual of this flux.  Else
-    it goes to ``_dual_finish`` from the flux of the stage it ended on
+    when its continuation ran clean, its last stage met ``tol`` (that
+    stage's Newton residual is the weak-form residual of this flux) and
+    the flux's Fenchel certificate meets ``certificate_tol``.  Else it goes
+    to ``_dual_finish`` from the flux of the stage it ended on
     (``_continuation``).
     """
     cfg = cfg or StepConfig()
@@ -873,10 +824,14 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
                                   _LaggedFactor() if lagged is None else lagged)
     p = None
-    if not model.is_smooth and (not clean or log[-1]["residual"] > cfg.tol):
-        # Newton stages chattered on the jump set; the dual route is exact
-        u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg,
-                                 eta * (h * grid.cell_volumes)[:, None], log)
+    if not model.is_smooth:
+        p0 = eta * (h * grid.cell_volumes)[:, None]
+        if (not clean or log[-1]["residual"] > cfg.tol
+                or _fenchel_gap_of(grid, model, t, h)(
+                    p0, disc.gradient(grid, u)) > h * cfg.certificate_tol):
+            # Newton stages chattered on the jump set, or the envelope's flux
+            # spoils the certificate; the dual route is exact
+            u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
 
 
@@ -981,7 +936,7 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
     if gap > target and exit_ != "max_iter":
         u, p, gap, finish = _multiplier_finish(
             grid, model, 0.0, h, w1, w2, u, p, gap, gap_of, target,
-            cfg.max_iter, max_rounds=20)
+            cfg.max_iter, cfg.lam0, max_rounds=20)
         log.append(finish)
         if gap > target:
             finish["fallback"] = True
@@ -991,7 +946,7 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
 
 
 def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
-                       max_iter, max_rounds, tol_cap=np.inf, accept=0.0):
+                       max_iter, lam0, max_rounds, tol_cap=np.inf, accept=0.0):
     """Method of multipliers on the lam-envelope of a step, from the dual
     point p with gap ``gap`` and its primal u0 = M^{-1}(rhs - K^T p).
 
@@ -1006,21 +961,26 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
     inner accuracy, so every round's gap is exact.  ``gap_of`` and
     ``target`` are in the units h * certificate.
 
-    lam times the law's ``kink_scale`` (its flux jump height), the
-    envelope's kink width in gradient units, starts at a tenth of the
-    start's RMS error bound sqrt(2 gap / |Omega|); lam shrinks 4x after a
-    round that less than halves the gap, and grows 4x, never to shrink
-    below that again, after an inner solve that fails and gains nothing.
+    lam times the width scale, the law's ``kink_scale`` (its flux jump
+    height) or 1 for a law without a jump, is the envelope's kink width in
+    gradient units.  It starts at a tenth of the start's RMS error bound
+    sqrt(2 gap / |Omega|), but lam never starts above ``lam0``, the first
+    lam of a continuation: a crude start would otherwise spend its rounds
+    shrinking lam.  lam shrinks 4x after a round that less than halves the
+    gap, and doubles after an inner solve that fails and gains nothing.
     The inner solve stops once its mass-scaled residual, read as a gradient
     error of width^-1 times it on every cell, would add a tenth of the best
-    gap; an inner solve that stalls at rounding but still gains sets a
-    floor of twice its residual; and the tolerance, that floor included,
-    is never above ``tol_cap``.  A start at or below ``target`` runs no
-    round, and a round that gains nothing ends the loop once the best gap
-    is at most ``accept``.  After at most ``max_rounds`` rounds it returns
-    the best round's (u, p, gap) and its log entry: the inner solves' Newton iterations,
-    fallbacks, backtracks and floored line searches summed (see
-    ``_stage_entries``), the last one's residual and exit, and the rounds.
+    gap, but never below that residual's rounding level: the envelope flux
+    at an argument s is known only to about eps |s| / lam, and h K^T W
+    carries that error into the residual.  An inner solve that stalls at
+    rounding but still gains sets a floor of twice its residual; and the
+    tolerance, floors included, is never above ``tol_cap``.  A start at or
+    below ``target`` runs no round, and a round that gains nothing ends the
+    loop once the best gap is at most ``accept``.  After at most
+    ``max_rounds`` rounds it returns the best round's (u, p, gap) and its
+    log entry: the inner solves' Newton iterations, fallbacks, backtracks
+    and floored line searches summed (see ``_stage_entries``), the last
+    one's residual and exit, and the rounds.
     """
     vol = grid.cell_volumes
     a = (h * vol)[:, None]
@@ -1028,31 +988,35 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
     rhs = _rhs(grid, w1, w2)
     area = float(vol.sum())
     width = float(vol.min()) ** (1.0 / len(grid.grad_ops))
-    scale = model.kink_scale
+    scale = model.kink_scale or 1.0
     tol_per_gap = 0.1 * width / (scale * area * h)
 
     def primal(eta):
         return (rhs - grid.grad_stack_t @ (eta * a).ravel()) / m
 
+    # h K^T W / M scales a per-cell flux error by about 2 N h / width
+    rounding = 2.0 * len(grid.grad_ops) * h * np.finfo(float).eps / width
     ku0 = disc.gradient(grid, u0)
     w1d, w2d = w1 - u0, w2 - u0[grid.boundary_nodes]
-    lam = 0.1 * math.sqrt(2.0 * gap / area) / scale
+    lam = min(lam0, 0.1 * math.sqrt(2.0 * gap / area) / scale)
     best = (gap, np.zeros_like(u0), p / a)
     _, delta, eta = best
     work = dict.fromkeys(("iters", "fallbacks", "backtracks", "ls_floor"), 0)
     stage = {"residual": 0.0, "exit": "converged"}
     rounds = 0
-    lam_low = tol_low = 0.0
+    tol_low = 0.0
     while gap > target and rounds < max_rounds:
         rounds += 1
-        prob = _StageProblem(grid, model, t, h, w1d, w2d, lam,
-                             shift=ku0 + lam * eta)
-        tol = min(tol_cap, max(tol_low, max(target, best[0]) * tol_per_gap))
+        shift = ku0 + lam * eta
+        prob = _StageProblem(grid, model, t, h, w1d, w2d, lam, shift=shift)
+        floor = rounding * float(np.abs(shift).max()) / lam
+        tol = min(tol_cap, max(tol_low, floor,
+                               max(target, best[0]) * tol_per_gap))
         delta_new, stage = _minimize_newton(prob, delta, tol, max_iter)
         for key in work:
             work[key] += stage.get(key, 0)
         eta_new = model.yosida(t, grid.cell_centers, lam,
-                               disc.gradient(grid, delta_new) + ku0 + lam * eta)
+                               disc.gradient(grid, delta_new) + shift)
         failed = stage["exit"] != "converged"
         last, gap = gap, gap_of(eta_new * a,
                                 disc.gradient(grid, primal(eta_new)))
@@ -1063,14 +1027,13 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
         elif best[0] <= accept:
             break
         elif failed:
-            lam *= 4.0
-            lam_low = lam
+            lam *= 2.0
             gap, delta, eta = best
             continue
         delta, eta = delta_new, eta_new
         if gap <= target:
             break
-        if gap > 0.5 * last and lam >= 4.0 * lam_low:
+        if gap > 0.5 * last:
             lam /= 4.0
     gap, _, eta = best
     u = primal(eta)

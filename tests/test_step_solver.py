@@ -73,11 +73,12 @@ def _route_lagged_2d():
 
 
 def _route_rescue():
-    # a Custom law keeps the cold FISTA rescue
+    # a Custom law (kink_scale 0) whose last stages stall at lam_min 1e-9
+    # ends in the multiplier loop
     g, model, t, h, w1 = _sine_data(fm.custom_model(lambda s: np.cosh(s) - 1.0,
                                                     beta=np.sinh))
     sol = _sine_step(model)
-    assert sol.iterations[-1]["rescue"] == "dual"
+    assert sol.iterations[-1]["rescue"] == "loop"
     return g, model, t, h, w1, sol
 
 
@@ -1499,13 +1500,11 @@ def test_warm_miss_falls_back_to_the_cold_route(monkeypatch):
     prob = _fractured_problem(19)
     traj = fd.run_flow(prob, 19, FRACTURED_CFG)
     dual = _fractured_step(prob, 18, traj.fields[17]).dual
-    # a loop with no rounds misses, and the step goes cold with no FISTA
+    # a loop with no rounds misses, and the step goes cold
     real = ss._multiplier_finish
     monkeypatch.setattr(ss, "_multiplier_finish",
                         lambda *a, **k: real(*a, **{**k, "max_rounds": 0}))
-    with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
-        warm = _fractured_step(prob, 19, traj.fields[18], dual=dual)
-    spy.assert_not_called()
+    warm = _fractured_step(prob, 19, traj.fields[18], dual=dual)
     cold = _fractured_step(prob, 19, traj.fields[18])
     loop, *rest = warm.iterations
     assert (loop["rescue"], loop["rounds"], loop["fallback"]) == ("loop", 0, True)
@@ -1516,29 +1515,35 @@ def test_warm_miss_falls_back_to_the_cold_route(monkeypatch):
     assert warm.dual is None
 
 
-def test_loop_miss_resumes_fista_from_the_loops_best_dual(monkeypatch):
-    # the cold 16 x 16 step whose continuation stalls (``_route_loop``)
-    real = ss._multiplier_finish
-    starts = []
+def test_cold_loop_miss_returns_its_best_point_to_finish(monkeypatch):
+    # the cold 16 x 16 step whose continuation stalls (``_route_loop``), its
+    # loop held to one round: the step returns the loop's best point, and
+    # ``_finish`` rejects its certificate
+    real_loop, real_finish = ss._multiplier_finish, ss._finish
+    loops, finishes = [], []
 
     def one_round(*a, **k):
-        out = real(*a, **{**k, "max_rounds": 1})
-        starts.append(out[1])
-        return out
+        loops.append(real_loop(*a, **{**k, "max_rounds": 1}))
+        return loops[-1]
+
+    def finish(*a, **k):
+        finishes.append((a, k))
+        return real_finish(*a, **k)
 
     monkeypatch.setattr(ss, "_multiplier_finish", one_round)
-    with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
-        *_, sol = _route_fractured_2d()
-    *stages, loop, fista = sol.iterations
+    monkeypatch.setattr(ss, "_finish", finish)
+    with pytest.raises(ss.StepNonConverged, match="Fenchel certificate"):
+        _route_fractured_2d()
+    (u, p, _, loop), = loops
+    (args, kwargs), = finishes
+    *stages, logged = args[-1]
     # the continuation handed over because its last stage stalled or
     # backtracked
     assert stages[-1]["exit"] == "stall" or "backtracks" in stages[-1]
-    assert (loop["rounds"], loop["fallback"]) == (1, True)
-    assert loop["certificate"] > 1e-3 * ss._gap_target(ss.StepConfig())
-    assert (fista["rescue"], fista["exit"]) == ("dual", "converged")
-    assert np.array_equal(spy.call_args.kwargs["p0"], starts[0])
-    assert sol.fenchel_total <= ss._gap_target(ss.StepConfig())
-    assert sol.dual is not None
+    assert logged is loop and (loop["rescue"], loop["rounds"]) == ("loop", 1)
+    assert "fallback" not in loop
+    assert loop["certificate"] > ss.StepConfig().certificate_tol
+    assert np.array_equal(args[6], u) and np.array_equal(kwargs["dual"], p)
 
 
 def _cosine_step(model, solve=ss.solve_step, shift=0.0):
@@ -1680,14 +1685,11 @@ def test_smooth_step_ignores_a_carried_dual(model):
     # only a law with a flux jump (kink_scale > 0) starts warm; every other
     # step takes its cold route, whatever dual it is handed
     assert model.kink_scale == 0.0
-    with mock.patch.object(ss, "_dual_solve", wraps=ss._dual_solve) as spy:
-        a = _sine_step(model, dual=np.full((12, 1), 0.01))
+    a = _sine_step(model, dual=np.full((12, 1), 0.01))
     b = _sine_step(model)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.eta, b.eta)
     assert a.iterations == b.iterations
-    assert not any(s.get("rescue") == "loop" for s in a.iterations)
     if model.is_smooth:
-        spy.assert_not_called()
         assert a.dual is None
 
 
@@ -1695,11 +1697,61 @@ def test_custom_flow_stays_cold():
     # a Custom law's numeric conjugate can underestimate j*, so its gap is no
     # sound stop for a warm start: its kink_scale is 0, so a step handed a
     # dual ignores it (test_smooth_step_ignores_a_carried_dual), while a
-    # rescued step still returns its dual
+    # step the multiplier loop finished still returns its dual
     model = fm.custom_model(lambda s: np.cosh(s) - 1.0, beta=np.sinh)
     assert model.kink_scale == 0.0
     cold = _sine_step(model)
-    assert cold.iterations[-1]["rescue"] == "dual" and cold.dual is not None
+    assert cold.iterations[-1]["rescue"] == "loop" and cold.dual is not None
+
+
+def test_custom_cosh_flow_runs_clean_continuations():
+    # the bisection prox resolves every stage of the cosh law, so no step
+    # of the flow needs a finish
+    model = fm.custom_model(lambda s: np.cosh(s) - 1.0, beta=np.sinh)
+    g = disc.interval_grid(32)
+    y0 = 0.5 * np.cos(2 * np.pi * g.nodes[:, 0])
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=0.025, model=model), 5)
+    lams = ss.StepConfig().lam_schedule()
+    for log in traj.step_logs:
+        assert [s["lam"] for s in log] == lams
+        assert all(s["exit"] == "converged" for s in log)
+        assert not any("rescue" in s for s in log)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_jumpless_step_whose_envelope_flux_misses_the_certificate(n):
+    # every stage converges, but the lam_min envelope's flux has a
+    # certificate above 1e-6 (2.1e-6 and 1.2e-6), so the loop finishes it
+    g = disc.interval_grid(n)
+    w1 = np.random.default_rng(3).standard_normal(n + 1)
+    model, cfg = fm.fractured_medium(4.0, thresholds=0.0), ss.StepConfig()
+    sol = ss.solve_step(g, model, 0.0, 0.001, w1, w1[g.boundary_nodes])
+    *stages, loop = sol.iterations
+    assert [s["lam"] for s in stages] == cfg.lam_schedule()
+    assert all(s["exit"] == "converged" for s in stages)
+    assert (loop["rescue"], loop["rounds"]) == ("loop", 1)
+    assert sol.fenchel_total <= 1e-3 * ss._gap_target(cfg)
+    assert sol.dual is not None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 24), seed=st.integers(0, 2**16),
+       law=st.sampled_from(["fractured-0", "p-1.5", "p-1.2", "custom-kink"]),
+       amp=st.floats(0.5, 2.0), log_h=st.floats(-4.0, -2.5))
+def test_jumpless_rough_step_meets_its_certificate(n, seed, law, amp, log_h):
+    model = {"fractured-0": lambda: fm.fractured_medium(4.0, thresholds=0.0),
+             "p-1.5": lambda: fm.anisotropic_p_laplacian(1.5),
+             "p-1.2": lambda: fm.anisotropic_p_laplacian(1.2),
+             "custom-kink": lambda: fm.custom_model(
+                 lambda s: np.abs(s) ** 3 / 3.0 + 0.2 * np.abs(s))}[law]()
+    assert model.kink_scale == 0.0 and not model.is_smooth
+    g = disc.interval_grid(n)
+    w1 = amp * np.random.default_rng(seed).standard_normal(n + 1)
+    cfg = ss.StepConfig()
+    sol = ss.solve_step(g, model, 0.0, 10.0 ** log_h, w1, w1[g.boundary_nodes],
+                        cfg)
+    assert sol.fenchel_total <= cfg.certificate_tol
+    assert sol.fenchel_cells.min() >= -1e-10
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

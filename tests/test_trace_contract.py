@@ -39,3 +39,21 @@ def test_traced_flow_records_its_spans(monkeypatch):
     names = set(tracer.summary())
     assert {"flow_driver.run_flow", "step_solver.solve_step",
             "discretization.stencil"} <= names
+
+
+def test_traced_fractured_flow_runs_the_loop_under_the_wrappers(monkeypatch):
+    # the benchmark's fractured-1d flow for three steps: its steps end in
+    # the multiplier loop while every wrapper of a ``--trace 1`` run is in
+    # place
+    spans = _spans(monkeypatch)
+    g = disc.interval_grid(32)
+    model = fm.fractured_medium(4, alpha=1.0, thresholds=0.5)
+    prob = fd.ProblemData(g, 0.5 * np.cos(2 * np.pi * g.nodes[:, 0]),
+                          T=3 / 200, model=model)
+    cfg = ss.StepConfig(tol=1e-10, lam_min=1e-11, lam_decay=0.1)
+    with spans.traced(spans.Tracer("t"), model) as tracer:
+        traj = fd.run_flow(prob, 3, cfg)
+    assert any(s.get("rescue") == "loop" for log in traj.step_logs for s in log)
+    summary = tracer.summary()
+    assert summary["step_solver.solve_step"]["calls"] == 3
+    assert summary["flux_models.envelope_pack"]["calls"] > 0
