@@ -545,8 +545,9 @@ class _CustomAxis:
     def deriv(self, s):
         if self.dfun is not None:
             return np.asarray(self.dfun(s), dtype=float)
-        # a step relative to s keeps a kink at 0 sharp
-        eps = 1e-7 * np.abs(s) + 1e-300
+        # a step below |s| keeps a kink at 0 sharp, one of 1e-7 off 0 keeps
+        # the rounding of a j computed with cancellation (cosh s - 1) small
+        eps = np.minimum(1e-7, 0.5 * np.abs(s)) + 1e-300
         return (self.value(s + eps) - self.value(s - eps)) / (2.0 * eps)
 
     def deriv2(self, s):

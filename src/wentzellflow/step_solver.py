@@ -561,9 +561,10 @@ def _armijo(prob, u, d, slope, nonneg=False):
 
 
 def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
-            complementarity=None, dual=None):
-    gu = disc.gradient(grid, u)
-    gaps = model.fenchel_gap(t, grid.cell_centers, gu, eta)
+            complementarity=None, dual=None, gaps=None):
+    if gaps is None:
+        gaps = model.fenchel_gap(t, grid.cell_centers,
+                                 disc.gradient(grid, u), eta)
     total = float(grid.cell_volumes @ gaps)
     weak_res = _weak_residual(grid, h, u, eta, _rhs(grid, w1, w2))
     # the constrained step replaces stationarity by complementarity
@@ -679,21 +680,6 @@ def _gap_target(cfg):
     return max(1e-14, 1e-3 * cfg.certificate_tol)
 
 
-def _fenchel_gap_of(grid, model, t, h):
-    """h times the exact Fenchel certificate, gap_of(p, K u), of the dual
-    point p = h vol eta at the field u; +inf where j*(eta) is."""
-    xs, vol = grid.cell_centers, grid.cell_volumes
-    a = (h * vol)[:, None]
-
-    def gap_of(p, q):
-        try:
-            return h * float(vol @ model.fenchel_gap(t, xs, q, p / a))
-        except fm.UnboundedConjugate:
-            return np.inf
-
-    return gap_of
-
-
 def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     """Finish a nonsmooth step on the dual route from the dual point p0 (an
     (n_cells, N) array p = h vol eta): the previous step's dual when
@@ -710,12 +696,21 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     target, or at 1e-3 of it once a round gains nothing (the inner solves'
     rounding floor): a stop at 1e-3 alone lands the 40-step fractured-1d
     benchmark flow 7e-8 off a tight solve of its step maps, against 2e-8 at
-    1e-4.  A loop that misses 1e-3 of the target ends a warm start, its
-    entry marked ``fallback``; a cold one returns the loop's best
-    dual-feasible point, and ``_finish`` judges its certificate.
+    1e-4.  A loop that misses 1e-3 of the target marks its entry
+    ``fallback``; it ends a warm start, and a cold one returns the loop's
+    best dual-feasible point, whose certificate ``_finish`` judges.
     """
     target = h * _gap_target(cfg)
-    gap_of = _fenchel_gap_of(grid, model, t, h)
+    xs, vol = grid.cell_centers, grid.cell_volumes
+    a = (h * vol)[:, None]
+
+    def gap_of(p, q):
+        # h times the Fenchel certificate of p = h vol eta at K u = q
+        try:
+            return h * float(vol @ model.fenchel_gap(t, xs, q, p / a))
+        except fm.UnboundedConjugate:
+            return np.inf
+
     u0 = (_rhs(grid, w1, w2) - grid.grad_stack_t @ p0.ravel()) / grid.mass
     u, p, gap, entry = _multiplier_finish(
         grid, model, t, h, w1, w2, u0, p0, gap_of(p0, disc.gradient(grid, u0)),
@@ -723,10 +718,11 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
         tol_cap=_inter_tol(cfg), accept=1e-3 * target)
     entry.update(rescue="loop", certificate=gap / h)
     log.append(entry)
-    if warm and gap > 1e-3 * target:
+    if gap > 1e-3 * target:
         entry["fallback"] = True
-        return None
-    return u, p / (h * grid.cell_volumes)[:, None], p
+        if warm:
+            return None
+    return u, p / a, p
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
@@ -823,16 +819,19 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     u = _start(grid, w1, w2, u0)
     u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
                                   _LaggedFactor() if lagged is None else lagged)
-    p = None
+    p = gaps = None
     if not model.is_smooth:
-        p0 = eta * (h * grid.cell_volumes)[:, None]
-        if (not clean or log[-1]["residual"] > cfg.tol
-                or _fenchel_gap_of(grid, model, t, h)(
-                    p0, disc.gradient(grid, u)) > h * cfg.certificate_tol):
+        if clean and log[-1]["residual"] <= cfg.tol:
+            gaps = model.fenchel_gap(t, grid.cell_centers,
+                                     disc.gradient(grid, u), eta)
+        if gaps is None or grid.cell_volumes @ gaps > cfg.certificate_tol:
             # Newton stages chattered on the jump set, or the envelope's flux
             # spoils the certificate; the dual route is exact
+            p0 = eta * (h * grid.cell_volumes)[:, None]
             u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log)
-    return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
+            gaps = None
+    return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p,
+                   gaps=gaps)
 
 
 def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):

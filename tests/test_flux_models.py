@@ -415,6 +415,21 @@ def test_custom_model_roundtrip():
         fm.custom_model(lambda s: np.cosh(s))  # j(0) != 0
 
 
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0])
+def test_custom_flux_without_beta_is_accurate_at_small_arguments(lam):
+    # cosh s - 1 loses its low digits to cancellation near 0, so a
+    # difference quotient of it over a step much below 1e-7 is rounding
+    # alone; the envelope flux still matches sinh at the exact resolvent
+    model = fm.custom_model(lambda s: np.cosh(s) - 1.0)
+    exact = fm.custom_model(lambda s: np.cosh(s) - 1.0, beta=np.sinh)
+    rs = np.array([-2e-5, 3e-8, 1e-7, 1e-6, 1e-5, 1e-3, 0.1, 2.0])[:, None]
+    xs = np.zeros_like(rs)
+    z = exact.resolvent(0.0, xs, lam, rs)
+    assert np.allclose(z + lam * np.sinh(z), rs, rtol=1e-14, atol=1e-20)
+    _, eta, _ = model.envelope_pack(0.0, xs, lam, rs)
+    assert np.allclose(eta, np.sinh(z), rtol=0.0, atol=1e-8)
+
+
 def test_make_model_catalog_ids():
     for mid in ("quadratic", "plaplacian", "fractured", "loggrowth", "tv"):
         params = {"p": 4.0} if mid in ("plaplacian", "fractured") else {}

@@ -205,11 +205,14 @@ def test_value_only_trial_is_the_full_evaluations_value(law, dim, exp, theta, se
                 == np.float64(full.value(u)).tobytes())
 
 
-EXACT_KERNELS = sorted(set(NEAR_KINK) - {"custom"})  # custom: golden-section prox
+# custom: its curvature is a second difference over a fixed step, which
+# blurs the kink at 0 (its bisection prox on a difference-quotient j' does
+# solve the resolvent inclusion)
+EXACT_KERNELS = sorted(set(NEAR_KINK) - {"custom"})
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("law", EXACT_KERNELS)
+@pytest.mark.parametrize("law", sorted(NEAR_KINK))
 @SMALL
 @given(exp=st.floats(-11.0, 0.0), theta=st.floats(-2.0, 3.0),
        far=st.floats(-3.0, 3.0))

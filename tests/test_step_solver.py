@@ -1518,7 +1518,7 @@ def test_warm_miss_falls_back_to_the_cold_route(monkeypatch):
 def test_cold_loop_miss_returns_its_best_point_to_finish(monkeypatch):
     # the cold 16 x 16 step whose continuation stalls (``_route_loop``), its
     # loop held to one round: the step returns the loop's best point, and
-    # ``_finish`` rejects its certificate
+    # ``_finish`` rejects its certificate; the miss is marked all the same
     real_loop, real_finish = ss._multiplier_finish, ss._finish
     loops, finishes = [], []
 
@@ -1541,7 +1541,7 @@ def test_cold_loop_miss_returns_its_best_point_to_finish(monkeypatch):
     # backtracked
     assert stages[-1]["exit"] == "stall" or "backtracks" in stages[-1]
     assert logged is loop and (loop["rescue"], loop["rounds"]) == ("loop", 1)
-    assert "fallback" not in loop
+    assert loop["fallback"] is True
     assert loop["certificate"] > ss.StepConfig().certificate_tol
     assert np.array_equal(args[6], u) and np.array_equal(kwargs["dual"], p)
 
