@@ -44,8 +44,6 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.optimize import lsq_linear  # noqa: F401  traced by perfbench/spans.py
-from scipy.sparse.linalg import spsolve  # noqa: F401  traced by perfbench/spans.py
 
 from . import discretization as disc
 from . import flux_models as fm
@@ -62,6 +60,20 @@ __all__ = [
     "solve_step_obstacle",
     "tv_step",
 ]
+
+
+def __getattr__(name):
+    """``perfbench/spans.py`` wraps ``spsolve`` and ``lsq_linear``, which no
+    route calls; each is imported at its first lookup (PEP 562), so that
+    importing the package loads neither ``scipy.sparse.linalg`` nor
+    ``scipy.optimize``."""
+    if name == "spsolve":
+        from scipy.sparse.linalg import spsolve
+        return spsolve
+    if name == "lsq_linear":
+        from scipy.optimize import lsq_linear
+        return lsq_linear
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StepNonConverged(RuntimeError):

@@ -617,6 +617,51 @@ def test_line_search_properties(law, n, seed, log_lam, log_h, k):
 
 
 # ---------------------------------------------------------------------------
+# the step map: S(a) = solve_step from the data w1 = a, w2 = trace a
+
+STEP_MAP_LAWS = {
+    "quadratic": fm.quadratic(1),
+    "p4": fm.anisotropic_p_laplacian(4.0),
+    "fractured": fm.fractured_medium(4.0, thresholds=0.5),
+}
+
+
+def _step_map(g, model, h, a):
+    return ss.solve_step(g, model, 0.0, h, a, a[g.boundary_nodes]).u
+
+
+def _product_norm(g, v):
+    return math.hypot(disc.norm_domain(g, v),
+                      disc.norm_boundary(g, disc.trace(g, v)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(STEP_MAP_LAWS)), n=st.integers(4, 16),
+       seed=st.integers(0, 2**16), log_h=st.floats(-3.0, -1.0))
+def test_step_map_is_nonexpansive(law, n, seed, log_h):
+    # the step is the resolvent of a monotone operator in the product norm
+    # of L2(Omega) x L2(Gamma); 1 + 1e-8 is contraction_check's bound
+    g = disc.interval_grid(n)
+    model, h = STEP_MAP_LAWS[law], 10.0 ** log_h
+    a, b = np.random.default_rng(seed).standard_normal((2, g.n_nodes))
+    d = _step_map(g, model, h, a) - _step_map(g, model, h, b)
+    assert _product_norm(g, d) <= (1.0 + 1e-8) * _product_norm(g, a - b)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(STEP_MAP_LAWS)), n=st.integers(4, 16),
+       seed=st.integers(0, 2**16), log_h=st.floats(-3.0, -1.0))
+def test_step_map_does_not_raise_the_energy(law, n, seed, log_h):
+    # the step minimizes ||u - a||^2 / 2 + h E(u) in the product norm, so
+    # E(S(a)) <= E(a)
+    g = disc.interval_grid(n)
+    model, h = STEP_MAP_LAWS[law], 10.0 ** log_h
+    a = np.random.default_rng(seed).standard_normal(g.n_nodes)
+    u = _step_map(g, model, h, a)
+    assert fd._energy(g, model, u) <= fd._energy(g, model, a) + 1e-10
+
+
+# ---------------------------------------------------------------------------
 # obstacle variant
 
 

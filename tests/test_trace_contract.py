@@ -6,6 +6,8 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import scipy.optimize
+import scipy.sparse.linalg
 
 from wentzellflow import discretization as disc
 from wentzellflow import flow_driver as fd
@@ -27,6 +29,14 @@ def test_traced_run_finds_every_attribute_it_wraps(monkeypatch):
         assert tracer.active
     assert not tracer.active
     assert (ss.spsolve, ss.lsq_linear, disc.time_average, fd.solve_step) == before
+
+
+def test_scipy_names_resolve_when_looked_up():
+    # ``spsolve`` and ``lsq_linear`` are imported on first lookup, so that
+    # importing the package loads neither scipy submodule
+    assert ss.lsq_linear is scipy.optimize.lsq_linear
+    assert ss.spsolve is scipy.sparse.linalg.spsolve
+    assert not hasattr(ss, "no_such_name")
 
 
 def test_traced_flow_records_its_spans(monkeypatch):
