@@ -215,7 +215,11 @@ class AsymptoticsReport:
 def run_flow(problem, n, cfg=None, obstacle=False):
     """March the time-discretized system for n steps of size h = T/n.
 
-    Each step starts from the previous field.  It also gets the previous
+    Each step starts from the previous field y_i.  A step i >= 2 of a
+    smooth law's flow without the obstacle is also handed the extrapolated
+    field 2 y_i - y_{i-1} as ``guess``, where Newton starts on the direct
+    solve; a stage that does not converge from it reruns from y_i
+    (``solve_step``).  Each step also gets the previous
     step's dual point (``StepSolution.dual``): none on the first step, nor
     after a step that did not end on the dual route.  A total-variation
     step starts its dual solve from it, a step of a law with a flux jump
@@ -243,6 +247,7 @@ def run_flow(problem, n, cfg=None, obstacle=False):
     # grid, so every flow of a problem repeats the same solves
     lagged = _LaggedFactor()
     dual = None
+    extrapolate = problem.model.is_smooth
     for i in range(1, n + 1):
         fbar, gbar, source_sq[i - 1] = _step_sources(problem, i, h)
         w1 = y.copy() if fbar is None else y + h * fbar
@@ -254,8 +259,10 @@ def run_flow(problem, n, cfg=None, obstacle=False):
                 sol = solve_step_obstacle(grid, problem.model, i * h, h, w1,
                                           w2, cfg, u0=y)
             else:
+                guess = (2.0 * y - fields[i - 2] if extrapolate and i > 1
+                         else None)
                 sol = solve_step(grid, problem.model, i * h, h, w1, w2, cfg,
-                                 u0=y, lagged=lagged, dual=dual)
+                                 u0=y, lagged=lagged, dual=dual, guess=guess)
         except StepNonConverged as exc:
             err = StepNonConverged(f"step {i} (t = {i * h:g}) failed: {exc}",
                                    residual=exc.residual, log=exc.log)

@@ -185,7 +185,12 @@ def _weak_form(grid, h, u, eta, rhs):
 
 def _weak_residual(grid, h, u, eta, rhs):
     """Max-norm of the mass-scaled weak-form residual of (u, eta)."""
-    return float(np.max(np.abs(_weak_form(grid, h, u, eta, rhs)) / grid.mass))
+    return _scaled_max(grid, _weak_form(grid, h, u, eta, rhs))
+
+
+def _scaled_max(grid, weak):
+    """Max-norm of a weak-form vector scaled by the lumped mass."""
+    return float(np.max(np.abs(weak) / grid.mass))
 
 
 def _check_data(grid, h, w1, w2):
@@ -271,7 +276,9 @@ class _StageProblem:
     on the smooth problem), the same float the full evaluation gives; the
     flux, weak form and curvature follow when the gradient or Hessian is
     asked for.  The last two points are kept, so a rejected full Newton
-    step and its line search's start are not evaluated twice.  A
+    step and its line search's start are not evaluated twice, and a
+    Newton stage's caller reads grad u, the flux and the weak form at the
+    field it returns off its last evaluation (``evaluate``).  A
     multiplier ``shift`` (an (n_cells, N) array) moves the envelope's
     argument to grad u + shift, the inner problem of a multiplier round.
     """
@@ -297,7 +304,10 @@ class _StageProblem:
                 "gu": gu, "arg": gu if self.shift is None else gu + self.shift}
         return state
 
-    def _eval(self, u):
+    def evaluate(self, u):
+        """The state at u: its gradient "gu", the flux "eta" (the selection,
+        or the envelope's flux at grad u + shift) and the weak form "g" of
+        (u, eta), the gradient of this problem."""
         state = self._state(u)
         if "g" not in state:
             grid, model, gu = self.grid, self.model, state["gu"]
@@ -306,6 +316,7 @@ class _StageProblem:
             else:
                 state["jv"], eta, state["curv"] = model.envelope_pack(
                     self.t, grid.cell_centers, self.lam, state["arg"])
+            state["eta"] = eta
             state["g"] = _weak_form(grid, self.h, u, eta, self.rhs)
         return state
 
@@ -324,11 +335,11 @@ class _StageProblem:
         return state["val"]
 
     def grad(self, u):
-        return self._eval(u)["g"]
+        return self.evaluate(u)["g"]
 
     def hess_blocks(self, u):
         """Per-cell blocks of the generalized Hessian (``_curv_blocks``)."""
-        state = self._eval(u)
+        state = self.evaluate(u)
         curv = state.get("curv")
         if curv is None:
             curv = self.model.curvature(self.t, self.grid.cell_centers,
@@ -573,14 +584,19 @@ def _armijo(prob, u, d, slope, nonneg=False):
 
 
 def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
-            complementarity=None, dual=None, gaps=None):
+            complementarity=None, dual=None, gaps=None, weak=None):
+    """The step's ``StepSolution``, or StepNonConverged if it misses a
+    tolerance.  ``gaps`` (per-cell Fenchel gaps) and ``weak`` (the weak
+    form of (u, eta)) are the route's own when it already holds them."""
     if gaps is None:
         gaps = model.fenchel_gap(t, grid.cell_centers,
                                  disc.gradient(grid, u), eta)
     total = float(grid.cell_volumes @ gaps)
-    weak_res = _weak_residual(grid, h, u, eta, _rhs(grid, w1, w2))
     # the constrained step replaces stationarity by complementarity
-    residual = weak_res if complementarity is None else complementarity
+    residual = complementarity
+    if residual is None:
+        residual = (_weak_residual(grid, h, u, eta, _rhs(grid, w1, w2))
+                    if weak is None else _scaled_max(grid, weak))
     # every route logs the objective at the field it returns
     sol = StepSolution(u=u, eta=eta, objective=log[-1]["objective"],
                        residual=residual, fenchel_cells=gaps,
@@ -738,18 +754,28 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
-                  nonneg=False):
+                  nonneg=False, guess=None):
     """Run the Newton stages of a step, over u >= 0 when ``nonneg``: one
     stage, lam None, for a smooth law, else one per lam of the schedule,
     each minimizing its lam-envelope problem alone, with a warm-start
-    tolerance on every stage but the last.  Returns (u, eta, clean), eta
-    the selection at u for a smooth law, else the flux of the lam_min
-    envelope at u, the flux a clean step returns.
+    tolerance on every stage but the last.  Returns (u, eta, gu, weak,
+    clean): eta the selection at u for a smooth law, else the flux of the
+    lam_min envelope at u, the flux a clean step returns; gu = grad u; weak
+    the weak form of (u, eta) for a smooth law, else None.  gu and weak
+    are read off the last Newton evaluation, which is at u.
 
     The smooth law's one stage reuses the ``_LaggedFactor`` ``lagged`` on
     grids with kd >= 4 * _CG_CAP; continuation stages change lam severalfold
     from one stage to the next, which ruins a lagged factor, and smaller
     bands factor faster than CG iterates, so they keep the direct solve.
+    On the direct solve the smooth stage starts from ``guess`` when given
+    (``run_flow`` hands the extrapolated field), and reruns from u if that
+    does not converge, the miss kept as its own entry marked "start":
+    "extrapolated": from a far start the stall rule can end a damped
+    Newton whose objective is still falling.  The lagged path ignores the
+    guess, since a closer start tightens the CG forcing term
+    min(0.1, res) and costs more CG iterations than it saves Newton
+    iterations.
     ``clean`` turns False, and the stages end, when a stage stalls far above
     its target (active sets chattering on the jump set); the caller then
     hands the field to the dual route instead of grinding through the
@@ -763,6 +789,8 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     """
     if grid.gram_plan.kd < 4 * _CG_CAP:
         lagged = None
+    if lagged is not None or not model.is_smooth:
+        guess = None
     stages = [(None, cfg.tol)]
     if not model.is_smooth:
         *lams, last = cfg.lam_schedule()
@@ -771,24 +799,38 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     clean = True
     for lam, stage_tol in stages:
         prob = _StageProblem(grid, model, t, h, w1, w2, lam)
-        u, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter,
-                                    lagged if lam is None else None, nonneg)
-        log.append({"lam": lam or 0.0, **stage,
-                    "objective": step_objective(grid, model, t, h, w1, w2, u)})
+        lag = lagged if lam is None else None
+        stage = None
+        if guess is not None:
+            u_new, stage = _minimize_newton(prob, guess, stage_tol,
+                                            cfg.max_iter, lag, nonneg)
+            if stage["exit"] != "converged":
+                log.append({"lam": 0.0, **stage, "start": "extrapolated",
+                            "objective": prob.value(u_new)})
+                stage = None
+        if stage is None:
+            u_new, stage = _minimize_newton(prob, u, stage_tol, cfg.max_iter,
+                                            lag, nonneg)
+        u = u_new
+        log.append({"lam": lam or 0.0, **stage, "objective": (
+            prob.value(u) if lam is None
+            else step_objective(grid, model, t, h, w1, w2, u))})
         if not nonneg and (
                 stage["residual"] > max(1e-4, 1e3 * stage_tol)
                 or warm_up and ("backtracks" in stage
                                 or stage["exit"] == "stall")):
             clean = False
             break
-    gu = disc.gradient(grid, u)
-    eta = (model.select(t, grid.cell_centers, gu) if model.is_smooth
-           else model.yosida(t, grid.cell_centers, cfg.lam_min, gu))
-    return u, eta, clean
+    state = prob.evaluate(u)
+    gu = state["gu"]
+    if model.is_smooth:
+        return u, state["eta"], gu, state["g"], clean
+    return (u, model.yosida(t, grid.cell_centers, cfg.lam_min, gu), gu, None,
+            clean)
 
 
 def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
-               dual=None):
+               dual=None, guess=None):
     """Minimize the implicit-step functional and recover the flux section.
 
     Returns a StepSolution whose field satisfies the discrete weak form
@@ -798,6 +840,11 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     for every nodal test field psi, up to the stated residual.  Raises
     StepNonConverged when the stationarity or certificate tolerances
     cannot be met, and ValueError (BADCONFIG) for invalid configuration.
+    Newton starts from ``u0`` (default M^{-1} rhs).  ``guess``, a nodal
+    field, is a start tried first by a smooth law on the direct solve
+    (``run_flow`` passes the extrapolated field 2 y_i - y_{i-1}); a stage
+    that does not converge from it reruns from ``u0`` (``_continuation``).
+    Every other law and the lagged path ignore it.
     ``lagged``, a ``_LaggedFactor``, carries the Newton factor of a smooth
     law from step to step of one flow (``run_flow`` passes one per flow);
     without it the step holds its own.  ``dual``, an (n_cells, N) array,
@@ -808,7 +855,9 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     (``_dual_finish``, warm); if the loop misses, the step takes the cold
     route from ``u0`` after it.  Every other law ignores it.
 
-    On the cold route a nonsmooth step returns the lam_min envelope's flux
+    A smooth step reports the residual, certificate and objective of the
+    last Newton evaluation, which is at the field it returns.  On the cold
+    route a nonsmooth step returns the lam_min envelope's flux
     when its continuation ran clean, its last stage met ``tol`` (that
     stage's Newton residual is the weak-form residual of this flux) and
     the flux's Fenchel certificate meets ``certificate_tol``.  Else it goes
@@ -829,21 +878,23 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
             u, eta, p = warm
             return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p)
     u = _start(grid, w1, w2, u0)
-    u, eta, clean = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
-                                  _LaggedFactor() if lagged is None else lagged)
+    if guess is not None:
+        guess = grid.check_field(guess, "guess")
+    u, eta, gu, weak, clean = _continuation(
+        grid, model, t, h, w1, w2, u, cfg, log,
+        _LaggedFactor() if lagged is None else lagged, guess=guess)
     p = gaps = None
-    if not model.is_smooth:
-        if clean and log[-1]["residual"] <= cfg.tol:
-            gaps = model.fenchel_gap(t, grid.cell_centers,
-                                     disc.gradient(grid, u), eta)
-        if gaps is None or grid.cell_volumes @ gaps > cfg.certificate_tol:
-            # Newton stages chattered on the jump set, or the envelope's flux
-            # spoils the certificate; the dual route is exact
-            p0 = eta * (h * grid.cell_volumes)[:, None]
-            u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log)
-            gaps = None
+    if model.is_smooth or clean and log[-1]["residual"] <= cfg.tol:
+        gaps = model.fenchel_gap(t, grid.cell_centers, gu, eta)
+    if not model.is_smooth and (
+            gaps is None or grid.cell_volumes @ gaps > cfg.certificate_tol):
+        # Newton stages chattered on the jump set, or the envelope's flux
+        # spoils the certificate; the dual route is exact
+        p0 = eta * (h * grid.cell_volumes)[:, None]
+        u, eta, p = _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log)
+        gaps = None
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log, dual=p,
-                   gaps=gaps)
+                   gaps=gaps, weak=weak)
 
 
 def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
@@ -861,10 +912,11 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
     w1, w2 = _check_data(grid, h, w1, w2)
     u = np.maximum(_start(grid, w1, w2, u0), 0.0)
     log = []
-    u, eta, _ = _continuation(grid, model, t, h, w1, w2, u, cfg, log, None,
-                              nonneg=True)
+    u, eta, gu, _, _ = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
+                                     None, nonneg=True)
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
-                   complementarity=log[-1]["residual"])
+                   complementarity=log[-1]["residual"],
+                   gaps=model.fenchel_gap(t, grid.cell_centers, gu, eta))
 
 
 def tv_step(grid, rho, h, prev, cfg=None):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wentzellflow import discretization as disc
 from wentzellflow import flow_driver as fd
@@ -504,6 +506,120 @@ def test_lagged_factor_is_held_per_flow_not_on_the_grid():
     assert all(vars(g)[k] is v for k, v in grid_state.items())
     assert vars(g.gram_plan).keys() == plan_state.keys()
     assert all(vars(g.gram_plan)[k] is v for k, v in plan_state.items())
+
+
+def _plain_flow(problem, n, cfg, obstacle=False):
+    """The steps of ``run_flow``, each started from the previous field
+    alone, with one lagged factor per flow: (final field, step logs)."""
+    grid, model = problem.grid, problem.model
+    h = problem.T / n
+    y = problem.y0.copy()
+    lagged = ss._LaggedFactor()
+    logs = []
+    for i in range(1, n + 1):
+        fbar, gbar, _ = fd._step_sources(problem, i, h)
+        w1 = y.copy() if fbar is None else y + h * fbar
+        w2 = y[grid.boundary_nodes]
+        if gbar is not None:
+            w2 = w2 + h * gbar
+        if obstacle:
+            sol = ss.solve_step_obstacle(grid, model, i * h, h, w1, w2, cfg,
+                                         u0=y)
+        else:
+            sol = ss.solve_step(grid, model, i * h, h, w1, w2, cfg, u0=y,
+                                lagged=lagged)
+        y = sol.u
+        logs.append(sol.iterations)
+    return y, logs
+
+
+def _newton_iters(logs):
+    return sum(stage["iters"] for log in logs for stage in log)
+
+
+def _starts(logs):
+    return [stage["start"] for log in logs for stage in log
+            if "start" in stage]
+
+
+def test_extrapolated_start_saves_newton_iterations():
+    # a smooth 1D flow with sources: each step from 2 y_i - y_{i-1} takes
+    # fewer Newton iterations than from y_i, and lands on the same fields
+    g = disc.interval_grid(64)
+    x = g.nodes[:, 0]
+    problem = fd.ProblemData(
+        g, np.sin(np.pi * x),
+        f=lambda t, pts: np.sin(np.pi * pts[:, 0]) * np.exp(-t),
+        g=lambda t, pts: np.full(pts.shape[0], np.cos(t)),
+        T=0.5, model=fm.anisotropic_p_laplacian(4.0))
+    cfg = ss.StepConfig(tol=1e-10)
+    traj = fd.run_flow(problem, 100, cfg)
+    final, logs = _plain_flow(problem, 100, cfg)
+    assert _newton_iters(traj.step_logs) <= 0.85 * _newton_iters(logs)
+    assert np.max(np.abs(traj.fields[-1] - final)) <= 1e-9
+    assert traj.step_residuals.max() <= cfg.tol
+
+
+def test_lagged_and_obstacle_flows_take_no_guess():
+    # a lagged-factor flow and an obstacle flow start every step from y_i:
+    # no step logs a guess, and each repeats the plain loop's solves
+    g = disc.rectangle_grid(34, 34)
+    x, y = g.nodes.T
+    cfg = ss.StepConfig(tol=1e-10)
+    wide = fd.ProblemData(g, np.cos(np.pi * x) * np.cos(np.pi * y),
+                          T=0.0125,
+                          model=fm.anisotropic_p_laplacian(4, dimension=2))
+    g1 = disc.interval_grid(16)
+    # a sink keeps the contact set of every step nonempty
+    contact = fd.ProblemData(
+        g1, np.maximum(np.sin(2 * np.pi * g1.nodes[:, 0]), 0.0),
+        f=lambda t, pts: np.full(pts.shape[0], -2.0), T=0.1,
+        model=fm.anisotropic_p_laplacian(4.0))
+    for problem, obstacle in ((wide, False), (contact, True)):
+        traj = fd.run_flow(problem, 5, cfg, obstacle=obstacle)
+        final, logs = _plain_flow(problem, 5, cfg, obstacle=obstacle)
+        assert _starts(traj.step_logs) == []
+        assert traj.step_logs == logs
+        assert np.array_equal(traj.fields[-1], final)
+        if obstacle:
+            assert all(np.count_nonzero(u == 0.0) for u in traj.fields)
+        else:
+            assert "factorizations" in traj.step_logs[0][0]
+
+
+def test_flow_reruns_a_step_whose_guess_stalls():
+    # n = 500, p = 4, h = 1/6: from 2 y1 - y0 step 2's damped Newton stalls
+    # at a residual of order 1e2; the stage reruns from y1 and converges
+    g = disc.interval_grid(500)
+    problem = fd.ProblemData(g, np.cos(np.pi * g.nodes[:, 0]), T=0.5,
+                             model=fm.anisotropic_p_laplacian(4.0))
+    cfg = ss.StepConfig(tol=1e-10)
+    traj = fd.run_flow(problem, 3, cfg)
+    miss, stage = traj.step_logs[1]
+    assert (miss["start"], miss["exit"]) == ("extrapolated", "stall")
+    assert miss["residual"] > 1.0
+    assert stage["exit"] == "converged" and "start" not in stage
+    assert _starts(traj.step_logs) == ["extrapolated"]
+    assert traj.step_residuals.max() <= cfg.tol
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 16), law=st.sampled_from(["quadratic", "p4", "log"]),
+       steps=st.integers(2, 6), log_h=st.floats(-3.0, -1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_extrapolated_flow_matches_the_plain_start(n, law, steps, log_h, seed):
+    # on random 1D data the flow started from the extrapolated fields lands
+    # where the flow started from the previous fields does
+    g = disc.interval_grid(n)
+    model = {"quadratic": fm.quadratic(1),
+             "p4": fm.anisotropic_p_laplacian(4.0),
+             "log": fm.log_growth(1.0)}[law]
+    y0 = np.random.default_rng(seed).standard_normal(n + 1)
+    problem = fd.ProblemData(g, y0, T=steps * 10.0 ** log_h, model=model)
+    cfg = ss.StepConfig(tol=1e-10)
+    traj = fd.run_flow(problem, steps, cfg)
+    final, _ = _plain_flow(problem, steps, cfg)
+    assert np.max(np.abs(traj.fields[-1] - final)) <= 1e-9
 
 
 def test_asymptotics_already_at_equilibrium():

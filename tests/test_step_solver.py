@@ -114,16 +114,69 @@ def _route_obstacle():
     return g, model, 0.1, 0.1, w1, sol
 
 
-@pytest.mark.parametrize("route", [_route_smooth_1d, _route_lagged_2d,
-                                   _route_rescue, _route_loop, _route_tv,
-                                   _route_obstacle],
-                         ids=["smooth-1d", "lagged-2d", "rescue", "loop", "tv",
-                              "obstacle"])
+def _guessed_step(n, y0, h):
+    """Step 2 of a p = 4 flow on ``interval_grid(n)`` from y0(x), handed the
+    extrapolated field 2 y1 - y0 as its guess."""
+    g = disc.interval_grid(n)
+    model = fm.anisotropic_p_laplacian(4.0)
+    cfg = ss.StepConfig(tol=1e-10)
+    y0 = y0(g.nodes[:, 0])
+    y1 = ss.solve_step(g, model, h, h, y0, y0[g.boundary_nodes], cfg,
+                       u0=y0).u
+    sol = ss.solve_step(g, model, 2 * h, h, y1, y1[g.boundary_nodes], cfg,
+                        u0=y1, guess=2.0 * y1 - y0)
+    return g, model, 2 * h, h, y1, sol
+
+
+def _route_extrapolated_1d():
+    route = _guessed_step(32, lambda x: 0.5 * np.cos(2 * np.pi * x), 0.01)
+    (stage,) = route[-1].iterations
+    assert stage["exit"] == "converged" and "start" not in stage
+    return route
+
+
+def _route_guess_miss():
+    # the stall rule ends the damped Newton from the guess far from the
+    # minimizer; the stage reruns from the previous field
+    route = _guessed_step(500, lambda x: np.cos(np.pi * x), 1.0 / 6)
+    miss, stage = route[-1].iterations
+    assert (miss["start"], miss["exit"]) == ("extrapolated", "stall")
+    assert stage["exit"] == "converged" and "start" not in stage
+    return route
+
+
+ROUTES = [_route_smooth_1d, _route_lagged_2d, _route_extrapolated_1d,
+          _route_guess_miss, _route_rescue, _route_loop, _route_tv,
+          _route_obstacle]
+ROUTE_IDS = ["smooth-1d", "lagged-2d", "extrapolated-1d", "guess-miss",
+             "rescue", "loop", "tv", "obstacle"]
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
 def test_reported_objective_is_the_objective_of_the_returned_field(route):
     # the step reports the objective its last stage logged at its field
     g, model, t, h, w1, sol = route()
     assert sol.objective == ss.step_objective(g, model, t, h, w1,
                                               w1[g.boundary_nodes], sol.u)
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
+def test_reported_residual_and_certificate_are_those_of_the_returned_pair(
+        route):
+    # recomputed from (u, eta) alone, the residual and the certificate are
+    # the very floats the step reports, also where they are read off the
+    # last Newton evaluation
+    g, model, t, h, w1, sol = route()
+    rhs = ss._rhs(g, w1, w1[g.boundary_nodes])
+    if sol.complementarity is None:
+        assert sol.residual == ss._weak_residual(g, h, sol.u, sol.eta, rhs)
+    else:
+        r = ss._weak_form(g, h, sol.u, sol.eta, rhs) / g.mass
+        assert sol.residual == float(np.max(np.abs(np.minimum(sol.u, r))))
+    gaps = model.fenchel_gap(t, g.cell_centers, disc.gradient(g, sol.u),
+                             sol.eta)
+    assert np.array_equal(sol.fenchel_cells, gaps)
+    assert sol.fenchel_total == float(g.cell_volumes @ gaps)
 
 
 @pytest.mark.parametrize("model", [fm.quadratic(1),
