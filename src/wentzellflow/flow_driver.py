@@ -14,6 +14,7 @@ diagnostics here.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import discretization as disc
 from .step_solver import (StepConfig, StepNonConverged, _LaggedFactor,
-                          _minimize_newton, _rhs, _StageProblem, solve_step,
-                          solve_step_obstacle)
+                          _minimize_newton, _rhs, _StageProblem, _takes_guess,
+                          solve_step, solve_step_obstacle)
 
 __all__ = [
     "ProblemData",
@@ -215,11 +216,14 @@ class AsymptoticsReport:
 def run_flow(problem, n, cfg=None, obstacle=False):
     """March the time-discretized system for n steps of size h = T/n.
 
-    Each step starts from the previous field y_i.  A step i >= 2 of a
-    smooth law's flow without the obstacle is also handed the extrapolated
-    field 2 y_i - y_{i-1} as ``guess``, where Newton starts on the direct
-    solve; a stage that does not converge from it reruns from y_i
-    (``solve_step``).  Each step also gets the previous
+    Each step starts from the previous field y_i.  On the direct banded
+    solve a smooth law's flow without the obstacle also hands a step a
+    ``guess`` to start Newton from (``solve_step``), built only there:
+    2 y_1 - y_0 at step 2, later the extrapolant through the last k + 1
+    fields of the order k <= 4 that predicted y_i best (``_predict``), no
+    guess at k = 0.  A stage that does not converge from the guess reruns
+    from y_i, and its entry records the order (``"order"`` next to
+    ``"start": "extrapolated"``).  Each step also gets the previous
     step's dual point (``StepSolution.dual``): none on the first step, nor
     after a step that did not end on the dual route.  A total-variation
     step starts its dual solve from it, a step of a law with a flux jump
@@ -247,27 +251,30 @@ def run_flow(problem, n, cfg=None, obstacle=False):
     # grid, so every flow of a problem repeats the same solves
     lagged = _LaggedFactor()
     dual = None
-    extrapolate = problem.model.is_smooth
+    guess, order = None, 0
+    extrapolate = not obstacle and _takes_guess(grid, problem.model)
     for i in range(1, n + 1):
         fbar, gbar, source_sq[i - 1] = _step_sources(problem, i, h)
         w1 = y.copy() if fbar is None else y + h * fbar
         w2 = y[grid.boundary_nodes]
         if gbar is not None:
             w2 = w2 + h * gbar
+        if extrapolate:
+            guess, order = _predict(fields[:i])
         try:
             if obstacle:
                 sol = solve_step_obstacle(grid, problem.model, i * h, h, w1,
                                           w2, cfg, u0=y)
             else:
-                guess = (2.0 * y - fields[i - 2] if extrapolate and i > 1
-                         else None)
                 sol = solve_step(grid, problem.model, i * h, h, w1, w2, cfg,
                                  u0=y, lagged=lagged, dual=dual, guess=guess)
         except StepNonConverged as exc:
+            _mark_order(exc.log, order)
             err = StepNonConverged(f"step {i} (t = {i * h:g}) failed: {exc}",
                                    residual=exc.residual, log=exc.log)
             err.step_index = i
             raise err from exc
+        _mark_order(sol.iterations, order)
         y, dual = sol.u, sol.dual
         fields[i] = y
         etas[i - 1] = sol.eta
@@ -276,6 +283,50 @@ def run_flow(problem, n, cfg=None, obstacle=False):
         logs.append(sol.iterations)
     return Trajectory(problem, h, np.arange(n + 1) * h, fields, etas,
                       residuals, certs, source_sq, logs)
+
+
+def _predictor_rows(top):
+    """The rows that take the last top + 2 fields, oldest first, to the
+    backward differences nabla^1..nabla^{top+1} of the newest, then to the
+    extrapolants of orders 1..top, y + sum_{j=1..k} nabla^j y."""
+    nabla = np.array([[(-1) ** l * math.comb(j, l) for l in range(top + 2)]
+                      for j in range(top + 2)], dtype=float)
+    rows = np.vstack([nabla[1:], np.cumsum(nabla, axis=0)[1:-1]])
+    return np.ascontiguousarray(rows[:, ::-1])
+
+
+_PREDICTOR_ROWS = {top: _predictor_rows(top) for top in range(1, 5)}
+
+
+def _predict(past):
+    """The start Newton is handed for the step after the fields ``past``
+    (rows y_0, ..., y_m), and its order k: y_m + sum_{j=1..k} nabla^j y_m,
+    the degree-k polynomial through the last k + 1 fields taken one step
+    on, the predictor of variable-order BDF codes (Brenan, Campbell and
+    Petzold, 1996).  After two fields the order is 1, the
+    linear 2 y_1 - y_0.  Later, k in {0, ..., min(4, m - 1)} is the order
+    whose polynomial through the k + 1 fields before y_m predicted y_m
+    best; that error is ||nabla^{k+1} y_m||_inf.  Differences that grow,
+    as on a field that oscillates from step to step, choose k = 0, and
+    the guess is None: the step starts from y_m itself.
+    """
+    m = len(past) - 1
+    if m < 1:
+        return None, 0
+    if m == 1:
+        return 2.0 * past[1] - past[0], 1
+    top = min(4, m - 1)
+    rows = np.dot(_PREDICTOR_ROWS[top], past[m - top - 1:])
+    k = int(np.maximum.reduce(np.abs(rows[:top + 1]), axis=1).argmin())
+    return (None, 0) if k == 0 else (rows[top + k], k)
+
+
+def _mark_order(log, order):
+    """Record the predictor's order on a step's entries for a stage run
+    from the guess that missed (marked "start")."""
+    for entry in log:
+        if "start" in entry:
+            entry["order"] = order
 
 
 def _step_sources(problem, i, h):

@@ -190,7 +190,7 @@ def _weak_residual(grid, h, u, eta, rhs):
 
 def _scaled_max(grid, weak):
     """Max-norm of a weak-form vector scaled by the lumped mass."""
-    return float(np.max(np.abs(weak) / grid.mass))
+    return float((np.abs(weak) / grid.mass).max())
 
 
 def _check_data(grid, h, w1, w2):
@@ -377,6 +377,13 @@ def _newton_solve(plan, ab, rhs, fixed=None):
 _CG_CAP = 8
 
 
+def _takes_guess(grid, model):
+    """Whether a step of ``model`` on ``grid`` tries ``solve_step``'s
+    ``guess``: a smooth law on the direct banded solve, kd < 4 * _CG_CAP
+    (``_continuation``)."""
+    return model.is_smooth and grid.gram_plan.kd < 4 * _CG_CAP
+
+
 class _LaggedFactor:
     """Banded Cholesky factor of an earlier Newton system, held across the
     Newton iterations and steps of one smooth flow.
@@ -493,7 +500,7 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None, nonneg=False):
 
     def residual(v, g):
         r = g / m
-        return float(np.max(np.abs(np.minimum(v, r) if nonneg else r))), r
+        return float(np.abs(np.minimum(v, r) if nonneg else r).max()), r
 
     for it in range(max_iter + 1):
         g = prob.grad(u)
@@ -769,13 +776,13 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     from one stage to the next, which ruins a lagged factor, and smaller
     bands factor faster than CG iterates, so they keep the direct solve.
     On the direct solve the smooth stage starts from ``guess`` when given
-    (``run_flow`` hands the extrapolated field), and reruns from u if that
-    does not converge, the miss kept as its own entry marked "start":
-    "extrapolated": from a far start the stall rule can end a damped
-    Newton whose objective is still falling.  The lagged path ignores the
-    guess, since a closer start tightens the CG forcing term
-    min(0.1, res) and costs more CG iterations than it saves Newton
-    iterations.
+    (``run_flow`` hands an extrapolant of the past fields), and reruns from
+    u if that does not converge, the miss kept as its own entry marked
+    "start": "extrapolated": from a far start the stall rule can end a
+    damped Newton whose objective is still falling.  The lagged path
+    ignores the guess (``_takes_guess``), since a closer start tightens
+    the CG forcing term min(0.1, res) and costs more CG iterations than
+    it saves Newton iterations.
     ``clean`` turns False, and the stages end, when a stage stalls far above
     its target (active sets chattering on the jump set); the caller then
     hands the field to the dual route instead of grinding through the
@@ -789,7 +796,7 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     """
     if grid.gram_plan.kd < 4 * _CG_CAP:
         lagged = None
-    if lagged is not None or not model.is_smooth:
+    if not _takes_guess(grid, model):
         guess = None
     stages = [(None, cfg.tol)]
     if not model.is_smooth:
@@ -842,9 +849,10 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     cannot be met, and ValueError (BADCONFIG) for invalid configuration.
     Newton starts from ``u0`` (default M^{-1} rhs).  ``guess``, a nodal
     field, is a start tried first by a smooth law on the direct solve
-    (``run_flow`` passes the extrapolated field 2 y_i - y_{i-1}); a stage
-    that does not converge from it reruns from ``u0`` (``_continuation``).
-    Every other law and the lagged path ignore it.
+    (``_takes_guess``; ``run_flow`` passes a polynomial extrapolant of the
+    past fields, of order 1 to 4); a stage that does not converge from it
+    reruns from ``u0`` (``_continuation``).  Every other law and the
+    lagged path ignore it.
     ``lagged``, a ``_LaggedFactor``, carries the Newton factor of a smooth
     law from step to step of one flow (``run_flow`` passes one per flow);
     without it the step holds its own.  ``dual``, an (n_cells, N) array,

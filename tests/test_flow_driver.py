@@ -508,12 +508,15 @@ def test_lagged_factor_is_held_per_flow_not_on_the_grid():
     assert all(vars(g.gram_plan)[k] is v for k, v in plan_state.items())
 
 
-def _plain_flow(problem, n, cfg, obstacle=False):
+def _plain_flow(problem, n, cfg, obstacle=False, linear=False):
     """The steps of ``run_flow``, each started from the previous field
-    alone, with one lagged factor per flow: (final field, step logs)."""
+    alone, or with ``linear`` from step 2 on handed the guess
+    2 y_i - y_{i-1}, with one lagged factor per flow: (final field, step
+    logs)."""
     grid, model = problem.grid, problem.model
     h = problem.T / n
     y = problem.y0.copy()
+    prev = None
     lagged = ss._LaggedFactor()
     logs = []
     for i in range(1, n + 1):
@@ -526,9 +529,10 @@ def _plain_flow(problem, n, cfg, obstacle=False):
             sol = ss.solve_step_obstacle(grid, model, i * h, h, w1, w2, cfg,
                                          u0=y)
         else:
+            guess = 2.0 * y - prev if linear and prev is not None else None
             sol = ss.solve_step(grid, model, i * h, h, w1, w2, cfg, u0=y,
-                                lagged=lagged)
-        y = sol.u
+                                lagged=lagged, guess=guess)
+        prev, y = y, sol.u
         logs.append(sol.iterations)
     return y, logs
 
@@ -558,6 +562,55 @@ def test_extrapolated_start_saves_newton_iterations():
     assert _newton_iters(traj.step_logs) <= 0.85 * _newton_iters(logs)
     assert np.max(np.abs(traj.fields[-1] - final)) <= 1e-9
     assert traj.step_residuals.max() <= cfg.tol
+
+
+def test_variable_order_start_saves_newton_iterations():
+    # on the flow of test_extrapolated_start_saves_newton_iterations the
+    # variable-order start takes fewer Newton iterations than the linear
+    # start 2 y_i - y_{i-1} handed to every step from step 2 on
+    g = disc.interval_grid(64)
+    problem = fd.ProblemData(
+        g, np.sin(np.pi * g.nodes[:, 0]),
+        f=lambda t, pts: np.sin(np.pi * pts[:, 0]) * np.exp(-t),
+        g=lambda t, pts: np.full(pts.shape[0], np.cos(t)),
+        T=0.5, model=fm.anisotropic_p_laplacian(4.0))
+    cfg = ss.StepConfig(tol=1e-10)
+    traj = fd.run_flow(problem, 100, cfg)
+    final, logs = _plain_flow(problem, 100, cfg, linear=True)
+    assert _newton_iters(traj.step_logs) <= 0.95 * _newton_iters(logs)
+    assert np.max(np.abs(traj.fields[-1] - final)) <= 1e-9
+    assert traj.step_residuals.max() <= cfg.tol
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_predictor_is_exact_on_polynomials_in_time(degree):
+    # fields c(t) * profile with c of degree <= 4 are predicted to rounding
+    # once enough of them are stored to show it
+    rng = np.random.default_rng(degree)
+    profile = rng.standard_normal(33)
+    coeffs = rng.standard_normal(degree + 1)
+    fields = np.array([np.polyval(coeffs, 0.01 * i) * profile
+                       for i in range(10)])
+    for m in range(degree + 2, 10):
+        guess, order = fd._predict(fields[:m])
+        start = fields[m - 1] if guess is None else guess
+        assert np.max(np.abs(start - fields[m])) <= 1e-13
+        assert order >= degree
+
+
+def test_predictor_takes_no_guess_on_growing_differences():
+    # alternating fields: every backward difference doubles the last, so
+    # order 0 predicts best and the step starts from the last field
+    fields = np.array([(-1.0) ** i * np.ones(9) for i in range(8)])
+    for m in range(3, 9):
+        assert fd._predict(fields[:m]) == (None, 0)
+
+
+def test_predictor_starts_linear_on_step_two():
+    y0, y1 = np.random.default_rng(1).standard_normal((2, 9))
+    guess, order = fd._predict(np.array([y0, y1]))
+    assert order == 1 and np.array_equal(guess, 2.0 * y1 - y0)
+    assert fd._predict(y0[None]) == (None, 0)
 
 
 def test_lagged_and_obstacle_flows_take_no_guess():
@@ -603,6 +656,19 @@ def test_flow_reruns_a_step_whose_guess_stalls():
     assert traj.step_residuals.max() <= cfg.tol
 
 
+def test_only_a_missed_guess_records_its_order():
+    # step 2's linear guess (order 1) stalls on the n = 500 flow of
+    # test_flow_reruns_a_step_whose_guess_stalls; no other entry is marked
+    g = disc.interval_grid(500)
+    problem = fd.ProblemData(g, np.cos(np.pi * g.nodes[:, 0]), T=0.5,
+                             model=fm.anisotropic_p_laplacian(4.0))
+    traj = fd.run_flow(problem, 3, ss.StepConfig(tol=1e-10))
+    marked = [(i, stage["start"], stage["order"])
+              for i, log in enumerate(traj.step_logs, start=1)
+              for stage in log if "order" in stage]
+    assert marked == [(2, "extrapolated", 1)]
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(4, 16), law=st.sampled_from(["quadratic", "p4", "log"]),
        steps=st.integers(2, 6), log_h=st.floats(-3.0, -1.0),
@@ -619,6 +685,31 @@ def test_extrapolated_flow_matches_the_plain_start(n, law, steps, log_h, seed):
     cfg = ss.StepConfig(tol=1e-10)
     traj = fd.run_flow(problem, steps, cfg)
     final, _ = _plain_flow(problem, steps, cfg)
+    assert np.max(np.abs(traj.fields[-1] - final)) <= 1e-9
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 16), law=st.sampled_from(["quadratic", "p4", "log"]),
+       steps=st.integers(8, 12), log_h=st.floats(-3.0, -1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_variable_order_flow_matches_the_plain_start(n, law, steps, log_h,
+                                                     seed):
+    # a flow long enough for orders 3 and 4 completes whenever the flow
+    # started from the previous fields does, and lands where it does
+    g = disc.interval_grid(n)
+    model = {"quadratic": fm.quadratic(1),
+             "p4": fm.anisotropic_p_laplacian(4.0),
+             "log": fm.log_growth(1.0)}[law]
+    y0 = np.random.default_rng(seed).standard_normal(n + 1)
+    problem = fd.ProblemData(g, y0, T=steps * 10.0 ** log_h, model=model)
+    cfg = ss.StepConfig(tol=1e-10)
+    try:
+        final, _ = _plain_flow(problem, steps, cfg)
+    except ss.StepNonConverged:
+        # a cold log-growth step on rough data can fail from any start
+        # (ROADMAP item 6); no guess is involved
+        return
+    traj = fd.run_flow(problem, steps, cfg)
     assert np.max(np.abs(traj.fields[-1] - final)) <= 1e-9
 
 
