@@ -133,12 +133,8 @@ def _deep_merge(base, override):
     return out
 
 
-def parse_config(path_or_text):
-    """Parse and validate a JSON run config from a path or literal text."""
-    text = path_or_text
-    if isinstance(path_or_text, str) and os.path.exists(path_or_text):
-        with open(path_or_text) as fh:
-            text = fh.read()
+def _load_json(text):
+    """The JSON object of a run config's text; ConfigError otherwise."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -146,7 +142,16 @@ def parse_config(path_or_text):
                           f"{exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    return config_from_dict(raw)
+    return raw
+
+
+def parse_config(path_or_text):
+    """Parse and validate a JSON run config from a path or literal text."""
+    text = path_or_text
+    if isinstance(path_or_text, str) and os.path.exists(path_or_text):
+        with open(path_or_text) as fh:
+            text = fh.read()
+    return config_from_dict(_load_json(text))
 
 
 def config_from_dict(raw):
@@ -456,24 +461,17 @@ def main(argv=None):
                       help="echo progress to stderr")
     args = parser.parse_args(argv)
 
-    if args.config == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.config == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.config) as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        raw = _apply_overrides(raw, args.override)
+        raw = _apply_overrides(_load_json(text), args.override)
         if args.out:
             raw["out_dir"] = args.out
         cfg = config_from_dict(raw)
-    except (ConfigError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.verbose:

@@ -442,6 +442,17 @@ def convergence_study(problem, n_list, cfg=None):
                             distances=distances, orders=orders)
 
 
+def _source_difference(a, b):
+    """The source (t, pts) -> a - b of two sources, None read as 0."""
+
+    def diff(t, pts):
+        va = a(t, pts) if a is not None else 0.0
+        vb = b(t, pts) if b is not None else 0.0
+        return np.asarray(va, dtype=float) - np.asarray(vb, dtype=float)
+
+    return diff
+
+
 def contraction_check(problem, perturbed, n, cfg=None):
     """Continuous dependence on the data along two flows.
 
@@ -455,33 +466,22 @@ def contraction_check(problem, perturbed, n, cfg=None):
     ta = run_flow(problem, n, cfg)
     tb = run_flow(perturbed, n, cfg)
     h = ta.h
-    d0 = (disc.norm_domain(grid, ta.fields[0] - tb.fields[0]) ** 2
-          + disc.norm_boundary(grid, disc.trace(grid, ta.fields[0] - tb.fields[0])) ** 2)
     df = np.zeros(n)
     dg = np.zeros(n)
     pure = problem.f is perturbed.f and problem.g is perturbed.g
     if not pure:
-        def dfun(t, pts):
-            fa = problem.f(t, pts) if problem.f is not None else 0.0
-            fb = perturbed.f(t, pts) if perturbed.f is not None else 0.0
-            return np.asarray(fa, dtype=float) - np.asarray(fb, dtype=float)
-
-        def dgun(t, pts):
-            ga = problem.g(t, pts) if problem.g is not None else 0.0
-            gb = perturbed.g(t, pts) if perturbed.g is not None else 0.0
-            return np.asarray(ga, dtype=float) - np.asarray(gb, dtype=float)
-
-        delta = ProblemData(grid, np.zeros(grid.n_nodes), dfun, dgun,
+        delta = ProblemData(grid, np.zeros(grid.n_nodes),
+                            _source_difference(problem.f, perturbed.f),
+                            _source_difference(problem.g, perturbed.g),
                             problem.T, problem.model)
         df, dg = np.array([_step_sources(delta, i, h)[2]
                            for i in range(1, n + 1)]).T
-    dists = np.empty(n + 1)
-    data = np.empty(n + 1)
-    for m in range(n + 1):
-        du = ta.fields[m] - tb.fields[m]
-        dists[m] = (disc.norm_domain(grid, du) ** 2
-                    + disc.norm_boundary(grid, disc.trace(grid, du)) ** 2)
-        data[m] = d0 + float(df[:m].sum() + dg[:m].sum())
+    dists = np.array([disc.norm_domain(grid, du) ** 2
+                      + disc.norm_boundary(grid, disc.trace(grid, du)) ** 2
+                      for du in ta.fields - tb.fields])
+    # the data term starts at the initial distance
+    data = np.array([dists[0] + float(df[:m].sum() + dg[:m].sum())
+                     for m in range(n + 1)])
     ratios = [dists[m] / data[m] for m in range(1, n + 1) if data[m] > 1e-300]
     c_emp = max(ratios) if ratios else 0.0
     return ContractionReport(distances=dists, data_terms=data,

@@ -316,46 +316,10 @@ def _conj_numeric(value_fn, w, radius0=1.0, cap=1e8):
     return out
 
 
-def _power_conj_value(d, a, p):
-    """max_{s >= 0} of d*s - a*s^p for a > 0, p > 1, d >= 0."""
-    if d <= 0:
-        return 0.0
-    q = p / (p - 1.0)
-    return d ** q * (a * p) ** (-1.0 / (p - 1.0)) * (1.0 - 1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # per-axis scalar laws (constant coefficients as floats, others per cell);
 # ``envelope(lam, s, curvature)`` gives j(z), the regularized flux and, if
 # asked, the envelope curvature c / (1 + lam c), c = j''(z), from one prox z
-
-
-class _QuadAxis:
-    """j(s) = alpha s^2 / 2."""
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    def value(self, s):
-        return 0.5 * self.alpha * s * s
-
-    def deriv(self, s):
-        return self.alpha * s
-
-    def deriv2(self, s):
-        return self.alpha * np.ones_like(s)
-
-    def prox(self, lam, s):
-        return s / (1.0 + lam * self.alpha)
-
-    def envelope(self, lam, s, curvature=True):
-        z = self.prox(lam, s)
-        c = self.alpha
-        return (self.value(z), c * z,
-                c / (1.0 + lam * c) * np.ones_like(s) if curvature else None)
-
-    def conj(self, w):
-        return 0.5 * w * w / self.alpha
 
 
 class _PowerAxis:
@@ -377,20 +341,21 @@ class _PowerAxis:
         return self.kappa is None and self.delta_eff is None
 
     def value(self, s):
-        a = np.abs(s)
-        v = self.alpha * a ** self.p / self.p
+        # |s|^p is s * s at p = 2
+        v = self.alpha * (s * s if self.p == 2.0 else np.abs(s) ** self.p) / self.p
         if self.kappa is not None:
-            v = v + self.kappa * np.log1p(a)
+            v = v + self.kappa * np.log1p(np.abs(s))
         if self.delta_eff is not None:
             v = v + self.delta_eff * s
         return v
 
     def _slope(self, s):
         """j' off the kink, continued one-sidedly through it."""
-        a = np.abs(s)
-        d = self.alpha * a ** (self.p - 1.0) * np.sign(s)
+        # |s|^{p-1} sgn(s) is s itself at p = 2
+        d = self.alpha * (s if self.p == 2.0
+                          else np.abs(s) ** (self.p - 1.0) * np.sign(s))
         if self.kappa is not None:
-            d = d + self.kappa * np.sign(s) / (1.0 + a)
+            d = d + self.kappa * np.sign(s) / (1.0 + np.abs(s))
         if self.delta_eff is not None:
             d = d + self.delta_eff
         return d
@@ -460,7 +425,8 @@ class _PowerAxis:
     def conj(self, w):
         if self.pure:
             q = self.p / (self.p - 1.0)
-            return self.alpha ** (1.0 - q) * np.abs(w) ** q / q
+            return (self.alpha ** (1.0 - q)
+                    * (w * w if q == 2.0 else np.abs(w) ** q) / q)
         # j*(w) = w s - j(s) at the root s of j'(s) = w, which is 0 for w in
         # the subdifferential at 0 and has the sign of the side w lies on
         lo0, hi0 = self.subgrad0()
@@ -834,25 +800,13 @@ class _RadialModel(FluxModel):
         return ("radial", cpar, cperp, self._unit(rs, m))
 
 
-class Quadratic(_SeparableModel):
-    """j = |r|^2 / 2, the identity flux law."""
-
-    kind = "quadratic"
-
-    def __init__(self, dimension=1):
-        growth = Growth("strong", p=2.0, c1=0.5, c2=0.5, c3=1.0)
-        super().__init__(dimension, growth, smooth=True)
-
-    def _laws(self, t, xs):
-        return [_QuadAxis(1.0)] * self.dimension
-
-
 class AnisotropicPLaplacian(_SeparableModel):
     """Axis-wise power law alpha_i(t,x) |r_i|^p / p with optional lower-order
     log and linear terms; the linear part is renormalized so the potential
     stays nonnegative with value 0 at the origin."""
 
     kind = "plaplacian"
+    _fixed_laws = None
 
     def __init__(self, p, alpha=1.0, kappa=None, delta=None, dimension=1,
                  alpha_bounds=None, time_lipschitz=0.0, time_dependent=False,
@@ -869,6 +823,9 @@ class AnisotropicPLaplacian(_SeparableModel):
         smooth = (self.p >= 2.0 and all(k is None for k in self._kappa))
         super().__init__(dimension, growth, time_lipschitz=time_lipschitz,
                          time_dependent=time_dependent, smooth=smooth)
+        # constant coefficients give one set of laws at every (t, x)
+        if None not in self._alpha_const + self._kappa_const + self._delta_const:
+            self._fixed_laws = self._laws(0.0, None)
         if validate:
             _check_convexity(self)
         if all(k is not None for k in self._kappa_const):
@@ -877,6 +834,8 @@ class AnisotropicPLaplacian(_SeparableModel):
             self.kink_scale = 2.0 * max(self._kappa_const)
 
     def _laws(self, t, xs):
+        if self._fixed_laws is not None:
+            return self._fixed_laws
         laws = []
         for a in range(self.dimension):
             al = self._alpha[a](t, xs)
@@ -892,6 +851,16 @@ class AnisotropicPLaplacian(_SeparableModel):
                     de = None
             laws.append(_PowerAxis(al, self.p, ka, de))
         return laws
+
+
+class Quadratic(AnisotropicPLaplacian):
+    """j = |r|^2 / 2, the identity flux law: the p = 2 power law with unit
+    coefficient, whose resolvent ``_power_resolvent`` takes in closed form."""
+
+    kind = "quadratic"
+
+    def __init__(self, dimension=1):
+        super().__init__(2.0, dimension=dimension)
 
 
 class FracturedMedium(_SeparableModel):
@@ -1004,7 +973,8 @@ def _power_growth(p, a_lo, a_hi, dimension, kappa_consts=None, delta_consts=None
         c3 += k_hi + d_hi
         c30 += k_hi + d_hi
         if d_hi > 0:
-            c10 = -_power_conj_value(d_hi * np.sqrt(n), c1 / 2.0, p)
+            # sup_s d_hi sqrt(n) s - (c1 / 2) |s|^p, a power-law conjugate
+            c10 = -float(_PowerAxis(p * c1 / 2.0, p).conj(d_hi * np.sqrt(n)))
             c1 = c1 / 2.0
     return Growth("strong", p=p, c1=c1, c2=c2, c10=c10, c20=c20, c3=c3, c30=c30)
 

@@ -9,8 +9,9 @@ The step objective is
 discretized with the grid quadrature.  Its Hessian is SPD on the grid's
 fixed pattern of bandwidth kd (1 on intervals, nx + 2 on rectangles), so
 one damped Newton (``_minimize_newton``, each system one banded Cholesky
-solve) minimizes every smooth problem of the package.  The route a step
-takes follows its flux law; each is described where it is implemented:
+solve by LAPACK's pbtrf and pbtrs) minimizes every smooth problem of the
+package.  The route a step takes follows its flux law; each is described
+where it is implemented:
 
 - a smooth law: one Newton stage (``_continuation``), on wide bands with a
   factor held over the flow (``_LaggedFactor``);
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import discretization as disc
@@ -355,20 +355,26 @@ class _StageProblem:
 # ---------------------------------------------------------------------------
 # inner minimizers
 
+def _band_cholesky(ab, rhs):
+    """(x, factor) of A x = rhs by LAPACK dpbtrf and dpbtrs on A's lower band
+    storage ``ab`` (from ``plan.assemble``; overwritten); LinAlgError if A
+    is not positive definite after rounding."""
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbtrf: info {info}")
+    return dpbtrs(factor, rhs, lower=1)[0], factor
+
+
 def _newton_solve(plan, ab, rhs, fixed=None):
-    """Solve A d = rhs by banded Cholesky on A's lower band storage ``ab``
-    (from ``plan.assemble``; overwritten), raising numpy.linalg.LinAlgError
-    if A is not positive definite after rounding.  Rows and columns flagged
-    in the boolean mask ``fixed`` become those of the identity with a zero
+    """Solve A d = rhs by ``_band_cholesky``.  Rows and columns flagged in
+    the boolean mask ``fixed`` become those of the identity with a zero
     right-hand side, so d vanishes there and the free block is solved as
-    the principal submatrix.
-    """
+    the principal submatrix."""
     if fixed is not None:
         ab.ravel(order="F")[plan.slot[fixed[plan.row] | fixed[plan.col]]] = 0.0
         ab[0, fixed] = 1.0
         rhs = np.where(fixed, 0.0, rhs)
-    return solveh_banded(ab, rhs, lower=True, overwrite_ab=True,
-                         check_finite=False)
+    return _band_cholesky(ab, rhs)[0]
 
 
 # CG iterations on one Newton system before the held factor is replaced.  A
@@ -394,8 +400,9 @@ class _LaggedFactor:
     (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982).  If CG
     misses it within ``_CG_CAP`` iterations or meets a direction of
     nonpositive curvature, the held factor is dropped and H is assembled,
-    factored in place and kept, and d is its direct solve.  ``factor`` is
-    None until the first factorization and after a failed one.
+    factored in place and kept, and d is its direct solve, both by
+    ``_band_cholesky``, the solve of ``_newton_solve``.  ``factor`` is None
+    until the first factorization and after a failed one.
     """
 
     def __init__(self):
@@ -414,12 +421,9 @@ class _LaggedFactor:
                 return d
         self.factor = None
         counts["factorizations"] += 1
-        factor, info = dpbtrf(prob.grid.gram_plan.assemble(blocks, prob.mass),
-                              lower=1, overwrite_ab=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dpbtrf: info {info}")
-        self.factor = factor
-        return dpbtrs(factor, -g, lower=1)[0]
+        d, self.factor = _band_cholesky(
+            prob.grid.gram_plan.assemble(blocks, prob.mass), -g)
+        return d
 
     def _pcg(self, apply_h, b, tol):
         """CG on H x = b from x = 0, preconditioned by the held factor;
@@ -723,17 +727,17 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     route's log entry and returns (u, eta, p), or None when a warm start
     misses.
 
-    It runs the multiplier loop ``_multiplier_finish`` from p0 and its
-    primal u0 = M^{-1}(rhs - K^T p0) with the Fenchel gap (exact but for a
-    ``Custom`` law's) for up to 40 rounds, whose inner solves stop no
-    looser than an intermediate continuation stage (log entry ``rescue``
-    "loop", with its ``certificate``).  It stops at 1e-4 of the cold gap
-    target, or at 1e-3 of it once a round gains nothing (the inner solves'
-    rounding floor): a stop at 1e-3 alone lands the 40-step fractured-1d
-    benchmark flow 7e-8 off a tight solve of its step maps, against 2e-8 at
-    1e-4.  A loop that misses 1e-3 of the target marks its entry
-    ``fallback``; it ends a warm start, and a cold one returns the loop's
-    best dual-feasible point, whose certificate ``_finish`` judges.
+    It runs the multiplier loop ``_multiplier_finish`` from p0 on the
+    Fenchel gap (exact but for a ``Custom`` law's) for up to 40 rounds,
+    whose inner solves stop no looser than an intermediate continuation
+    stage (log entry ``rescue`` "loop", with its ``certificate``).  It
+    stops at 1e-4 of the cold gap target, or at 1e-3 of it once a round
+    gains nothing (the inner solves' rounding floor): a stop at 1e-3 alone
+    lands the 40-step fractured-1d benchmark flow 7e-8 off a tight solve of
+    its step maps, against 2e-8 at 1e-4.  A loop that misses 1e-3 of the
+    target marks its entry ``fallback``; that ends a warm start, and a cold
+    one returns the loop's best dual-feasible point, whose certificate
+    ``_finish`` judges.
     """
     target = h * _gap_target(cfg)
     xs, vol = grid.cell_centers, grid.cell_volumes
@@ -746,18 +750,12 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
         except fm.UnboundedConjugate:
             return np.inf
 
-    u0 = (_rhs(grid, w1, w2) - grid.grad_stack_t @ p0.ravel()) / grid.mass
     u, p, gap, entry = _multiplier_finish(
-        grid, model, t, h, w1, w2, u0, p0, gap_of(p0, disc.gradient(grid, u0)),
-        gap_of, 1e-4 * target, cfg.max_iter, cfg.lam0, max_rounds=40,
-        tol_cap=_inter_tol(cfg), accept=1e-3 * target)
+        grid, model, t, h, w1, w2, p0, gap_of, 1e-4 * target, cfg,
+        max_rounds=40, tol_cap=_inter_tol(cfg), accept=1e-3 * target)
     entry.update(rescue="loop", certificate=gap / h)
     log.append(entry)
-    if gap > 1e-3 * target:
-        entry["fallback"] = True
-        if warm:
-            return None
-    return u, p / a, p
+    return None if warm and "fallback" in entry else (u, p / a, p)
 
 
 def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
@@ -1006,20 +1004,19 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
     u, p, gap, it, exit_ = fista(p0, handover, cfg.pd_max_iter)
     if gap > target and exit_ != "max_iter":
         u, p, gap, finish = _multiplier_finish(
-            grid, model, 0.0, h, w1, w2, u, p, gap, gap_of, target,
-            cfg.max_iter, cfg.lam0, max_rounds=20)
+            grid, model, 0.0, h, w1, w2, p, gap_of, target, cfg, max_rounds=20)
         log.append(finish)
-        if gap > target:
-            finish["fallback"] = True
+        if "fallback" in finish:
             u, p, gap, _, _ = fista(p, 0.0, cfg.pd_max_iter - it)
     return _finish(grid, model, 0.0, h, w1, w2, u, p / a[:, None], cfg, log,
                    dual=p)
 
 
-def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
-                       max_iter, lam0, max_rounds, tol_cap=np.inf, accept=0.0):
+def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
+                       max_rounds, tol_cap=np.inf, accept=0.0):
     """Method of multipliers on the lam-envelope of a step, from the dual
-    point p with gap ``gap`` and its primal u0 = M^{-1}(rhs - K^T p).
+    point p (an (n_cells, N) array p = h vol eta) and its primal
+    u0 = M^{-1}(rhs - K^T p), whose gap ``gap_of(p, K u0)`` it takes itself.
 
     Each round minimizes the stage whose envelope argument is shifted by
     the flux eta,  1/2 ||u||_M^2 - b(u) + h sum_c vol_c j_lam(K_c u + lam
@@ -1035,23 +1032,26 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
     lam times the width scale, the law's ``kink_scale`` (its flux jump
     height) or 1 for a law without a jump, is the envelope's kink width in
     gradient units.  It starts at a tenth of the start's RMS error bound
-    sqrt(2 gap / |Omega|), but lam never starts above ``lam0``, the first
-    lam of a continuation: a crude start would otherwise spend its rounds
-    shrinking lam.  lam shrinks 4x after a round that less than halves the
-    gap, and doubles after an inner solve that fails and gains nothing.
+    sqrt(2 gap / |Omega|), but lam never starts above ``cfg.lam0``, the
+    first lam of a continuation: a crude start would otherwise spend its
+    rounds shrinking lam.  lam shrinks 4x after a round that less than
+    halves the gap, and doubles after an inner solve that fails and gains
+    nothing.
     The inner solve stops once its mass-scaled residual, read as a gradient
     error of width^-1 times it on every cell, would add a tenth of the best
     gap, but never below that residual's rounding level: the envelope flux
     at an argument s is known only to about eps |s| / lam, and h K^T W
     carries that error into the residual.  An inner solve that stalls at
     rounding but still gains sets a floor of twice its residual; and the
-    tolerance, floors included, is never above ``tol_cap``.  A start at or
+    tolerance, floors included, is never above ``tol_cap``; each inner
+    solve takes at most ``cfg.max_iter`` Newton iterations.  A start at or
     below ``target`` runs no round, and a round that gains nothing ends the
     loop once the best gap is at most ``accept``.  After at most
     ``max_rounds`` rounds it returns the best round's (u, p, gap) and its
     log entry: the inner solves' Newton iterations, fallbacks, backtracks
     and floored line searches summed (see ``_stage_entries``), the last
-    one's residual and exit, and the rounds.
+    one's residual and exit, and the rounds, marked ``fallback`` when the
+    best gap misses max(target, accept).
     """
     vol = grid.cell_volumes
     a = (h * vol)[:, None]
@@ -1062,14 +1062,16 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
     scale = model.kink_scale or 1.0
     tol_per_gap = 0.1 * width / (scale * area * h)
 
-    def primal(eta):
-        return (rhs - grid.grad_stack_t @ (eta * a).ravel()) / m
+    def primal(p):
+        return (rhs - grid.grad_stack_t @ p.ravel()) / m
 
     # h K^T W / M scales a per-cell flux error by about 2 N h / width
     rounding = 2.0 * len(grid.grad_ops) * h * np.finfo(float).eps / width
+    u0 = primal(p)
     ku0 = disc.gradient(grid, u0)
+    gap = gap_of(p, ku0)
     w1d, w2d = w1 - u0, w2 - u0[grid.boundary_nodes]
-    lam = min(lam0, 0.1 * math.sqrt(2.0 * gap / area) / scale)
+    lam = min(cfg.lam0, 0.1 * math.sqrt(2.0 * gap / area) / scale)
     best = (gap, np.zeros_like(u0), p / a)
     _, delta, eta = best
     work = dict.fromkeys(("iters", "fallbacks", "backtracks", "ls_floor"), 0)
@@ -1083,14 +1085,14 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
         floor = rounding * float(np.abs(shift).max()) / lam
         tol = min(tol_cap, max(tol_low, floor,
                                max(target, best[0]) * tol_per_gap))
-        delta_new, stage = _minimize_newton(prob, delta, tol, max_iter)
+        delta_new, stage = _minimize_newton(prob, delta, tol, cfg.max_iter)
         for key in work:
             work[key] += stage.get(key, 0)
         eta_new = model.yosida(t, grid.cell_centers, lam,
                                disc.gradient(grid, delta_new) + shift)
         failed = stage["exit"] != "converged"
         last, gap = gap, gap_of(eta_new * a,
-                                disc.gradient(grid, primal(eta_new)))
+                                disc.gradient(grid, primal(eta_new * a)))
         if gap < best[0]:
             best = (gap, delta_new, eta_new)
             if failed:
@@ -1107,10 +1109,11 @@ def _multiplier_finish(grid, model, t, h, w1, w2, u0, p, gap, gap_of, target,
         if gap > 0.5 * last:
             lam /= 4.0
     gap, _, eta = best
-    u = primal(eta)
-    entry = _stage_entries(work["iters"], stage["residual"], stage["exit"],
-                           work["fallbacks"], work["backtracks"],
-                           work["ls_floor"])
-    return u, eta * a, gap, {
-        "lam": lam, **entry, "rounds": rounds,
-        "objective": step_objective(grid, model, t, h, w1, w2, u)}
+    u = primal(eta * a)
+    entry = {"lam": lam, **_stage_entries(residual=stage["residual"],
+                                          exit_=stage["exit"], **work),
+             "rounds": rounds,
+             "objective": step_objective(grid, model, t, h, w1, w2, u)}
+    if gap > max(target, accept):
+        entry["fallback"] = True
+    return u, eta * a, gap, entry

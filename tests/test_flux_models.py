@@ -163,6 +163,38 @@ def test_resolvent_quadratic():
     assert fm.resolvent(fm.quadratic(1), 0.0, ORIGIN, 1.0, [2.0]) == pytest.approx([1.0])
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_quadratic_law_closed_forms_in_batch(dimension):
+    # the quadratic law is the unit p = 2 power law; every method is its
+    # closed form, the envelope flux up to the 1e-13 kink tolerance at 0
+    model = fm.quadratic(dimension)
+    rng = np.random.default_rng(dimension)
+    xs = rng.random((500, dimension))
+    rs = rng.standard_normal((500, dimension)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+    rs[:3] = 0.0
+    rs[3, 0] = 1e-15
+    sq = 0.5 * (rs * rs).sum(axis=1)
+    exact = {"rtol": 1e-15, "atol": 0.0}
+    np.testing.assert_allclose(model.potential(0.0, xs, rs), sq, **exact)
+    np.testing.assert_array_equal(model.select(0.0, xs, rs), rs)
+    kind, curv = model.curvature(0.0, xs, rs)
+    assert kind == "diag"
+    np.testing.assert_array_equal(curv, np.ones_like(rs))
+    np.testing.assert_allclose(model.conjugate(0.0, xs, rs), sq, **exact)
+    for lam in (1e-6, 0.3, 2.0):
+        z = rs / (1.0 + lam)
+        np.testing.assert_array_equal(model.resolvent(0.0, xs, lam, rs), z)
+        value, flux, (kind, curv) = model.envelope_pack(0.0, xs, lam, rs)
+        assert np.all(np.abs(flux - z) <= 1e-13 * (1.0 + np.abs(rs)))
+        np.testing.assert_allclose(value, sq / (1.0 + lam), rtol=1e-14, atol=1e-25)
+        assert kind == "diag"
+        np.testing.assert_allclose(curv, np.full_like(rs, 1.0 / (1.0 + lam)),
+                                   **exact)
+    assert model.growth == fm.Growth("strong", p=2.0, c1=0.5, c2=0.5, c3=1.0)
+    assert model.is_smooth and model.kink_scale == 0.0
+    assert model.kind == "quadratic"
+
+
 def test_resolvent_tv_soft_threshold():
     got = fm.resolvent(fm.total_variation(1.0), 0.0, ORIGIN, 0.5, [2.0])
     assert got == pytest.approx([1.5])

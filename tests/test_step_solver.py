@@ -1039,6 +1039,36 @@ def test_masked_solve_matches_principal_submatrix(grid):
     assert np.linalg.norm(got[free] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@settings(max_examples=30, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(2, 40)),
+                       st.tuples(st.integers(2, 12), st.integers(2, 12))),
+       kind=st.sampled_from(["diag", "radial"]), masked=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_band_solve_matches_a_dense_solve(shape, kind, masked, seed):
+    # 1D grids have kd = 1, rectangles kd = nx + 2
+    grid = (disc.interval_grid(*shape) if len(shape) == 1
+            else disc.rectangle_grid(*shape))
+    rng = np.random.default_rng(seed)
+    ab, _ = random_hessian(grid, kind, seed)
+    lower = band_to_lower(ab)
+    dense = lower + np.tril(lower, -1).T
+    rhs = rng.standard_normal(grid.n_nodes)
+    fixed = None
+    free = np.arange(grid.n_nodes)
+    if masked:
+        fixed = rng.random(grid.n_nodes) < 0.4
+        fixed[rng.integers(grid.n_nodes)] = False
+        free = np.flatnonzero(~fixed)
+    ref = np.linalg.solve(dense[np.ix_(free, free)], rhs[free])
+    got = ss._newton_solve(grid.gram_plan, ab.copy(order="F"), rhs, fixed=fixed)
+    if masked:
+        assert np.all(got[fixed] == 0.0)
+    assert np.linalg.norm(got[free] - ref) <= 1e-12 * np.linalg.norm(ref)
+    ab[0, rng.integers(grid.n_nodes)] = -1.0  # a negative pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        ss._newton_solve(grid.gram_plan, ab, rhs)
+
+
 def test_failed_factorization_falls_back_and_is_logged(monkeypatch):
     g = disc.interval_grid(8)
     ab, _ = random_hessian(g, "diag", False)
@@ -1260,11 +1290,13 @@ def test_tv_step_16x16_meets_tolerances_with_feasible_dual():
 # total variation: FISTA, the multiplier finish and its fallback
 
 
-def _skip_finish(grid, model, t, h, w1, w2, u, p, gap, *args, **kwargs):
-    """Stand-in for ``_multiplier_finish`` that gains nothing, so FISTA
+_real_multiplier_finish = ss._multiplier_finish
+
+
+def _skip_finish(*args, **kwargs):
+    """``_multiplier_finish`` held to no round, so it gains nothing and FISTA
     resumes from its handover point: a FISTA-only solve."""
-    return u, p, gap, {"lam": 0.0, "iters": 0, "residual": 0.0,
-                       "exit": "stall", "rounds": 0, "objective": 0.0}
+    return _real_multiplier_finish(*args, **{**kwargs, "max_rounds": 0})
 
 
 def _tv_gap(grid, rho, h, sol):
