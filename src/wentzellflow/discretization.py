@@ -333,8 +333,8 @@ def build_grid(spec):
 
 
 def gradient(grid, u):
-    """Cell-wise discrete gradient of a nodal field, shape (n_cells, N)."""
-    u = grid.check_field(u)
+    """Cell-wise discrete gradient of a nodal field, shape (n_cells, N);
+    ``u`` is not checked (user fields are, by ``Grid.check_field``)."""
     return (grid.grad_stack @ u).reshape(grid.n_cells, -1)
 
 

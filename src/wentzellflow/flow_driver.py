@@ -542,7 +542,8 @@ def _gauge_residual(grid, eta, rhs):
 def steady_state_residual(grid, model, u, f_field, g_vals):
     """Mass-scaled stationarity residual of the equilibrium system, modulo
     the constant gauge direction."""
-    eta = model.select(0.0, grid.cell_centers, disc.gradient(grid, u))
+    eta = model.select(0.0, grid.cell_centers,
+                       disc.gradient(grid, grid.check_field(u)))
     return _gauge_residual(grid, eta, _rhs(grid, f_field, g_vals))
 
 
@@ -609,7 +610,7 @@ def steady_state(grid, model, f_field, g_vals, tol=1e-9, max_iter=200):
             res = residual(u, lam)
             stale = 0 if res < best else stale + 1
             best = min(best, res)
-    if res > tol:
+    if not res <= tol:  # NaN-safe: an overflowed iterate raises too
         raise StepNonConverged(
             f"steady state residual {res:.3e} exceeds {tol:.1e}: the lam={lam} "
             f"stage reached {best:.3e} at best in {steps} steps", residual=res)

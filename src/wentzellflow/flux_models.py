@@ -24,9 +24,10 @@ laws fall back to a numeric grid sup, which can be low.
 Evaluations are pure functions; models are immutable after construction
 and safe to share between threads.
 
-Model values accept single points (``x`` of shape (N,), ``r`` of shape
-(N,)) or batches (``(m, N)`` arrays); batch evaluation is what the step
-solvers use per cell.
+The point functions (``potential``, ``conjugate``, ``resolvent``, ...)
+take one point (``x`` and ``r`` of N entries each) and check it; the model
+methods take batches, ``(m, N)`` float arrays they trust (see
+``FluxModel``), which is what the step solvers use per cell.
 """
 
 from __future__ import annotations
@@ -409,18 +410,20 @@ class _PowerAxis:
             lo, hi, z0=lo)
 
     def envelope(self, lam, s, curvature=True):
-        # at the kink (|z| within 1e-13 of 0) the flux is s / lam clipped to
-        # the kink interval, and a law with one has infinite curvature there
+        # at a kink (|z| within 1e-13 of 0; a pure law has none) the flux is
+        # s / lam clipped to the kink interval and the curvature infinite
         z = self.prox(lam, s)
-        kink = np.abs(z) <= _KINK_TOL * (1.0 + np.abs(s))
         y = self._slope(z)
-        if kink.any():
-            y = np.where(kink, np.clip(s / lam, *self.subgrad0()), y)
+        ok = True
+        if not self.pure:
+            kink = np.abs(z) <= _KINK_TOL * (1.0 + np.abs(s))
+            if kink.any():
+                y = np.where(kink, np.clip(s / lam, *self.subgrad0()), y)
+            ok = ~kink
         if not curvature:
             return self.value(z), y, None
         c = self.deriv2(z)
-        ok = np.isfinite(c) if self.pure else np.isfinite(c) & ~kink
-        return self.value(z), y, _envelope_curvature(c, lam, ok)
+        return self.value(z), y, _envelope_curvature(c, lam, np.isfinite(c) & ok)
 
     def conj(self, w):
         if self.pure:
@@ -601,7 +604,16 @@ class _LogRadial:
 
 
 class FluxModel:
-    """Base class: shape handling and shared derived quantities."""
+    """Base class of the catalog laws.
+
+    The batch methods (``potential``, ``select``, ``resolvent``,
+    ``conjugate``, ``curvature`` and ``_envelope`` of the separable and
+    radial subclasses, and those here built on them) take ``xs`` and the
+    per-cell argument as ``(m, N)`` float arrays (``xs`` may be one row for
+    all cells) and trust them: no shape, dtype or finiteness check, as the
+    step solvers call them on arrays they built.  The point functions
+    (``_point``) and the step solvers' public entries check user data.
+    """
 
     kind = "abstract"
     # Height of the law's flux jump, the width scale of a step's multiplier
@@ -628,28 +640,7 @@ class FluxModel:
         self.time_dependent = bool(time_dependent)
         self.is_smooth = bool(smooth)
 
-    # -- shape plumbing ----------------------------------------------------
-    def _batch(self, x, r):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.atleast_2d(np.asarray(r, dtype=float))
-        if x.shape[1] != self.dimension or r.shape[1] != self.dimension:
-            raise ValueError(f"expected {self.dimension}-vectors")
-        if x.shape[0] == 1 and r.shape[0] > 1:
-            x = np.broadcast_to(x, r.shape)
-        if not np.isfinite(r).all():
-            raise ValueError("non-finite flux argument")
-        return x, r
-
     # -- batch interface implemented by the two structural subclasses ------
-    def potential(self, t, xs, rs):
-        raise NotImplementedError
-
-    def select(self, t, xs, rs):
-        raise NotImplementedError
-
-    def resolvent(self, t, xs, lam, rs):
-        raise NotImplementedError
-
     def _envelope(self, t, xs, lam, rs, curvature):
         """(envelope value, regularized flux, envelope curvature or None)."""
         raise NotImplementedError
@@ -665,27 +656,31 @@ class FluxModel:
         """Envelope value alone; bit for bit ``envelope_pack``'s first part."""
         return self._envelope(t, xs, lam, rs, False)[0]
 
-    def conjugate(self, t, xs, ws):
-        raise NotImplementedError
-
     def curvature(self, t, xs, rs):
         """Per-cell generalized Hessian data of the potential for Newton
         assembly (``envelope_pack`` gives the envelope's)."""
         raise NotImplementedError
 
-    def fenchel_gap(self, t, xs, rs, ws):
-        xs, rs = self._batch(xs, rs)
-        _, ws = self._batch(xs, ws)
+    def fenchel_gap(self, t, xs, rs, ws, jv=None):
+        """Per-cell j(rs) + j*(ws) - ws . rs, with j(rs) = ``jv`` if given."""
         jstar = self.conjugate(t, xs, ws)
         if np.any(np.isinf(jstar)):
             raise UnboundedConjugate("conjugate is +inf at the given slope")
-        return self.potential(t, xs, rs) + jstar - (ws * rs).sum(axis=1)
+        if jv is None:
+            jv = self.potential(t, xs, rs)
+        return jv + jstar - (ws * rs).sum(axis=1)
 
 
 class _SeparableModel(FluxModel):
-    """Potential summing independent scalar laws per axis."""
+    """Potential summing independent scalar laws per axis; a law whose
+    coefficients are all constants builds them once (``_fixed_laws``)."""
+
+    _fixed_laws = None
 
     def _laws(self, t, xs):
+        return self._fixed_laws or self._make_laws(t, xs)
+
+    def _make_laws(self, t, xs):
         raise NotImplementedError
 
     def _per_axis(self, laws, fn, rs):
@@ -696,7 +691,6 @@ class _SeparableModel(FluxModel):
         return out
 
     def _envelope(self, t, xs, lam, rs, curvature):
-        xs, rs = self._batch(xs, rs)
         jl, eta, curv = 0.0, np.empty_like(rs), np.empty_like(rs)
         for a, law in enumerate(self._laws(t, xs)):
             jz, y, c = law.envelope(lam, rs[:, a], curvature)
@@ -707,26 +701,21 @@ class _SeparableModel(FluxModel):
         return jl, eta, ("diag", curv) if curvature else None
 
     def potential(self, t, xs, rs):
-        xs, rs = self._batch(xs, rs)
         laws = self._laws(t, xs)
         return sum(law.value(rs[:, a]) for a, law in enumerate(laws))
 
     def select(self, t, xs, rs):
-        xs, rs = self._batch(xs, rs)
         return self._per_axis(self._laws(t, xs), lambda law, s: law.deriv(s), rs)
 
     def resolvent(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
         return self._per_axis(self._laws(t, xs),
                               lambda law, s: law.prox(lam, s), rs)
 
     def conjugate(self, t, xs, ws):
-        xs, ws = self._batch(xs, ws)
         laws = self._laws(t, xs)
         return sum(law.conj(ws[:, a]) for a, law in enumerate(laws))
 
     def curvature(self, t, xs, rs):
-        xs, rs = self._batch(xs, rs)
         return ("diag", self._per_axis(self._laws(t, xs),
                                        lambda law, s: law.deriv2(s), rs))
 
@@ -738,7 +727,6 @@ class _RadialModel(FluxModel):
         raise NotImplementedError
 
     def _envelope(self, t, xs, lam, rs, curvature):
-        xs, rs = self._batch(xs, rs)
         law = self._law(t, xs)
         m = self._mag(rs)
         s = law.prox_radius(lam, m)
@@ -769,29 +757,22 @@ class _RadialModel(FluxModel):
         return rs / safe[:, None]
 
     def potential(self, t, xs, rs):
-        xs, rs = self._batch(xs, rs)
-        law = self._law(t, xs)
-        return law.phi(self._mag(rs))
+        return self._law(t, xs).phi(self._mag(rs))
 
     def select(self, t, xs, rs):
-        xs, rs = self._batch(xs, rs)
         law = self._law(t, xs)
         m = self._mag(rs)
         mag = np.where(m > 0, law.dphi(m), 0.0)
         return self._unit(rs, m) * mag[:, None]
 
     def resolvent(self, t, xs, lam, rs):
-        xs, rs = self._batch(xs, rs)
         m = self._mag(rs)
         return self._unit(rs, m) * self._law(t, xs).prox_radius(lam, m)[:, None]
 
     def conjugate(self, t, xs, ws):
-        xs, ws = self._batch(xs, ws)
-        law = self._law(t, xs)
-        return law.conj_scalar(self._mag(ws))
+        return self._law(t, xs).conj_scalar(self._mag(ws))
 
     def curvature(self, t, xs, rs):
-        xs, rs = self._batch(xs, rs)
         law = self._law(t, xs)
         m = self._mag(rs)
         c0 = law.d2phi(np.zeros_like(m))
@@ -806,7 +787,6 @@ class AnisotropicPLaplacian(_SeparableModel):
     stays nonnegative with value 0 at the origin."""
 
     kind = "plaplacian"
-    _fixed_laws = None
 
     def __init__(self, p, alpha=1.0, kappa=None, delta=None, dimension=1,
                  alpha_bounds=None, time_lipschitz=0.0, time_dependent=False,
@@ -823,9 +803,8 @@ class AnisotropicPLaplacian(_SeparableModel):
         smooth = (self.p >= 2.0 and all(k is None for k in self._kappa))
         super().__init__(dimension, growth, time_lipschitz=time_lipschitz,
                          time_dependent=time_dependent, smooth=smooth)
-        # constant coefficients give one set of laws at every (t, x)
         if None not in self._alpha_const + self._kappa_const + self._delta_const:
-            self._fixed_laws = self._laws(0.0, None)
+            self._fixed_laws = self._make_laws(0.0, None)
         if validate:
             _check_convexity(self)
         if all(k is not None for k in self._kappa_const):
@@ -833,9 +812,7 @@ class AnisotropicPLaplacian(_SeparableModel):
             # a callable kappa's height is not known up front, so it keeps 0
             self.kink_scale = 2.0 * max(self._kappa_const)
 
-    def _laws(self, t, xs):
-        if self._fixed_laws is not None:
-            return self._fixed_laws
+    def _make_laws(self, t, xs):
         laws = []
         for a in range(self.dimension):
             al = self._alpha[a](t, xs)
@@ -886,8 +863,10 @@ class FracturedMedium(_SeparableModel):
                          time_dependent=time_dependent, smooth=False)
         # the jump interval [alpha th^(p-1), (alpha + 1) th^(p-1)] is th^(p-1) high
         self.kink_scale = max(th ** (self.p - 1.0) for th in self.thresholds)
+        if None not in consts:
+            self._fixed_laws = self._make_laws(0.0, None)
 
-    def _laws(self, t, xs):
+    def _make_laws(self, t, xs):
         return [_FracturedAxis(self._alpha[a](t, xs), self.p, self.thresholds[a])
                 for a in range(self.dimension)]
 
@@ -939,15 +918,12 @@ class Custom(_SeparableModel):
     def __init__(self, j, beta=None, dimension=1, growth=None, validate=True):
         growth = growth or Growth("weak")
         super().__init__(dimension, growth, smooth=False)
-        self._axis = _CustomAxis(j, beta)
+        self._fixed_laws = [_CustomAxis(j, beta)] * dimension
         if validate:
             v0 = float(np.asarray(j(np.zeros(1)))[0])
             if abs(v0) > 1e-10:
                 raise ValueError("custom potential must satisfy j(0) = 0")
             _check_convexity(self)
-
-    def _laws(self, t, xs):
-        return [self._axis] * self.dimension
 
 
 def _power_growth(p, a_lo, a_hi, dimension, kappa_consts=None, delta_consts=None):
@@ -1065,58 +1041,58 @@ def make_model(model_id, dimension=1, **params):
     return cls(dimension=dimension, **params)
 
 
-def _point(x, r):
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    r = np.atleast_1d(np.asarray(r, dtype=float)).reshape(1, -1)
-    return x, r
+def _point(model, *args, lam=None):
+    """One point's arguments (x, r, ...) as (1, N) float rows; ValueError
+    unless each has N finite entries and lam, where given, is positive."""
+    if not (lam is None or lam > 0):
+        raise ValueError("lam must be positive")
+    rows = [np.asarray(a, dtype=float).reshape(1, -1) for a in args]
+    if any(a.shape[1] != model.dimension for a in rows):
+        raise ValueError(f"expected {model.dimension}-vectors")
+    if not all(np.isfinite(a).all() for a in rows):
+        raise ValueError("non-finite flux argument")
+    return rows
 
 
 def potential(model, t, x, r):
     """Potential j(t, x, r) at a single point."""
-    x, r = _point(x, r)
+    x, r = _point(model, x, r)
     return float(model.potential(t, x, r)[0])
 
 
 def flux_select(model, t, x, r):
     """One measurable selection of the flux (minimal norm at jumps)."""
-    x, r = _point(x, r)
+    x, r = _point(model, x, r)
     return model.select(t, x, r)[0]
 
 
 def conjugate(model, t, x, omega):
     """Convex conjugate j*(t, x, omega); +inf when the sup is unbounded."""
-    x, w = _point(x, omega)
+    x, w = _point(model, x, omega)
     return float(model.conjugate(t, x, w)[0])
 
 
 def resolvent(model, t, x, lam, r):
     """Unique z with z + lam * beta(z) containing r."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    x, r = _point(x, r)
+    x, r = _point(model, x, r, lam=lam)
     return model.resolvent(t, x, lam, r)[0]
 
 
 def yosida_flux(model, t, x, lam, r):
     """Single-valued Lipschitz flux (r - resolvent(lam, r)) / lam."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    x, r = _point(x, r)
+    x, r = _point(model, x, r, lam=lam)
     return model.yosida(t, x, lam, r)[0]
 
 
 def moreau(model, t, x, lam, r):
     """Envelope potential inf_s |r-s|^2/(2 lam) + j(s)."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    x, r = _point(x, r)
+    x, r = _point(model, x, r, lam=lam)
     return float(model.moreau(t, x, lam, r)[0])
 
 
 def fenchel_gap(model, t, x, r, omega):
     """j(r) + j*(omega) - omega . r, nonnegative, zero iff omega in beta(r)."""
-    x, r = _point(x, r)
-    _, w = _point(x, omega)
+    x, r, w = _point(model, x, r, omega)
     return float(model.fenchel_gap(t, x, r, w)[0])
 
 

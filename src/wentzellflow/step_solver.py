@@ -34,6 +34,10 @@ where it is implemented:
 Every route ends in ``_finish``, which certifies the returned pair by its
 weak-form residual and per-cell Fenchel gaps j(grad u) + j*(eta) -
 eta . grad u.
+
+User data is checked at the public entries only; the inner loop trusts its
+own arrays (``FluxModel``), and a step whose iterate overflows raises
+StepNonConverged from ``_finish``, never returning a non-finite field.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import discretization as disc
@@ -201,31 +204,36 @@ def _check_data(grid, h, w1, w2):
             grid.check_boundary_values(np.asarray(w2, dtype=float), "w2"))
 
 
+def _entry_problem(grid, model, t, h, lam, w1, w2):
+    """A public objective entry's stage problem, its data checked by
+    ``_check_data`` and lam, where given, positive."""
+    if not (lam is None or lam > 0):
+        raise ValueError("lam must be positive")
+    return _StageProblem(grid, model, t, h, *_check_data(grid, h, w1, w2), lam)
+
+
 def step_objective(grid, model, t, h, w1, w2, u):
     """Value of the implicit-step functional phi(u)."""
-    w1, w2 = _check_data(grid, h, w1, w2)
-    return _StageProblem(grid, model, t, h, w1, w2, None).value(
-        grid.check_field(u))
+    prob = _entry_problem(grid, model, t, h, None, w1, w2)
+    return prob.value(grid.check_field(u))
 
 
 def step_objective_grad(grid, model, t, h, w1, w2, u):
     """Selection-based gradient of phi (the true gradient on smooth laws)."""
-    w1, w2 = _check_data(grid, h, w1, w2)
-    return _StageProblem(grid, model, t, h, w1, w2, None).grad(
-        grid.check_field(u))
+    prob = _entry_problem(grid, model, t, h, None, w1, w2)
+    return prob.grad(grid.check_field(u))
 
 
 def regularized_objective(grid, model, t, h, lam, w1, w2, u):
     """phi with j replaced by its lam-envelope."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    u = grid.check_field(u)
-    return _StageProblem(grid, model, t, h, w1, w2, lam).value(u)
+    prob = _entry_problem(grid, model, t, h, lam, w1, w2)
+    return prob.value(grid.check_field(u))
 
 
 def regularized_objective_grad(grid, model, t, h, lam, w1, w2, u):
-    u = grid.check_field(u)
-    return _StageProblem(grid, model, t, h, w1, w2, lam).grad(u)
+    """Gradient of ``regularized_objective``."""
+    prob = _entry_problem(grid, model, t, h, lam, w1, w2)
+    return prob.grad(grid.check_field(u))
 
 
 def _curv_blocks(grid, curv, h):
@@ -251,15 +259,22 @@ def _curv_blocks(grid, curv, h):
 
 def _hess_product(grid, blocks):
     """v -> M v + K^T (d K v), the product with the matrix whose band
-    ``grid.gram_plan.assemble(blocks, grid.mass)`` stores, without it."""
+    ``grid.gram_plan.assemble(blocks, grid.mass)`` stores, without it.
+
+    d K v is taken cell by cell, d_c times (K v)_c, by the diagonal and,
+    where a block has one, the off-diagonal of the symmetric (N, N) block:
+    the sums a block matvec forms, so the product is the same float."""
     k_op, kt_op, m = grid.grad_stack, grid.grad_stack_t, grid.mass
-    n_cells = blocks.shape[0]
-    # a block-sparse matvec costs a fifth of numpy's batched 2 x 2 matmul
-    d_op = sps.bsr_matrix((blocks, np.arange(n_cells), np.arange(n_cells + 1)),
-                          shape=(k_op.shape[0], k_op.shape[0]))
+    n_cells, n_ax = blocks.shape[:2]
+    diag = blocks[:, range(n_ax), range(n_ax)]
+    off = blocks[:, 0, 1:] if n_ax == 2 and blocks[:, 0, 1].any() else None
 
     def apply(v):
-        return m * v + kt_op @ (d_op @ (k_op @ v))
+        kv = (k_op @ v).reshape(n_cells, n_ax)
+        dkv = diag * kv
+        if off is not None:
+            dkv += off * kv[:, ::-1]
+        return m * v + kt_op @ dkv.ravel()
 
     return apply
 
@@ -326,10 +341,11 @@ class _StageProblem:
             grid, gu = self.grid, state["gu"]
             jv = state.get("jv")
             if jv is None:
-                jv = (self.model.potential(self.t, grid.cell_centers, gu)
-                      if self.lam is None else
-                      self.model.moreau(self.t, grid.cell_centers, self.lam,
-                                        state["arg"]))
+                jv = state["jv"] = (
+                    self.model.potential(self.t, grid.cell_centers, gu)
+                    if self.lam is None else
+                    self.model.moreau(self.t, grid.cell_centers, self.lam,
+                                      state["arg"]))
             state["val"] = (_quad_part(self.mass, self.rhs, u)
                             + self.h * float(grid.cell_volumes @ jv))
         return state["val"]
@@ -487,9 +503,10 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None, nonneg=False):
     positive definite, or a direction that is not one of descent, gives
     way to the scaled gradient -M^{-1} g.  A stall (no 2x progress over 12
     iterations) ends the loop off the bound; on it the returned u is >= 0
-    exactly and the residual is taken there.  Returns the final u and its
-    stage log entries (see ``_stage_entries``), with exit "converged",
-    "stall" or "max_iter".
+    exactly and the residual is taken there.  A residual that is not finite
+    (an iterate that overflowed) ends the loop at once.  Returns the final
+    u and its stage log entries (see ``_stage_entries``), with exit
+    "converged", "stall", "nonfinite" or "max_iter".
     """
     u = u0.copy()
     m = prob.mass
@@ -511,6 +528,9 @@ def _minimize_newton(prob, u0, tol, max_iter, lagged=None, nonneg=False):
         res, r = residual(u, g)
         if res <= tol and not (nonneg and u.min() < 0.0):
             exit_ = "converged"
+            break
+        if not math.isfinite(res):
+            exit_ = "nonfinite"
             break
         if res < 0.5 * best:
             best, since_best = res, 0
@@ -598,35 +618,35 @@ def _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
             complementarity=None, dual=None, gaps=None, weak=None):
     """The step's ``StepSolution``, or StepNonConverged if it misses a
     tolerance.  ``gaps`` (per-cell Fenchel gaps) and ``weak`` (the weak
-    form of (u, eta)) are the route's own when it already holds them."""
-    if gaps is None:
-        gaps = model.fenchel_gap(t, grid.cell_centers,
-                                 disc.gradient(grid, u), eta)
-    total = float(grid.cell_volumes @ gaps)
+    form of (u, eta)) are the route's own when it already holds them.
+    The residual is tested first, so the gaps of a field that overflowed
+    are never taken, and each test fails on NaN: such a step raises."""
     # the constrained step replaces stationarity by complementarity
     residual = complementarity
     if residual is None:
         residual = (_weak_residual(grid, h, u, eta, _rhs(grid, w1, w2))
                     if weak is None else _scaled_max(grid, weak))
-    # every route logs the objective at the field it returns
-    sol = StepSolution(u=u, eta=eta, objective=log[-1]["objective"],
-                       residual=residual, fenchel_cells=gaps,
-                       fenchel_total=total, iterations=log,
-                       complementarity=complementarity, dual=dual)
-    if residual > cfg.tol:
+    if not residual <= cfg.tol:
         measure = ("stationarity residual" if complementarity is None
                    else "complementarity measure")
         raise StepNonConverged(
             f"{measure} {residual:.3e} exceeds tol {cfg.tol:.1e}",
             residual=residual, log=log)
-    if float(gaps.min()) < -1e-10:
+    if gaps is None:
+        gaps = model.fenchel_gap(t, grid.cell_centers,
+                                 disc.gradient(grid, u), eta)
+    total = float(grid.cell_volumes @ gaps)
+    if not float(gaps.min()) >= -1e-10:
         raise StepNonConverged(
             f"negative Fenchel gap {gaps.min():.3e}", residual=residual, log=log)
-    if total > cfg.certificate_tol:
+    if not total <= cfg.certificate_tol:
         raise StepNonConverged(
             f"Fenchel certificate {total:.3e} exceeds {cfg.certificate_tol:.1e}",
             residual=residual, log=log)
-    return sol
+    return StepSolution(u=u, eta=eta, objective=log[-1]["objective"],
+                        residual=residual, fenchel_cells=gaps,
+                        fenchel_total=total, iterations=log,
+                        complementarity=complementarity, dual=dual)
 
 
 def _start(grid, w1, w2, u0=None):
@@ -763,11 +783,12 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     """Run the Newton stages of a step, over u >= 0 when ``nonneg``: one
     stage, lam None, for a smooth law, else one per lam of the schedule,
     each minimizing its lam-envelope problem alone, with a warm-start
-    tolerance on every stage but the last.  Returns (u, eta, gu, weak,
+    tolerance on every stage but the last.  Returns (u, eta, gu, weak, jv,
     clean): eta the selection at u for a smooth law, else the flux of the
     lam_min envelope at u, the flux a clean step returns; gu = grad u; weak
-    the weak form of (u, eta) for a smooth law, else None.  gu and weak
-    are read off the last Newton evaluation, which is at u.
+    and jv the weak form of (u, eta) and the per-cell potential j(gu) for
+    a smooth law, else None.  gu, weak and jv are read off the last Newton
+    evaluation and the logged objective, which are at u.
 
     The smooth law's one stage reuses the ``_LaggedFactor`` ``lagged`` on
     grids with kd >= 4 * _CG_CAP; continuation stages change lam severalfold
@@ -829,9 +850,9 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
     state = prob.evaluate(u)
     gu = state["gu"]
     if model.is_smooth:
-        return u, state["eta"], gu, state["g"], clean
+        return u, state["eta"], gu, state["g"], state["jv"], clean
     return (u, model.yosida(t, grid.cell_centers, cfg.lam_min, gu), gu, None,
-            clean)
+            None, clean)
 
 
 def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
@@ -872,12 +893,15 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     """
     cfg = cfg or StepConfig()
     w1, w2 = _check_data(grid, h, w1, w2)
+    if dual is not None:
+        dual = np.asarray(dual, dtype=float).reshape(grid.n_cells,
+                                                     len(grid.grad_ops))
+        if not np.isfinite(dual).all():
+            raise ValueError("dual contains non-finite entries")
     if model.kind == "tv":
         return _solve_tv(grid, model, h, w1, w2, cfg, dual)
     log = []
     if dual is not None and model.kink_scale > 0:
-        dual = np.asarray(dual, dtype=float).reshape(grid.n_cells,
-                                                     len(grid.grad_ops))
         warm = _dual_finish(grid, model, t, h, w1, w2, cfg, dual, log,
                             warm=True)
         if warm is not None:
@@ -886,12 +910,12 @@ def solve_step(grid, model, t, h, w1, w2, cfg=None, u0=None, lagged=None,
     u = _start(grid, w1, w2, u0)
     if guess is not None:
         guess = grid.check_field(guess, "guess")
-    u, eta, gu, weak, clean = _continuation(
+    u, eta, gu, weak, jv, clean = _continuation(
         grid, model, t, h, w1, w2, u, cfg, log,
         _LaggedFactor() if lagged is None else lagged, guess=guess)
     p = gaps = None
-    if model.is_smooth or clean and log[-1]["residual"] <= cfg.tol:
-        gaps = model.fenchel_gap(t, grid.cell_centers, gu, eta)
+    if clean and log[-1]["residual"] <= cfg.tol:
+        gaps = model.fenchel_gap(t, grid.cell_centers, gu, eta, jv)
     if not model.is_smooth and (
             gaps is None or grid.cell_volumes @ gaps > cfg.certificate_tol):
         # Newton stages chattered on the jump set, or the envelope's flux
@@ -918,11 +942,10 @@ def solve_step_obstacle(grid, model, t, h, w1, w2, cfg=None, u0=None):
     w1, w2 = _check_data(grid, h, w1, w2)
     u = np.maximum(_start(grid, w1, w2, u0), 0.0)
     log = []
-    u, eta, gu, _, _ = _continuation(grid, model, t, h, w1, w2, u, cfg, log,
-                                     None, nonneg=True)
+    u, eta = _continuation(grid, model, t, h, w1, w2, u, cfg, log, None,
+                           nonneg=True)[:2]
     return _finish(grid, model, t, h, w1, w2, u, eta, cfg, log,
-                   complementarity=log[-1]["residual"],
-                   gaps=model.fenchel_gap(t, grid.cell_centers, gu, eta))
+                   complementarity=log[-1]["residual"])
 
 
 def tv_step(grid, rho, h, prev, cfg=None):
@@ -986,8 +1009,7 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
 
     handover, cap = 1e-5, np.inf
     if p0 is not None:
-        p0 = project(np.asarray(p0, dtype=float).reshape(
-            wc.size, len(grid.grad_ops)))
+        p0 = project(p0)
         target *= 0.1
         q0 = disc.gradient(grid, _start(grid, w1, w2))
         handover, cap = 0.1, 1e-5 * gap_of(np.zeros_like(p0), q0)

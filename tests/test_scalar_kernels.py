@@ -279,3 +279,20 @@ def test_envelope_curvature_is_the_slope_of_the_flux(law):
                            rtol=1e-3, atol=1e-4)
         checked += int(one_slope.sum())
     assert checked >= 30
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("lam", [0.5, 1e-3])
+def test_pure_power_flux_below_the_kink_tolerance_is_the_yosida_flux(p, lam):
+    # a pure power law has no kink: where its prox z is below 1e-13 the
+    # envelope flux is still alpha |z|^(p-1) sgn z = (s - z) / lam, which
+    # for p < 2 is far above z (p = 1.5, lam = 0.5, z = 1e-13: s = 1.58e-7
+    # and the flux 3.16e-7, not 0)
+    alpha = 1.3
+    model = fm.anisotropic_p_laplacian(p, alpha=alpha)
+    for z0 in (1e-13, -4e-14, 1e-16, 3e-20):
+        s = z0 + lam * alpha * abs(z0) ** (p - 1.0) * np.sign(z0)
+        z = fm.resolvent(model, 0.0, ORIGIN, lam, [s])[0]
+        assert abs(z) <= 1.01e-13
+        flux = fm.yosida_flux(model, 0.0, ORIGIN, lam, [s])[0]
+        assert abs(flux - (s - z) / lam) <= 1e-12 * abs(s) / lam
