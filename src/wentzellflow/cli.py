@@ -2,14 +2,17 @@
 
 A run config selects a grid, a flux model, sources, a horizon and a mode;
 ``run`` executes it and writes ``manifest.json`` (config echo, versions,
-diagnostics summary, pass flags), a ``metrics.jsonl`` stream with pinned
-float formatting, and per-slice field CSVs.  Exit codes: 0 success,
-2 config error, 3 solver nonconvergence, 4 check failure.
+diagnostics summary, pass flags), a ``metrics.jsonl`` stream whose floats
+are written by ``repr`` (so equal runs write equal bytes), and per-slice
+field CSVs.  The config's keys are the parameters of what it builds
+(``config_from_dict``).  Exit codes: 0 success, 2 config error, 3 solver
+nonconvergence, 4 check failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -22,14 +25,11 @@ from . import __version__
 from . import discretization as disc
 from . import expressions as ex
 from . import flow_driver as fd
-from .flux_models import make_model
+from .flux_models import _CATALOG, make_model
 from .step_solver import StepConfig, StepNonConverged
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
            "run", "main", "PRESETS"]
-
-MODES = ("flow", "convergence", "contraction", "asymptotics", "obstacle", "tv")
-
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
@@ -37,6 +37,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A run config; its fields are the config's top-level keys."""
+
     mode: str = "flow"
     grid: dict = field(default_factory=lambda: {"kind": "interval", "n": 32})
     model: dict = field(default_factory=lambda: {"id": "quadratic"})
@@ -49,6 +51,13 @@ class RunConfig:
     out_dir: str = "out"
     save_every: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("grid", "model", "sources", "step", "options"):
+            setattr(self, name, dict(getattr(self, name)))
+        self.T = float(self.T)
+        self.save_every, self.seed = int(self.save_every), int(self.seed)
+        self.out_dir = str(self.out_dir)
 
     @property
     def n_steps(self):
@@ -103,12 +112,7 @@ PRESETS = {
     },
 }
 
-_TOP_KEYS = {"mode", "preset", "grid", "model", "sources", "T", "n", "h",
-             "step", "options", "out_dir", "save_every", "seed"}
-_GRID_KEYS = {"kind", "n", "length", "nx", "ny", "lx", "ly"}
 _SOURCE_KEYS = {"f", "g", "y0"}
-_STEP_KEYS = {"tol", "lam0", "lam_decay", "lam_min", "max_iter",
-              "certificate_tol", "pd_max_iter"}
 _OPTION_KEYS = {"refinements", "perturbation", "T_long", "n_long", "tol"}
 
 
@@ -118,15 +122,24 @@ def _reject_unknown(d, allowed, where):
             raise ConfigError(f"unknown key {key!r} at {where}")
 
 
+def _check_arguments(spec, fn, where, **supplied):
+    """ConfigError, naming the key, unless ``fn`` takes the keys of ``spec``
+    as arguments, next to the ones its caller ``supplied``."""
+    try:
+        inspect.signature(fn).bind(**spec, **supplied)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _deep_merge(base, override):
     """``override`` merged into ``base`` key by key; a nested spec that
-    names another ``profile`` than its base replaces it whole, so a
-    preset's profile keys never reach another profile's builder."""
+    names another builder (grid "kind", model "id" or "profile") than its
+    base replaces it whole, so a preset's keys never reach another builder."""
     out = dict(base)
     for k, v in override.items():
         old = out.get(k)
-        if (isinstance(v, dict) and isinstance(old, dict)
-                and v.get("profile", old.get("profile")) == old.get("profile")):
+        if isinstance(v, dict) and isinstance(old, dict) and all(
+                v.get(n, old.get(n)) == old.get(n) for n in ("kind", "id", "profile")):
             out[k] = _deep_merge(old, v)
         else:
             out[k] = v
@@ -155,42 +168,42 @@ def parse_config(path_or_text):
 
 
 def config_from_dict(raw):
+    """The ``RunConfig`` of a config dict, whose keys are its fields and
+    "preset"; step keys are ``StepConfig``'s, grid and model keys the
+    arguments of the grid kind's constructor and of the model's class."""
     raw = dict(raw)
-    _reject_unknown(raw, _TOP_KEYS, "top level")
     preset = raw.pop("preset", None)
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; "
                               f"known: {sorted(PRESETS)}")
         raw = _deep_merge(PRESETS[preset], raw)
-    _reject_unknown(raw.get("grid", {}), _GRID_KEYS, "grid")
-    _reject_unknown(raw.get("sources", {}), _SOURCE_KEYS, "sources")
-    _reject_unknown(raw.get("step", {}), _STEP_KEYS, "step")
-    _reject_unknown(raw.get("options", {}), _OPTION_KEYS, "options")
-    if "id" not in raw.get("model", {"id": "quadratic"}):
+    try:
+        cfg = RunConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"top level: {exc}") from None
+    _reject_unknown(cfg.sources, _SOURCE_KEYS, "sources")
+    _reject_unknown(cfg.options, _OPTION_KEYS, "options")
+    _check_arguments(cfg.step, StepConfig, "step")
+    grid = dict(cfg.grid)
+    kind = grid.pop("kind", None)
+    if kind in disc.GRID_KINDS:  # build_grid rejects any other kind
+        _check_arguments(grid, disc.GRID_KINDS[kind], f"grid {kind!r}")
+    params = dict(cfg.model)
+    if "id" not in params:
         raise ConfigError("model needs an 'id' key")
-    cfg = RunConfig(
-        mode=raw.get("mode", "flow"),
-        grid=dict(raw.get("grid", {"kind": "interval", "n": 32})),
-        model=dict(raw.get("model", {"id": "quadratic"})),
-        sources=dict(raw.get("sources", {})),
-        T=float(raw.get("T", 1.0)),
-        n=raw.get("n"),
-        h=raw.get("h"),
-        step=dict(raw.get("step", {})),
-        options=dict(raw.get("options", {})),
-        out_dir=str(raw.get("out_dir", "out")),
-        save_every=int(raw.get("save_every", 1)),
-        seed=int(raw.get("seed", 0)),
-    )
+    model_id = params.pop("id")
+    if model_id in _CATALOG:  # make_model rejects any other id
+        _check_arguments(params, _CATALOG[model_id], f"model {model_id!r}",
+                         dimension=1)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg):
     problems = []
-    if cfg.mode not in MODES:
-        problems.append(f"unknown mode {cfg.mode!r}; known: {MODES}")
+    if cfg.mode not in _RUNNERS:
+        problems.append(f"unknown mode {cfg.mode!r}; known: {tuple(_RUNNERS)}")
     if (cfg.n is None) == (cfg.h is None):
         problems.append("exactly one of 'n' or 'h' must be given")
     if cfg.h is not None and not 0 < cfg.h <= cfg.T:
@@ -215,8 +228,7 @@ def _validate(cfg):
 
 def serialize_config(cfg):
     """Config as a plain dict; parse(serialize(cfg)) round-trips."""
-    out = asdict(cfg)
-    return out
+    return asdict(cfg)
 
 
 def _build(cfg):
@@ -232,39 +244,25 @@ def _build(cfg):
 
 
 def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
+    """``x`` with numpy scalars and arrays, nested too, as Python ones."""
+    if isinstance(x, np.generic):
+        return x.item()
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in x]
     return x
 
 
 class _Metrics:
-    """JSON-lines writer with pinned float formatting (17 significant
-    digits, '.' decimal separator) for byte-reproducible streams."""
+    """JSON-lines writer, keys sorted and floats by ``repr`` (the shortest
+    text that reads back as the same double): equal runs write equal bytes."""
 
     def __init__(self, path):
         self.fh = open(path, "w")
 
     def write(self, **row):
-        packed = {k: self._fmt(v) for k, v in sorted(row.items())}
-        self.fh.write(json.dumps(packed, sort_keys=True) + "\n")
-
-    @staticmethod
-    def _fmt(v):
-        if isinstance(v, (float, np.floating)):
-            return float(f"{float(v):.17g}")
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
+        self.fh.write(json.dumps(_jsonable(row), sort_keys=True) + "\n")
 
     def close(self):
         self.fh.close()
@@ -274,17 +272,13 @@ def _flow_metrics(metrics, traj, rep):
     """One row per field, its norms and energy read from the diagnostics
     record ``rep``."""
     for i in range(traj.n_steps + 1):
-        row = {
-            "step": i,
-            "t": float(traj.times[i]),
-            "norm_domain": float(rep.norms_domain[i]),
-            "norm_boundary": float(rep.norms_boundary[i]),
-        }
+        row = {"step": i, "t": traj.times[i], "norm_domain": rep.norms_domain[i],
+               "norm_boundary": rep.norms_boundary[i]}
         if i > 0:
-            row["residual"] = float(traj.step_residuals[i - 1])
-            row["certificate"] = float(traj.step_certificates[i - 1])
+            row["residual"] = traj.step_residuals[i - 1]
+            row["certificate"] = traj.step_certificates[i - 1]
         if rep.energies is not None:
-            row["energy"] = float(rep.energies[i])
+            row["energy"] = rep.energies[i]
         metrics.write(**row)
 
 
@@ -295,14 +289,14 @@ def run(cfg, verbose=False):
     metrics stream as additional JSON lines.
     """
     try:
-        grid, _, problem, step_cfg = _build(cfg)
-    except (ConfigError, ValueError, ex.ExpressionError) as exc:
+        _, _, problem, step_cfg = _build(cfg)
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics = _Metrics(os.path.join(cfg.out_dir, "metrics.jsonl"))
     manifest = {
-        "config": _jsonable(serialize_config(cfg)),
+        "config": serialize_config(cfg),
         "versions": {
             "wentzellflow": __version__,
             "numpy": np.__version__,
@@ -313,21 +307,12 @@ def run(cfg, verbose=False):
         "checks": {},
         "results": {},
     }
-    code = 0
     try:
-        if cfg.mode in ("flow", "obstacle", "tv"):
-            code = _run_flow_mode(cfg, problem, step_cfg, metrics, manifest,
+        code = _RUNNERS[cfg.mode](cfg, problem, step_cfg, metrics, manifest,
                                   verbose)
-        elif cfg.mode == "convergence":
-            code = _run_convergence(cfg, problem, step_cfg, metrics, manifest)
-        elif cfg.mode == "contraction":
-            code = _run_contraction(cfg, grid, problem, step_cfg, metrics,
-                                    manifest)
-        elif cfg.mode == "asymptotics":
-            code = _run_asymptotics(cfg, problem, step_cfg, metrics, manifest)
     except StepNonConverged as exc:
         manifest["failure"] = {"kind": "NONCONVERGED", "message": str(exc),
-                               "residual": _jsonable(exc.residual)}
+                               "residual": exc.residual}
         code = 3
     except (fd.IncompatibleData, fd.Inapplicable) as exc:
         manifest["failure"] = {"kind": type(exc).__name__, "message": str(exc)}
@@ -341,7 +326,7 @@ def run(cfg, verbose=False):
     return code
 
 
-def _run_flow_mode(cfg, problem, step_cfg, metrics, manifest, verbose=False):
+def _run_flow_mode(cfg, problem, step_cfg, metrics, manifest, verbose):
     traj = fd.run_flow(problem, cfg.n_steps, step_cfg,
                        obstacle=cfg.mode == "obstacle")
     if verbose:
@@ -368,7 +353,7 @@ def _run_flow_mode(cfg, problem, step_cfg, metrics, manifest, verbose=False):
     return 0 if all(checks.values()) else 4
 
 
-def _run_convergence(cfg, problem, step_cfg, metrics, manifest):
+def _run_convergence(cfg, problem, step_cfg, metrics, manifest, verbose):
     refinements = int(cfg.options.get("refinements", 3))
     base = cfg.n_steps
     ns = [base * 2 ** k for k in range(refinements + 1)]
@@ -376,10 +361,8 @@ def _run_convergence(cfg, problem, step_cfg, metrics, manifest):
     for row in table.rows():
         metrics.write(**row)
     manifest["results"]["convergence"] = {
-        "ns": table.ns, "r": table.r,
-        "distances": _jsonable(table.distances),
-        "orders": _jsonable(table.orders),
-    }
+        "ns": table.ns, "r": table.r, "distances": table.distances,
+        "orders": table.orders}
     if problem.model.kind == "quadratic":
         ok = bool(table.orders and min(table.orders) >= 0.8)
         manifest["checks"]["order_at_least_0.8"] = ok
@@ -390,7 +373,8 @@ def _run_convergence(cfg, problem, step_cfg, metrics, manifest):
     return 0 if ok else 4
 
 
-def _run_contraction(cfg, grid, problem, step_cfg, metrics, manifest):
+def _run_contraction(cfg, problem, step_cfg, metrics, manifest, verbose):
+    grid = problem.grid
     pert = cfg.options.get("perturbation", {})
     y0_fn = ex.make_initial(pert.get("y0", cfg.sources.get("y0")),
                             grid.dimension, cfg.seed + 1)
@@ -402,8 +386,8 @@ def _run_contraction(cfg, grid, problem, step_cfg, metrics, manifest):
                                problem.model)
     rep = fd.contraction_check(problem, perturbed, cfg.n_steps, step_cfg)
     for m in range(rep.distances.size):
-        metrics.write(step=m, distance_sq=float(rep.distances[m]),
-                      data_sq=float(rep.data_terms[m]))
+        metrics.write(step=m, distance_sq=rep.distances[m],
+                      data_sq=rep.data_terms[m])
     manifest["results"]["contraction"] = {
         "c_empirical": rep.c_empirical,
         "pure_initial": rep.pure_initial,
@@ -412,19 +396,26 @@ def _run_contraction(cfg, grid, problem, step_cfg, metrics, manifest):
     return 0 if rep.nonexpansive_pass else 4
 
 
-def _run_asymptotics(cfg, problem, step_cfg, metrics, manifest):
+def _run_asymptotics(cfg, problem, step_cfg, metrics, manifest, verbose):
     t_long = float(cfg.options.get("T_long", 50.0 * problem.T))
     n_long = int(cfg.options.get("n_long", cfg.n_steps * 10))
     tol = float(cfg.options.get("tol", 1e-6))
     rep = fd.asymptotics_check(problem, t_long, n_long, step_cfg, tol)
     for m, d in enumerate(rep.distances):
-        metrics.write(step=m, distance=float(d))
+        metrics.write(step=m, distance=d)
     manifest["results"]["asymptotics"] = {
         "final_distance": rep.final_distance,
         "eventually_decreasing": rep.eventually_decreasing,
     }
     manifest["checks"]["converges_to_equilibrium"] = rep.passed
     return 0 if rep.passed else 4
+
+
+# mode -> its runner, which writes the metrics rows and manifest results
+# and returns the exit code
+_RUNNERS = {"flow": _run_flow_mode, "convergence": _run_convergence,
+            "contraction": _run_contraction, "asymptotics": _run_asymptotics,
+            "obstacle": _run_flow_mode, "tv": _run_flow_mode}
 
 
 def _apply_overrides(raw, overrides):
@@ -471,7 +462,7 @@ def main(argv=None):
         if args.out:
             raw["out_dir"] = args.out
         cfg = config_from_dict(raw)
-    except (OSError, ValueError) as exc:  # a ConfigError is a ValueError
+    except (OSError, TypeError, ValueError) as exc:  # ConfigError: ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.verbose:

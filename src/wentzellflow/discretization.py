@@ -10,7 +10,7 @@ boundary nodes; in 1D the two boundary points carry unit weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,7 +77,6 @@ class Grid:
     cell_volumes: np.ndarray
     cell_centers: np.ndarray
     grad_ops: tuple
-    spec: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self):
@@ -263,8 +262,7 @@ def interval_grid(n, length=1.0):
     vals = np.tile([-1.0 / dx, 1.0 / dx], n)
     g = sps.csr_matrix((vals, (rows, cols)), shape=(n, n + 1))
     return Grid(1, nodes, node_weights, boundary_nodes, boundary_weights,
-                cell_volumes, cell_centers, (g,),
-                {"kind": "interval", "n": n, "length": length})
+                cell_volumes, cell_centers, (g,))
 
 
 def rectangle_grid(nx, ny, lx=1.0, ly=1.0):
@@ -316,20 +314,20 @@ def rectangle_grid(nx, ny, lx=1.0, ly=1.0):
     vals_y = np.tile([-1, -1, 1, 1], n_cells) / (2.0 * dy)
     gy = sps.csr_matrix((vals_y, (rows, cols_x)), shape=(n_cells, nodes.shape[0]))
     return Grid(2, nodes, node_weights, boundary_nodes, boundary_weights,
-                cell_volumes, cell_centers, (gx, gy),
-                {"kind": "rectangle", "nx": nx, "ny": ny, "lx": lx, "ly": ly})
+                cell_volumes, cell_centers, (gx, gy))
+
+
+GRID_KINDS = {"interval": interval_grid, "rectangle": rectangle_grid}
 
 
 def build_grid(spec):
-    """Build a grid from a spec dict, e.g. ``{"kind": "interval", "n": 8}``."""
+    """Build a grid from a spec dict, e.g. ``{"kind": "interval", "n": 8}``:
+    the constructor of its kind called with the other keys."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
-    if kind == "interval":
-        return interval_grid(spec.pop("n"), spec.pop("length", 1.0))
-    if kind == "rectangle":
-        return rectangle_grid(spec.pop("nx"), spec.pop("ny"),
-                              spec.pop("lx", 1.0), spec.pop("ly", 1.0))
-    raise ValueError(f"unknown grid kind: {kind!r}")
+    if kind not in GRID_KINDS:
+        raise ValueError(f"unknown grid kind: {kind!r}")
+    return GRID_KINDS[kind](**spec)
 
 
 def gradient(grid, u):

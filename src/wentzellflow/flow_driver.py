@@ -544,6 +544,8 @@ def steady_state_residual(grid, model, u, f_field, g_vals):
     the constant gauge direction."""
     eta = model.select(0.0, grid.cell_centers,
                        disc.gradient(grid, grid.check_field(u)))
+    f_field = grid.check_field(f_field, "f")
+    g_vals = grid.check_boundary_values(g_vals, "g")
     return _gauge_residual(grid, eta, _rhs(grid, f_field, g_vals))
 
 

@@ -283,15 +283,16 @@ def _conj_numeric(value_fn, w, radius0=1.0, cap=1e8):
     user-supplied laws only (a grid sup can underestimate j*).
 
     The radius doubles until the per-element maximizer leaves the bracket
-    boundary, then a golden-section pass refines the argmax; elements whose
-    maximizer stays glued to the boundary at the radius cap are unbounded
-    and get +inf.
+    boundary, then a golden-section pass refines the argmax on a bracket
+    set by that element's own radius; elements whose maximizer stays glued
+    to the boundary at the radius cap are unbounded and get +inf.
     """
     w = np.asarray(w, dtype=float)
     m = w.shape[0]
     npts = 513
     radius = radius0
     best_x = np.zeros(m)
+    reach = np.full(m, radius)
     undecided = np.ones(m, dtype=bool)
     while np.any(undecided) and radius <= cap:
         grid = np.linspace(-radius, radius, npts)
@@ -302,10 +303,11 @@ def _conj_numeric(value_fn, w, radius0=1.0, cap=1e8):
         x = grid[k]
         interior = np.abs(x) < radius * 0.98
         best_x = np.where(undecided & interior, x, best_x)
-        undecided = undecided & ~interior
         radius *= 2.0
+        reach[undecided] = radius
+        undecided = undecided & ~interior
     unbounded = undecided
-    span = radius / (npts - 1) * 2.0
+    span = reach / (npts - 1) * 2.0
 
     def neg(s):
         return -(w * s - value_fn(s))
@@ -789,8 +791,7 @@ class AnisotropicPLaplacian(_SeparableModel):
     kind = "plaplacian"
 
     def __init__(self, p, alpha=1.0, kappa=None, delta=None, dimension=1,
-                 alpha_bounds=None, time_lipschitz=0.0, time_dependent=False,
-                 validate=True):
+                 alpha_bounds=None, time_lipschitz=0.0, time_dependent=False):
         if not p > 1:
             raise ValueError("exponent p must exceed 1")
         self.p = float(p)
@@ -805,8 +806,7 @@ class AnisotropicPLaplacian(_SeparableModel):
                          time_dependent=time_dependent, smooth=smooth)
         if None not in self._alpha_const + self._kappa_const + self._delta_const:
             self._fixed_laws = self._make_laws(0.0, None)
-        if validate:
-            _check_convexity(self)
+        _check_convexity(self)
         if all(k is not None for k in self._kappa_const):
             # subgrad0 is [delta - kappa, delta + kappa]: a jump of 2 kappa;
             # a callable kappa's height is not known up front, so it keeps 0
@@ -915,15 +915,14 @@ class Custom(_SeparableModel):
 
     kind = "custom"
 
-    def __init__(self, j, beta=None, dimension=1, growth=None, validate=True):
+    def __init__(self, j, beta=None, dimension=1, growth=None):
         growth = growth or Growth("weak")
         super().__init__(dimension, growth, smooth=False)
         self._fixed_laws = [_CustomAxis(j, beta)] * dimension
-        if validate:
-            v0 = float(np.asarray(j(np.zeros(1)))[0])
-            if abs(v0) > 1e-10:
-                raise ValueError("custom potential must satisfy j(0) = 0")
-            _check_convexity(self)
+        v0 = float(np.asarray(j(np.zeros(1)))[0])
+        if abs(v0) > 1e-10:
+            raise ValueError("custom potential must satisfy j(0) = 0")
+        _check_convexity(self)
 
 
 def _power_growth(p, a_lo, a_hi, dimension, kappa_consts=None, delta_consts=None):
@@ -997,38 +996,17 @@ def _check_convexity(model, n=60, radius=6.0, tol=1e-8):
 # catalog factory and point-wise operations
 
 
-_CATALOG = {
-    "quadratic": Quadratic,
-    "plaplacian": AnisotropicPLaplacian,
-    "fractured": FracturedMedium,
-    "loggrowth": LogGrowth,
-    "tv": TotalVariation,
-    "custom": Custom,
-}
+# the catalog's classes under their public constructor names
+quadratic = Quadratic
+anisotropic_p_laplacian = AnisotropicPLaplacian
+fractured_medium = FracturedMedium
+log_growth = LogGrowth
+total_variation = TotalVariation
+custom_model = Custom
 
-
-def quadratic(dimension=1):
-    return Quadratic(dimension)
-
-
-def anisotropic_p_laplacian(p, alpha=1.0, kappa=None, delta=None, dimension=1, **kw):
-    return AnisotropicPLaplacian(p, alpha, kappa, delta, dimension, **kw)
-
-
-def fractured_medium(p, alpha=1.0, thresholds=0.5, dimension=1, **kw):
-    return FracturedMedium(p, alpha, thresholds, dimension, **kw)
-
-
-def log_growth(a=1.0, dimension=1, **kw):
-    return LogGrowth(a, dimension, **kw)
-
-
-def total_variation(rho=1.0, dimension=1):
-    return TotalVariation(rho, dimension)
-
-
-def custom_model(j, beta=None, dimension=1, **kw):
-    return Custom(j, beta, dimension, **kw)
+_CATALOG = {cls.kind: cls for cls in (Quadratic, AnisotropicPLaplacian,
+                                      FracturedMedium, LogGrowth,
+                                      TotalVariation, Custom)}
 
 
 def make_model(model_id, dimension=1, **params):

@@ -839,8 +839,8 @@ def _continuation(grid, model, t, h, w1, w2, u, cfg, log, lagged,
                                             lag, nonneg)
         u = u_new
         log.append({"lam": lam or 0.0, **stage, "objective": (
-            prob.value(u) if lam is None
-            else step_objective(grid, model, t, h, w1, w2, u))})
+            prob if lam is None
+            else _StageProblem(grid, model, t, h, w1, w2, None)).value(u)})
         if not nonneg and (
                 stage["residual"] > max(1e-4, 1e3 * stage_tol)
                 or warm_up and ("backtracks" in stage
@@ -1019,8 +1019,8 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
                                            target, max_iter, p0, handover,
                                            handover_cap=cap)
         log.append({"lam": 0.0, "iters": it, "residual": 0.0, "exit": exit_,
-                    "pd_gap": gap, "objective": step_objective(
-                        grid, model, 0.0, h, w1, w2, u)})
+                    "pd_gap": gap, "objective": _StageProblem(
+                        grid, model, 0.0, h, w1, w2, None).value(u)})
         return u, p, gap, it, exit_
 
     u, p, gap, it, exit_ = fista(p0, handover, cfg.pd_max_iter)
@@ -1093,7 +1093,8 @@ def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
     ku0 = disc.gradient(grid, u0)
     gap = gap_of(p, ku0)
     w1d, w2d = w1 - u0, w2 - u0[grid.boundary_nodes]
-    lam = min(cfg.lam0, 0.1 * math.sqrt(2.0 * gap / area) / scale)
+    # rounding can make a start's gap negative; such a start runs no round
+    lam = min(cfg.lam0, 0.1 * math.sqrt(2.0 * abs(gap) / area) / scale)
     best = (gap, np.zeros_like(u0), p / a)
     _, delta, eta = best
     work = dict.fromkeys(("iters", "fallbacks", "backtracks", "ls_floor"), 0)
@@ -1135,7 +1136,8 @@ def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
     entry = {"lam": lam, **_stage_entries(residual=stage["residual"],
                                           exit_=stage["exit"], **work),
              "rounds": rounds,
-             "objective": step_objective(grid, model, t, h, w1, w2, u)}
+             "objective": _StageProblem(grid, model, t, h, w1, w2,
+                                        None).value(u)}
     if gap > max(target, accept):
         entry["fallback"] = True
     return u, eta * a, gap, entry

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,43 @@ def test_parse_rejects_unknown_mode_and_preset():
 def test_parse_error_reports_position():
     with pytest.raises(cli.ConfigError, match="line"):
         cli.parse_config("{not json}")
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"preset": "constant-1d", "n": None, "h": 0.5}, "'h' must lie in (0, T]"),
+    ({"preset": "constant-1d", "n": 0}, "'n' must be a positive integer"),
+    ({"preset": "constant-1d", "T": 0}, "'T' must be positive"),
+    ({"preset": "constant-1d", "save_every": 0}, "'save_every' must be >= 1"),
+    ({"preset": "constant-1d", "mode": "tv"}, "mode 'tv' requires the 'tv' model"),
+    ({"model": {"p": 2.0}, "n": 2}, "model needs an 'id' key"),
+    ({"preset": "constant-1d", "T": "soon"}, "top level"),
+    ([1, 2], "config must be a JSON object"),
+], ids=["h", "n", "T", "save_every", "tv", "id", "T-type", "object"])
+def test_parse_rejects_invalid_values(raw, message):
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.parse_config(json.dumps(raw))
+
+
+def test_parse_config_reads_a_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(n=4))
+    assert cli.parse_config(str(path)).n_steps == 4
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"grid": {"kind": "interval", "n": 8, "nx": 3}}, "'nx'"),
+    ({"grid": {"kind": "interval"}}, "'n'"),
+    ({"model": {"id": "quadratic", "p": 3}}, "'p'"),
+    ({"model": {"id": "plaplacian"}}, "'p'"),
+], ids=["grid-extra", "grid-missing", "model-extra", "model-missing"])
+def test_config_keys_are_the_constructor_arguments(tmp_path, capsys, raw, key):
+    # grid keys are the grid kind's constructor arguments and model keys the
+    # model class's, so a key of another kind or a missing one exits 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "T": 0.1, **raw}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_preset_fractured_defaults_round_trip():
@@ -218,6 +256,15 @@ def test_profile_of_another_name_replaces_the_preset_spec(tmp_path):
     cfg = cli.config_from_dict({"preset": "tv-1d",
                                 "sources": {"y0": {"split": 0.3}}})
     assert cfg.sources["y0"] == {"profile": "step", "split": 0.3}
+    # so do a grid of another kind and a model of another id
+    cfg = cli.config_from_dict({"preset": "fractured-1d",
+                                "grid": {"kind": "rectangle", "nx": 4, "ny": 3},
+                                "model": {"id": "tv"}})
+    assert cfg.grid == {"kind": "rectangle", "nx": 4, "ny": 3}
+    assert cfg.model == {"id": "tv"}
+    cfg = cli.config_from_dict({"preset": "fractured-1d", "model": {"p": 3}})
+    assert cfg.model == {"id": "fractured", "p": 3, "alpha": 1.0,
+                         "thresholds": 0.5}
 
 
 def test_unknown_profile_key_is_a_config_error(tmp_path, capsys):
@@ -287,6 +334,15 @@ def test_main_override_and_exit_codes(tmp_path):
     json.dump({"preset": "constant-1d", "mode": "explode"}, open(path, "w"))
     assert cli.main(["run", str(path)]) == 2
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_main_rejects_malformed_overrides(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(n=5))
+    for override, message in (("n", "must look like key=value"),
+                              ("n.x=1", "cannot override through non-object")):
+        assert cli.main(["run", str(path), "--override", override]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("limit", ["max_iter", "pd_max_iter"])

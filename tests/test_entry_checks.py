@@ -70,10 +70,6 @@ def test_batch_methods_equal_the_point_functions(law, dim, rows, exp, seed):
             "conjugate": fm.conjugate(model, t, x, w),
             "fenchel_gap": fm.fenchel_gap(model, t, x, r, w),
         }
-        if law == "custom":
-            # a grid sup refines its argmax on a bracket set by the whole
-            # batch, so a custom law's conjugate depends on its batch
-            del point["conjugate"], point["fenchel_gap"]
         for name, value in point.items():
             assert _same(value, batch[name][i]), (name, i)
 
@@ -156,10 +152,11 @@ def test_solve_step_rejects_a_nonfinite_dual():
                       w1[g.boundary_nodes], dual=dual)
 
 
-def _overflow_data():
-    # |grad u| ~ 1e80 on the start makes j = |r|^4 / 4 overflow to inf
+def _overflow_data(p=4.0):
+    # |grad u| ~ 1e80 on the start makes j = |r|^4 / 4 overflow to inf; at
+    # p = 1.5 rounding makes the multiplier loop's start gap negative
     g = disc.interval_grid(32)
-    return g, fm.anisotropic_p_laplacian(4.0), 1e80 * np.cos(np.pi * g.nodes[:, 0])
+    return g, fm.anisotropic_p_laplacian(p), 1e80 * np.cos(np.pi * g.nodes[:, 0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -169,16 +166,20 @@ def test_a_step_whose_iterate_overflows_raises():
         ss.solve_step(g, model, 0.01, 0.01, w1, w1[g.boundary_nodes])
     assert not info.value.residual <= 1.0
     assert info.value.log[-1]["exit"] == "nonfinite"
+    g, model, w1 = _overflow_data(1.5)
+    with pytest.raises(ss.StepNonConverged, match="negative Fenchel gap"):
+        ss.solve_step(g, model, 0.01, 0.01, w1, w1[g.boundary_nodes])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_flow_reports_the_step_that_overflowed():
-    g, model, y0 = _overflow_data()
-    prob = fd.ProblemData(g, y0, T=0.02, model=model)
-    with pytest.raises(ss.StepNonConverged) as info:
-        fd.run_flow(prob, 2)
-    assert info.value.step_index == 1
-    assert "step 1" in str(info.value)
+    for p in (4.0, 1.5):
+        g, model, y0 = _overflow_data(p)
+        prob = fd.ProblemData(g, y0, T=0.02, model=model)
+        with pytest.raises(ss.StepNonConverged) as info:
+            fd.run_flow(prob, 2)
+        assert info.value.step_index == 1
+        assert "step 1" in str(info.value)
 
 
 def test_a_smooth_step_checks_only_its_entry_arguments(monkeypatch):
@@ -197,6 +198,22 @@ def test_a_smooth_step_checks_only_its_entry_arguments(monkeypatch):
                         u0=w1, guess=w1)
     assert sum(s["iters"] for s in sol.iterations) >= 3
     assert sorted(checked) == ["field", "guess", "w1"]
+    # a cold fractured step logs the objective of every continuation stage,
+    # a TV step that of its FISTA run and of the multiplier loop; neither
+    # checks more than its entry
+    checked.clear()
+    sol = ss.solve_step(g, fm.fractured_medium(4.0, 1.0, 0.5), 0.005, 0.005,
+                        w1, w1[g.boundary_nodes],
+                        ss.StepConfig(tol=1e-10, lam_min=1e-11, lam_decay=0.1),
+                        u0=w1)
+    assert len(sol.iterations) >= 3
+    assert sorted(checked) == ["field", "w1"]
+    checked.clear()
+    g2 = disc.rectangle_grid(16, 16)
+    x, y = g2.nodes.T
+    sol = ss.tv_step(g2, 1.0, 0.01, ((x > 0.5) & (y > 0.3)).astype(float))
+    assert "pd_gap" in sol.iterations[0] and "rounds" in sol.iterations[-1]
+    assert checked == ["prev"]
 
 
 def _no_sparse_matrices(monkeypatch):
@@ -252,9 +269,14 @@ def test_steady_state_residual_rejects_a_nonfinite_field():
     u = np.cos(np.pi * g.nodes[:, 0])
     f, gv = np.zeros(g.n_nodes), np.zeros(2)
     assert np.isfinite(fd.steady_state_residual(g, fm.quadratic(1), u, f, gv))
-    u[4] = np.nan
+    bad = u.copy()
+    bad[4] = np.nan
     with pytest.raises(ValueError):
-        fd.steady_state_residual(g, fm.quadratic(1), u, f, gv)
+        fd.steady_state_residual(g, fm.quadratic(1), bad, f, gv)
+    for f_bad, g_bad in ((np.where(g.nodes[:, 0] > 0.5, np.nan, 0.0), gv),
+                         (f, np.array([0.0, np.nan]))):
+        with pytest.raises(ValueError):
+            fd.steady_state_residual(g, fm.quadratic(1), u, f_bad, g_bad)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -462,6 +462,22 @@ def test_custom_flux_without_beta_is_accurate_at_small_arguments(lam):
     assert np.allclose(eta, np.sinh(z), rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: fm.anisotropic_p_laplacian(1.0), "exponent p must exceed 1"),
+    (lambda: fm.fractured_medium(0.5), "exponent p must exceed 1"),
+    (lambda: fm.anisotropic_p_laplacian(2.0, alpha=0.0), "alpha must be positive"),
+    (lambda: fm.fractured_medium(4.0, alpha=-1.0), "alpha must be positive"),
+    (lambda: fm.anisotropic_p_laplacian(2.0, alpha=lambda t, xs: 1.0 + xs[:, 0]),
+     "alpha_bounds required"),
+    (lambda: fm.quadratic(3), "dimension must be 1 or 2"),
+    (lambda: fm.total_variation(0.0), "rho must be positive"),
+], ids=["p-power", "p-fractured", "alpha-power", "alpha-fractured",
+        "alpha-callable", "dimension", "rho"])
+def test_constructors_reject_invalid_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_make_model_catalog_ids():
     for mid in ("quadratic", "plaplacian", "fractured", "loggrowth", "tv"):
         params = {"p": 4.0} if mid in ("plaplacian", "fractured") else {}
