@@ -56,14 +56,27 @@ class RunConfig:
         for name in ("grid", "model", "sources", "step", "options"):
             setattr(self, name, dict(getattr(self, name)))
         self.T = float(self.T)
-        self.save_every, self.seed = int(self.save_every), int(self.seed)
+        for name in ("n", "save_every", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _integer(value, name))
         self.out_dir = str(self.out_dir)
 
     @property
     def n_steps(self):
         if self.n is not None:
-            return int(self.n)
+            return self.n
         return int(round(self.T / self.h))
+
+
+def _integer(value, name):
+    """``value`` as an int; ValueError naming the key unless it is an
+    integer (an integral float included)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name!r} must be an integer, not {value!r}")
+    return value
 
 
 PRESETS = {
@@ -113,7 +126,6 @@ PRESETS = {
 }
 
 _SOURCE_KEYS = {"f", "g", "y0"}
-_OPTION_KEYS = {"refinements", "perturbation", "T_long", "n_long", "tol"}
 
 
 def _reject_unknown(d, allowed, where):
@@ -170,7 +182,9 @@ def parse_config(path_or_text):
 def config_from_dict(raw):
     """The ``RunConfig`` of a config dict, whose keys are its fields and
     "preset"; step keys are ``StepConfig``'s, grid and model keys the
-    arguments of the grid kind's constructor and of the model's class."""
+    arguments of the grid kind's constructor and of the model's class,
+    option keys the keyword arguments of the mode's runner, and
+    perturbation keys (contraction) the source keys."""
     raw = dict(raw)
     preset = raw.pop("preset", None)
     if preset is not None:
@@ -183,7 +197,8 @@ def config_from_dict(raw):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"top level: {exc}") from None
     _reject_unknown(cfg.sources, _SOURCE_KEYS, "sources")
-    _reject_unknown(cfg.options, _OPTION_KEYS, "options")
+    if cfg.mode in _RUNNERS:  # _validate rejects any other mode
+        _check_options(cfg)
     _check_arguments(cfg.step, StepConfig, "step")
     grid = dict(cfg.grid)
     kind = grid.pop("kind", None)
@@ -198,6 +213,19 @@ def config_from_dict(raw):
                          dimension=1)
     _validate(cfg)
     return cfg
+
+
+def _check_options(cfg):
+    """ConfigError, naming the key, unless the options are keyword-only
+    arguments of the mode's runner and a perturbation's keys source keys."""
+    params = inspect.signature(_RUNNERS[cfg.mode]).parameters.values()
+    _reject_unknown(cfg.options, [p.name for p in params
+                                  if p.kind is p.KEYWORD_ONLY],
+                    f"options of mode {cfg.mode!r}")
+    pert = cfg.options.get("perturbation", {})
+    if not isinstance(pert, dict):
+        raise ConfigError("options.perturbation must be an object")
+    _reject_unknown(pert, _SOURCE_KEYS, "options.perturbation")
 
 
 def _validate(cfg):
@@ -232,6 +260,7 @@ def serialize_config(cfg):
 
 
 def _build(cfg):
+    _check_options(cfg)  # a RunConfig need not come from config_from_dict
     grid = disc.build_grid(cfg.grid)
     params = {k: v for k, v in cfg.model.items() if k != "id"}
     model = make_model(cfg.model["id"], dimension=grid.dimension, **params)
@@ -309,7 +338,7 @@ def run(cfg, verbose=False):
     }
     try:
         code = _RUNNERS[cfg.mode](cfg, problem, step_cfg, metrics, manifest,
-                                  verbose)
+                                  verbose, **cfg.options)
     except StepNonConverged as exc:
         manifest["failure"] = {"kind": "NONCONVERGED", "message": str(exc),
                                "residual": exc.residual}
@@ -353,8 +382,9 @@ def _run_flow_mode(cfg, problem, step_cfg, metrics, manifest, verbose):
     return 0 if all(checks.values()) else 4
 
 
-def _run_convergence(cfg, problem, step_cfg, metrics, manifest, verbose):
-    refinements = int(cfg.options.get("refinements", 3))
+def _run_convergence(cfg, problem, step_cfg, metrics, manifest, verbose, *,
+                     refinements=3):
+    refinements = int(refinements)
     base = cfg.n_steps
     ns = [base * 2 ** k for k in range(refinements + 1)]
     table = fd.convergence_study(problem, ns, step_cfg)
@@ -373,9 +403,10 @@ def _run_convergence(cfg, problem, step_cfg, metrics, manifest, verbose):
     return 0 if ok else 4
 
 
-def _run_contraction(cfg, problem, step_cfg, metrics, manifest, verbose):
+def _run_contraction(cfg, problem, step_cfg, metrics, manifest, verbose, *,
+                     perturbation=None):
     grid = problem.grid
-    pert = cfg.options.get("perturbation", {})
+    pert = perturbation or {}
     y0_fn = ex.make_initial(pert.get("y0", cfg.sources.get("y0")),
                             grid.dimension, cfg.seed + 1)
     f = (ex.make_source(pert["f"], grid.dimension, cfg.seed + 1)
@@ -396,10 +427,11 @@ def _run_contraction(cfg, problem, step_cfg, metrics, manifest, verbose):
     return 0 if rep.nonexpansive_pass else 4
 
 
-def _run_asymptotics(cfg, problem, step_cfg, metrics, manifest, verbose):
-    t_long = float(cfg.options.get("T_long", 50.0 * problem.T))
-    n_long = int(cfg.options.get("n_long", cfg.n_steps * 10))
-    tol = float(cfg.options.get("tol", 1e-6))
+def _run_asymptotics(cfg, problem, step_cfg, metrics, manifest, verbose, *,
+                     T_long=None, n_long=None, tol=1e-6):
+    t_long = 50.0 * problem.T if T_long is None else float(T_long)
+    n_long = cfg.n_steps * 10 if n_long is None else int(n_long)
+    tol = float(tol)
     rep = fd.asymptotics_check(problem, t_long, n_long, step_cfg, tol)
     for m, d in enumerate(rep.distances):
         metrics.write(step=m, distance=d)
@@ -412,7 +444,8 @@ def _run_asymptotics(cfg, problem, step_cfg, metrics, manifest, verbose):
 
 
 # mode -> its runner, which writes the metrics rows and manifest results
-# and returns the exit code
+# and returns the exit code; its keyword-only arguments are the mode's
+# options, the flow modes taking none
 _RUNNERS = {"flow": _run_flow_mode, "convergence": _run_convergence,
             "contraction": _run_contraction, "asymptotics": _run_asymptotics,
             "obstacle": _run_flow_mode, "tv": _run_flow_mode}

@@ -19,7 +19,8 @@ where it is implemented:
   (``_continuation``), which returns the lam_min envelope's flux; a
   stalled continuation, or one whose last stage misses ``tol`` or whose
   flux misses ``certificate_tol``, goes to the dual route
-  (``_dual_finish``), the multiplier loop (``_multiplier_finish``);
+  (``_dual_finish``), the multiplier loop (``_multiplier_finish``), on
+  wide bands with a factor held over its rounds;
 - a law with a flux jump: the same stages as a warm-up, ended at the first
   that backtracks or stalls, then the multiplier loop;
 - a step of a law with a flux jump handed the previous step's dual point
@@ -395,7 +396,10 @@ def _newton_solve(plan, ab, rhs, fixed=None):
 
 # CG iterations on one Newton system before the held factor is replaced.  A
 # factorization costs about n kd^2 flops and a CG iteration about 4 n kd, so
-# reuse pays on grids with kd >= 4 * _CG_CAP (rectangles 30 cells wide and up).
+# one factorization buys kd / 4 CG iterations: that is the budget after which
+# a held factor is replaced (``_LaggedFactor``), and reuse pays on grids with
+# kd >= 4 * _CG_CAP (rectangles 30 cells wide and up), where the budget covers
+# at least one capped attempt.
 _CG_CAP = 8
 
 
@@ -408,34 +412,45 @@ def _takes_guess(grid, model):
 
 class _LaggedFactor:
     """Banded Cholesky factor of an earlier Newton system, held across the
-    Newton iterations and steps of one smooth flow.
+    Newton iterations of one loop: the steps of one smooth flow, or the
+    rounds of one multiplier loop (``_dual_finish``).
 
     Each Newton direction solves the current system H d = -g by conjugate
     gradients on the matrix-free product, preconditioned by the held factor,
     to the inexact-Newton forcing term ||r|| <= min(0.1, res) ||g||
-    (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982).  If CG
-    misses it within ``_CG_CAP`` iterations or meets a direction of
-    nonpositive curvature, the held factor is dropped and H is assembled,
-    factored in place and kept, and d is its direct solve, both by
-    ``_band_cholesky``, the solve of ``_newton_solve``.  ``factor`` is None
-    until the first factorization and after a failed one.
+    (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982).  The
+    factor is rented until its CG iterations cost what a factorization
+    does, then bought anew (the chord/Shamanskii trade-off: Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch.
+    5): ``spent`` counts the CG iterations served by the held factor since
+    it was made, a missed attempt's included, and once it reaches kd / 4
+    (see ``_CG_CAP``) the next direction assembles and factors H at once.
+    If CG misses the forcing term within ``_CG_CAP`` iterations or meets a
+    direction of nonpositive curvature, the held factor is dropped in the
+    same way.  A new factor is H assembled, factored in place and kept,
+    and d is its direct solve, both by ``_band_cholesky``, the solve of
+    ``_newton_solve``.  ``factor`` is None until the first factorization
+    and after a failed one.
     """
 
     def __init__(self):
         self.factor = None
+        self.spent = 0
 
     def direction(self, prob, u, g, res, counts):
         """Newton direction at u, with ``counts``' "factorizations" and
         "cg_iters" advanced; raises numpy.linalg.LinAlgError if H is not
         positive definite after rounding."""
         blocks = prob.hess_blocks(u)
-        if self.factor is not None:
+        if self.factor is not None and 4 * self.spent < prob.grid.gram_plan.kd:
             d, iters = self._pcg(_hess_product(prob.grid, blocks), -g,
                                  min(0.1, res) * math.sqrt(float(g @ g)))
             counts["cg_iters"] += iters
+            self.spent += iters
             if d is not None:
                 return d
         self.factor = None
+        self.spent = 0
         counts["factorizations"] += 1
         d, self.factor = _band_cholesky(
             prob.grid.gram_plan.assemble(blocks, prob.mass), -g)
@@ -472,7 +487,8 @@ def _stage_entries(iters, residual, exit_, fallbacks, backtracks, ls_floor,
     rejected trials, and "ls_floor", the line searches that reached the
     1e-14 floor without sufficient decrease, are there only when nonzero,
     as "rescue" is only on rescue stages; "factorizations" and "cg_iters"
-    (``counts``) only on a stage that reused a lagged factor."""
+    (``counts``) only on a stage or multiplier loop that held a lagged
+    factor."""
     entries = {"iters": iters, "residual": residual, "exit": exit_}
     for key, value in (("fallbacks", fallbacks), ("backtracks", backtracks),
                        ("ls_floor", ls_floor)):
@@ -758,6 +774,13 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
     target marks its entry ``fallback``; that ends a warm start, and a cold
     one returns the loop's best dual-feasible point, whose certificate
     ``_finish`` judges.
+
+    On grids with kd >= 4 * _CG_CAP the loop's inner solves share one
+    ``_LaggedFactor``: a round shifts the previous round's envelope
+    argument by its flux change and moves lam at most fourfold, so the
+    previous round's factor still preconditions CG well, and the loop's
+    entry counts its "factorizations" and "cg_iters".  Smaller bands keep
+    the direct solve.
     """
     target = h * _gap_target(cfg)
     xs, vol = grid.cell_centers, grid.cell_volumes
@@ -770,9 +793,11 @@ def _dual_finish(grid, model, t, h, w1, w2, cfg, p0, log, warm=False):
         except fm.UnboundedConjugate:
             return np.inf
 
+    lagged = _LaggedFactor() if grid.gram_plan.kd >= 4 * _CG_CAP else None
     u, p, gap, entry = _multiplier_finish(
         grid, model, t, h, w1, w2, p0, gap_of, 1e-4 * target, cfg,
-        max_rounds=40, tol_cap=_inter_tol(cfg), accept=1e-3 * target)
+        max_rounds=40, tol_cap=_inter_tol(cfg), accept=1e-3 * target,
+        lagged=lagged)
     entry.update(rescue="loop", certificate=gap / h)
     log.append(entry)
     return None if warm and "fallback" in entry else (u, p / a, p)
@@ -995,6 +1020,8 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
     which shows as a TV energy increase of order 1e-9 along a flow.
     ``pd_max_iter`` bounds its FISTA iterations and the fallback's together,
     as on a cold step.  Without ``p0`` the step starts from p = 0.
+    The loop's inner solves keep the direct solve on every band: with a
+    ``_LaggedFactor`` held over its rounds, 2D TV flows ran slower.
     """
     vol = grid.cell_volumes
     a = h * vol
@@ -1035,7 +1062,7 @@ def _solve_tv(grid, model, h, w1, w2, cfg, p0=None):
 
 
 def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
-                       max_rounds, tol_cap=np.inf, accept=0.0):
+                       max_rounds, tol_cap=np.inf, accept=0.0, lagged=None):
     """Method of multipliers on the lam-envelope of a step, from the dual
     point p (an (n_cells, N) array p = h vol eta) and its primal
     u0 = M^{-1}(rhs - K^T p), whose gap ``gap_of(p, K u0)`` it takes itself.
@@ -1066,12 +1093,15 @@ def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
     carries that error into the residual.  An inner solve that stalls at
     rounding but still gains sets a floor of twice its residual; and the
     tolerance, floors included, is never above ``tol_cap``; each inner
-    solve takes at most ``cfg.max_iter`` Newton iterations.  A start at or
+    solve takes at most ``cfg.max_iter`` Newton iterations, each direction
+    on the ``_LaggedFactor`` ``lagged`` when given (held over all rounds),
+    else by the direct solve.  A start at or
     below ``target`` runs no round, and a round that gains nothing ends the
     loop once the best gap is at most ``accept``.  After at most
     ``max_rounds`` rounds it returns the best round's (u, p, gap) and its
     log entry: the inner solves' Newton iterations, fallbacks, backtracks
-    and floored line searches summed (see ``_stage_entries``), the last
+    and floored line searches summed, and with ``lagged`` its
+    factorizations and CG iterations (see ``_stage_entries``), the last
     one's residual and exit, and the rounds, marked ``fallback`` when the
     best gap misses max(target, accept).
     """
@@ -1098,6 +1128,7 @@ def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
     best = (gap, np.zeros_like(u0), p / a)
     _, delta, eta = best
     work = dict.fromkeys(("iters", "fallbacks", "backtracks", "ls_floor"), 0)
+    counts = None if lagged is None else {"factorizations": 0, "cg_iters": 0}
     stage = {"residual": 0.0, "exit": "converged"}
     rounds = 0
     tol_low = 0.0
@@ -1108,9 +1139,12 @@ def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
         floor = rounding * float(np.abs(shift).max()) / lam
         tol = min(tol_cap, max(tol_low, floor,
                                max(target, best[0]) * tol_per_gap))
-        delta_new, stage = _minimize_newton(prob, delta, tol, cfg.max_iter)
+        delta_new, stage = _minimize_newton(prob, delta, tol, cfg.max_iter,
+                                            lagged)
         for key in work:
             work[key] += stage.get(key, 0)
+        for key in counts or ():
+            counts[key] += stage[key]
         eta_new = model.yosida(t, grid.cell_centers, lam,
                                disc.gradient(grid, delta_new) + shift)
         failed = stage["exit"] != "converged"
@@ -1134,7 +1168,8 @@ def _multiplier_finish(grid, model, t, h, w1, w2, p, gap_of, target, cfg,
     gap, _, eta = best
     u = primal(eta * a)
     entry = {"lam": lam, **_stage_entries(residual=stage["residual"],
-                                          exit_=stage["exit"], **work),
+                                          exit_=stage["exit"], counts=counts,
+                                          **work),
              "rounds": rounds,
              "objective": _StageProblem(grid, model, t, h, w1, w2,
                                         None).value(u)}

@@ -133,6 +133,41 @@ def test_config_keys_are_the_constructor_arguments(tmp_path, capsys, raw, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["n", "save_every", "seed"])
+def test_counts_must_be_integers(tmp_path, capsys, key):
+    # a count of 2.5 was truncated to 2 and the run exited 0
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(**{key: 2.5}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{key!r} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # an integral float is the integer it names
+    cfg = cli.parse_config(cfg_text(**{key: 2.0}))
+    assert getattr(cfg, key) == 2 and isinstance(getattr(cfg, key), int)
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"options": {"refinements": 2}}, "'refinements'"),
+    ({"mode": "contraction", "options": {"perturbation": {"bogus": 1}}},
+     "'bogus'"),
+    ({"mode": "convergence", "options": {"T_long": 4.0}}, "'T_long'"),
+    ({"mode": "asymptotics", "options": {"refinements": 2}}, "'refinements'"),
+], ids=["flow", "perturbation", "convergence", "asymptotics"])
+def test_option_keys_are_the_runner_arguments(tmp_path, capsys, raw, key):
+    # each mode takes the options its runner reads, and a contraction's
+    # perturbation the source keys; the flow modes take none
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg_text(**raw))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # run rejects them in a config it did not parse
+    cfg = cli.parse_config(cfg_text(out_dir=str(tmp_path / "o")))
+    cfg.mode, cfg.options = raw.get("mode", "flow"), raw["options"]
+    assert cli.run(cfg) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_preset_fractured_defaults_round_trip():
     cfg = cli.parse_config(json.dumps({"preset": "fractured-1d"}))
     assert cfg.model["id"] == "fractured"

@@ -1227,17 +1227,78 @@ def test_direct_solve_is_kept_off_the_lagged_path():
     assert g16.gram_plan.kd < 4 * ss._CG_CAP
     traj = fd.run_flow(fd.ProblemData(g16, y16, T=0.02, model=p4), 2, cfg)
     assert all(_no_lagged_keys(log) for log in traj.step_logs)
-    # nor the continuation stages of a nonsmooth law on the wide band
+    # nor the continuation stages of a nonsmooth law on the wide band (its
+    # multiplier loop holds a factor over its rounds)
     x, y = narrow.nodes.T
     u0 = 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
     sol = ss.solve_step(narrow, fm.fractured_medium(4, thresholds=0.5, dimension=2),
                         0.001, 0.001, u0, u0[narrow.boundary_nodes], ss.StepConfig())
-    assert len(sol.iterations) > 1 and _no_lagged_keys(sol.iterations)
+    *stages, loop = sol.iterations
+    assert stages and _no_lagged_keys(stages)
+    assert loop["rescue"] == "loop" and "factorizations" in loop
     # nor the multiplier rounds of a total-variation step
     prev = ((x > 0.5) & (y > 0.3)).astype(float)
     sol = ss.tv_step(narrow, 1.0, 0.01, prev)
     assert any("rounds" in s for s in sol.iterations)
     assert _no_lagged_keys(sol.iterations)
+
+
+def test_held_factor_is_replaced_once_its_cg_iterations_cost_a_factorization(
+        monkeypatch):
+    g, y0 = smooth_2d_case(34, 34)
+    kd = g.gram_plan.kd
+    real = ss._LaggedFactor._pcg
+    served = []  # [factor, CG iterations it served]
+
+    def counting(self, apply_h, b, tol):
+        x, iters = real(self, apply_h, b, tol)
+        if not served or served[-1][0] is not self.factor:
+            served.append([self.factor, 0])
+        served[-1][1] += iters
+        return x, iters
+
+    monkeypatch.setattr(ss._LaggedFactor, "_pcg", counting)
+    model = fm.anisotropic_p_laplacian(4, dimension=2)
+    traj = fd.run_flow(fd.ProblemData(g, y0, T=0.1, model=model), 40,
+                       ss.StepConfig(tol=1e-10))
+    assert np.all(traj.step_residuals <= 1e-10)
+    # factors reach the budget kd / 4, and the last attempt on one adds at
+    # most a cap
+    spent = [n for _, n in served]
+    assert sum(n >= kd / 4 for n in spent) > 1
+    assert max(spent) <= kd / 4 + ss._CG_CAP
+
+
+def _fractured_loop_step():
+    g = disc.rectangle_grid(34, 34)
+    x, y = g.nodes.T
+    u0 = 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
+    return ss.solve_step(g, fm.fractured_medium(4, thresholds=0.5, dimension=2),
+                         0.001, 0.001, u0, u0[g.boundary_nodes], ss.StepConfig())
+
+
+def test_multiplier_loop_holds_one_factor_over_its_rounds(monkeypatch):
+    sol = _fractured_loop_step()
+    loop = sol.iterations[-1]
+    assert loop["rescue"] == "loop" and "fallback" not in loop
+    assert 0 < loop["factorizations"] < loop["iters"]
+    assert loop["cg_iters"] > 0
+    assert sol.fenchel_total <= ss.StepConfig().certificate_tol
+    # the same step with every inner direction a direct solve
+    monkeypatch.setattr(ss, "_LaggedFactor", lambda: None)
+    direct = _fractured_loop_step()
+    assert _no_lagged_keys(direct.iterations)
+    assert np.max(np.abs(sol.u - direct.u)) <= 1e-9
+
+
+def test_tv_loop_keeps_the_direct_solve():
+    g = disc.rectangle_grid(34, 34)
+    assert g.gram_plan.kd >= 4 * ss._CG_CAP
+    x, y = g.nodes.T
+    prev = ((x > 0.5) & (y > 0.3)).astype(float)
+    sol = ss.tv_step(g, 1.0, 0.01, prev)
+    (loop,) = [s for s in sol.iterations if "rounds" in s]
+    assert loop["rounds"] > 0 and _no_lagged_keys([loop])
 
 
 # ---------------------------------------------------------------------------
@@ -1355,7 +1416,7 @@ def test_tv_finish_falls_back_to_fista_when_newton_gains_nothing(monkeypatch):
     rho, h = 1.0, 0.01
     clean = ss.tv_step(g, rho, h, prev)
 
-    def stalled(prob, u0, tol, max_iter):
+    def stalled(prob, u0, tol, max_iter, lagged=None):
         return u0.copy(), {"iters": 0, "residual": 1.0, "exit": "stall"}
 
     monkeypatch.setattr(ss, "_minimize_newton", stalled)

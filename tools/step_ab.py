@@ -1,7 +1,10 @@
-"""Side-by-side timer of single implicit steps from two source trees.
+"""Side-by-side timer of single implicit steps, or of whole flows, from two
+source trees.
 
     python tools/step_ab.py --a PARENT_TREE --b CHANGED_TREE \\
         --workload cli-sources-1d --steps 1,100,250 --rounds 400
+    python tools/step_ab.py --a PARENT_TREE --b CHANGED_TREE \\
+        --workload plaplacian-2d --flows --rounds 10
 
 Each tree is a checkout (a directory holding ``src/wentzellflow`` and
 ``perfbench/workloads.py``).  The tool copies each tree's package into a
@@ -19,8 +22,15 @@ Steps from one process share its state of the machine, so a speed drift
 of the host moves both versions alike; flows timed in separate processes
 on a VM whose speed changes between phases can spread by more than the
 effect measured.  Both flows must hand their chosen steps the same inputs
-(w1, w2, u0, guess and dual); the tool stops if they do not.  ``--json``
-writes the medians and ratios to a file.
+(w1, w2, u0, guess and dual); the tool stops if they do not.
+
+``--flows`` times whole flows instead, for a change that moves a
+trajectory: every round builds the workload's case afresh with each
+version, in alternating order, and times its ``run`` call, and every
+``solve_step`` call within it.  It prints, per version, the median and
+quartiles over the rounds of the flow time and of each flow's step p50
+and p90, and the ratios b / a of the medians.  ``--json`` writes the
+medians and ratios to a file.
 """
 
 from __future__ import annotations
@@ -122,6 +132,46 @@ def time_steps(versions, steps, rounds):
     return times
 
 
+FLOW_METRICS = ("flow", "step_p50", "step_p90")
+
+
+def time_flows(versions, workload, seed, rounds):
+    """{(label, metric): [seconds]} over ``rounds`` interleaved rounds, the
+    metrics "flow", "step_p50" and "step_p90" of each whole flow."""
+    times = {(label, m): [] for label in versions for m in FLOW_METRICS}
+    labels = list(versions)
+    clock = time.perf_counter
+    for r in range(rounds):
+        order = labels if r % 2 == 0 else labels[::-1]
+        for label in order:
+            pkg, workloads = versions[label]
+            fd = importlib.import_module(f"{pkg.__name__}.flow_driver")
+            real = fd.solve_step
+            steps = []
+
+            def timed(*args, real=real, steps=steps, **kwargs):
+                t0 = clock()
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    steps.append(clock() - t0)
+
+            case = workloads.build(workload, seed)
+            case.prepare()
+            gc.collect()
+            fd.solve_step = timed
+            try:
+                t0 = clock()
+                case.run()
+                flow = clock() - t0
+            finally:
+                fd.solve_step = real
+                case.cleanup()
+            for m, v in zip(FLOW_METRICS, (flow, *np.percentile(steps, [50, 90]))):
+                times[(label, m)].append(float(v))
+    return times
+
+
 def quartiles(xs):
     q = statistics.quantiles(xs, n=4)
     return q[0], q[2]
@@ -134,6 +184,8 @@ def main(argv=None):
     ap.add_argument("--workload", default="cli-sources-1d")
     ap.add_argument("--steps", default="1,100,250",
                     help="comma-separated 1-based step indices")
+    ap.add_argument("--flows", action="store_true",
+                    help="time whole flows instead of chosen steps")
     ap.add_argument("--rounds", type=int, default=400)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", help="write the results to this file")
@@ -146,9 +198,16 @@ def main(argv=None):
         for label, tree in (("a", opts.a), ("b", opts.b)):
             pkg, workloads = load_version(os.path.abspath(tree), f"wf_{label}",
                                           scratch)
+            if opts.flows:
+                versions[label] = (pkg, workloads)
+                continue
             calls, solve = capture(pkg, workloads, opts.workload, opts.seed,
                                    set(steps))
             versions[label] = (solve, calls)
+        if opts.flows:
+            times = time_flows(versions, opts.workload, opts.seed, opts.rounds)
+            return report(opts, FLOW_METRICS, times, "metric", "whole flows",
+                          "milliseconds", 1e3)
         for s in steps:
             if not same_inputs(versions["a"][1][s], versions["b"][1][s]):
                 raise SystemExit(f"step {s}: the two flows hand it different "
@@ -157,25 +216,33 @@ def main(argv=None):
         times = time_steps(versions, steps, opts.rounds)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    return report(opts, steps, times, "step", "single steps", "microseconds",
+                  1e6)
+
+
+def report(opts, keys, times, name, what, unit, scale):
+    """Print, and with ``--json`` write, each key's medians, quartiles and
+    ratio b / a of the two versions, in ``unit`` (seconds times ``scale``)."""
     rows = []
-    print(f"{opts.workload}, seed {opts.seed}, {opts.rounds} rounds "
-          "(medians and quartiles in microseconds)")
-    print(f"{'step':>6} {'a':>10} {'b':>10} {'b/a':>7}   a q1-q3        b q1-q3")
-    for s in steps:
-        a, b = times[("a", s)], times[("b", s)]
+    print(f"{opts.workload}, seed {opts.seed}, {opts.rounds} rounds of {what} "
+          f"(medians and quartiles in {unit})")
+    print(f"{name:>8} {'a':>10} {'b':>10} {'b/a':>7}   a q1-q3        b q1-q3")
+    for k in keys:
+        a, b = times[("a", k)], times[("b", k)]
         ma, mb = statistics.median(a), statistics.median(b)
         qa, qb = quartiles(a), quartiles(b)
-        rows.append({"step": s, "a_us": 1e6 * ma, "b_us": 1e6 * mb,
+        rows.append({name: k, "a": scale * ma, "b": scale * mb,
                      "ratio": mb / ma,
-                     "a_q1_q3_us": [1e6 * q for q in qa],
-                     "b_q1_q3_us": [1e6 * q for q in qb]})
-        print(f"{s:>6} {1e6 * ma:>10.1f} {1e6 * mb:>10.1f} {mb / ma:>7.3f}   "
-              f"{1e6 * qa[0]:.1f}-{1e6 * qa[1]:.1f}   "
-              f"{1e6 * qb[0]:.1f}-{1e6 * qb[1]:.1f}")
+                     "a_q1_q3": [scale * q for q in qa],
+                     "b_q1_q3": [scale * q for q in qb]})
+        print(f"{k:>8} {scale * ma:>10.4g} {scale * mb:>10.4g} {mb / ma:>7.3f}   "
+              f"{scale * qa[0]:.4g}-{scale * qa[1]:.4g}   "
+              f"{scale * qb[0]:.4g}-{scale * qb[1]:.4g}")
     if opts.json:
         with open(opts.json, "w") as fh:
             json.dump({"workload": opts.workload, "seed": opts.seed,
-                       "rounds": opts.rounds, "steps": rows}, fh, indent=1)
+                       "rounds": opts.rounds, "unit": unit, "rows": rows},
+                      fh, indent=1)
     return 0
 
 
