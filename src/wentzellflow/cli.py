@@ -6,7 +6,9 @@ diagnostics summary, pass flags), a ``metrics.jsonl`` stream whose floats
 are written by ``repr`` (so equal runs write equal bytes), and per-slice
 field CSVs.  The config's keys are the parameters of what it builds
 (``config_from_dict``).  Exit codes: 0 success, 2 config error, 3 solver
-nonconvergence, 4 check failure.
+nonconvergence, 4 check failure.  A source that is not finite on some step
+exits 2 as well, once the flow samples it, with a ``failure`` entry in the
+manifest.
 """
 
 from __future__ import annotations
@@ -346,6 +348,11 @@ def run(cfg, verbose=False):
     except (fd.IncompatibleData, fd.Inapplicable) as exc:
         manifest["failure"] = {"kind": type(exc).__name__, "message": str(exc)}
         code = 4
+    except fd.NonFiniteSource as exc:  # bad data, found once sampled
+        print(f"config error: {exc}", file=sys.stderr)
+        manifest["failure"] = {"kind": "NonFiniteSource", "message": str(exc),
+                               "step_index": exc.step_index}
+        code = 2
     finally:
         metrics.close()
     manifest["exit_code"] = code

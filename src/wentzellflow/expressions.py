@@ -8,6 +8,10 @@ reproducible data rather than arbitrary code.
 
 Initial data may alternatively use a named profile, e.g.
 ``{"profile": "step", "split": 0.5, "low": 0.0, "high": 1.0}``.
+
+An expression source has an ``at_times`` entry, which
+``discretization.time_moments`` uses to evaluate it at all the times of a
+block of steps in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ class ExpressionError(ValueError):
 
 
 def compile_expression(text, variables):
-    """Compile an expression over the given variable names."""
+    """Compile an expression over the given variable names.  The callable
+    takes the variables as keywords; its ``powers`` are the variables it
+    reads under a ``**``."""
     names = set(variables) | set(_FUNCS) | set(_CONSTS)
     try:
         tree = ast.parse(str(text), mode="eval")
@@ -57,8 +63,15 @@ def compile_expression(text, variables):
         env = dict(_CONSTS)
         env.update(_FUNCS)
         env.update(kw)
-        return eval(code, {"__builtins__": {}}, env)  # noqa: S307 (whitelisted)
+        # no floating-point warnings: the package checks the values where
+        # they enter (``Grid.check_field``, ``flow_driver.NonFiniteSource``)
+        with np.errstate(all="ignore"):
+            return eval(code, {"__builtins__": {}}, env)  # noqa: S307
 
+    fn.powers = {name.id for node in ast.walk(tree)
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                 for name in ast.walk(node)
+                 if isinstance(name, ast.Name) and name.id in variables}
     return fn
 
 
@@ -83,13 +96,35 @@ def make_source(spec, dimension, seed=0):
         return lambda t, pts: prof(pts)
     variables = ["t", "x"] + (["y"] if dimension == 2 else [])
     fn = compile_expression(spec, variables)
+    source = _Expression(fn, dimension)
+    if "t" in fn.powers:
+        # a power of a scalar t goes through C pow, the same power of an
+        # array of times through numpy's loop, which may round otherwise
+        # (a SIMD pow), so this expression keeps one call per time
+        return lambda t, pts: source(t, pts)
+    return source
 
-    def source(t, pts):
+
+class _Expression:
+    """An expression source: ``source(t, points)`` at one time, and
+    ``source.at_times(ts, points)``, shape (len(ts), n), at many times in
+    one evaluation, with t a column against the points.  Elementwise the
+    two agree bit for bit as long as no power reads t (``make_source``)."""
+
+    def __init__(self, fn, dimension):
+        self._fn = fn
+        self._dimension = dimension
+
+    def __call__(self, t, pts):
         out = np.empty(pts.shape[0])
-        out[...] = fn(t=t, **_coord_env(pts, dimension))
+        out[...] = self._fn(t=t, **_coord_env(pts, self._dimension))
         return out
 
-    return source
+    def at_times(self, ts, pts):
+        out = np.empty((len(ts), pts.shape[0]))
+        out[...] = self._fn(t=np.asarray(ts, dtype=float)[:, None],
+                            **_coord_env(pts, self._dimension))
+        return out
 
 
 def make_initial(spec, dimension, seed=0):

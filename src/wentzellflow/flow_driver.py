@@ -36,6 +36,7 @@ __all__ = [
     "AsymptoticsReport",
     "IncompatibleData",
     "Inapplicable",
+    "NonFiniteSource",
     "run_flow",
     "stability_report",
     "convergence_study",
@@ -55,6 +56,23 @@ class IncompatibleData(ValueError):
 
 class Inapplicable(ValueError):
     """Diagnostic requested outside its domain of validity."""
+
+
+class NonFiniteSource(ValueError):
+    """A source whose average over a step is not finite; ``source`` is "f"
+    or "g" and ``step_index`` the first such step."""
+
+    def __init__(self, source, step_index, t):
+        super().__init__(f"source {source} is not finite on step "
+                         f"{step_index} (t = {t:g})")
+        self.source = source
+        self.step_index = step_index
+
+
+# Samples one block of steps of a source holds at most (5 per step and
+# point): 2^16 doubles are 512 kB, so the blocks stay small on 2D grids
+# while a 1D flow of hundreds of steps takes a few.
+_SAMPLE_BUDGET = 2 ** 16
 
 
 @dataclass
@@ -253,8 +271,9 @@ def run_flow(problem, n, cfg=None, obstacle=False):
     dual = None
     guess, order = None, 0
     extrapolate = not obstacle and _takes_guess(grid, problem.model)
+    sources = _step_sources(problem, n, h)
     for i in range(1, n + 1):
-        fbar, gbar, source_sq[i - 1] = _step_sources(problem, i, h)
+        fbar, gbar, source_sq[i - 1] = next(sources)
         w1 = y.copy() if fbar is None else y + h * fbar
         w2 = y[grid.boundary_nodes]
         if gbar is not None:
@@ -329,20 +348,43 @@ def _mark_order(log, order):
             entry["order"] = order
 
 
-def _step_sources(problem, i, h):
-    """Step i's source averages fbar, gbar (None for an absent source) and
-    [h int ||f||^2, h int ||g||^2] over the step, all from one 5-point
-    sampling of each source."""
+def _step_sources(problem, n, h):
+    """Yield, for the steps i = 1, ..., n, the step's source averages fbar,
+    gbar (None for an absent source) and [h int ||f||^2, h int ||g||^2]
+    over the step, all from one 5-point sampling of each source
+    (``_source_moments``)."""
+    for (fbar, fsq), (gbar, gsq) in zip(_source_moments(problem, "f", n, h),
+                                        _source_moments(problem, "g", n, h)):
+        yield fbar, gbar, (fsq, gsq)
+
+
+def _source_moments(problem, name, n, h):
+    """Yield, for the steps i = 1, ..., n, the average of the source
+    ``name`` ("f" on the nodes, "g" on the boundary) over step i and h times
+    the integral of its square's average, (None, 0.0) for an absent source.
+
+    The source is sampled a block of steps at a time by
+    ``disc.time_moments``, as many steps as ``_SAMPLE_BUDGET`` samples
+    hold, never past step n.  Each block is checked where it enters the
+    flow: a step whose average is not finite raises NonFiniteSource.  The
+    integral stays one dot per step.
+    """
+    fn = getattr(problem, name)
+    if fn is None:
+        yield from ((None, 0.0) for _ in range(n))
+        return
     grid = problem.grid
-    fbar = gbar = None
-    sq = np.zeros(2)
-    if problem.f is not None:
-        fbar, fsq = disc.time_moments(problem.f, i, h, grid, "domain")
-        sq[0] = h * float(grid.node_weights @ fsq)
-    if problem.g is not None:
-        gbar, gsq = disc.time_moments(problem.g, i, h, grid, "boundary")
-        sq[1] = h * float(grid.boundary_weights @ gsq)
-    return fbar, gbar, sq
+    where, weights = (("domain", grid.node_weights) if name == "f"
+                      else ("boundary", grid.boundary_weights))
+    k = max(1, _SAMPLE_BUDGET // (5 * weights.size))
+    for lo in range(0, n, k):
+        bar, sq = disc.time_moments(fn, lo + 1, h, grid, where, min(k, n - lo))
+        bad = np.flatnonzero(~np.isfinite(bar).all(axis=1))
+        if bad.size:
+            first = lo + 1 + int(bad[0])
+            raise NonFiniteSource(name, first, first * h)
+        for row, row_sq in zip(bar, sq):
+            yield row, h * float(weights @ row_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +516,7 @@ def contraction_check(problem, perturbed, n, cfg=None):
                             _source_difference(problem.f, perturbed.f),
                             _source_difference(problem.g, perturbed.g),
                             problem.T, problem.model)
-        df, dg = np.array([_step_sources(delta, i, h)[2]
-                           for i in range(1, n + 1)]).T
+        df, dg = np.array([sq for _, _, sq in _step_sources(delta, n, h)]).T
     dists = np.array([disc.norm_domain(grid, du) ** 2
                       + disc.norm_boundary(grid, disc.trace(grid, du)) ** 2
                       for du in ta.fields - tb.fields])

@@ -19,6 +19,7 @@ __all__ = [
     "fd_gradient",
     "conjugate_grid",
     "projected_gradient_descent",
+    "affine_map",
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -203,3 +204,11 @@ def projected_gradient_descent(grad, x0, step, iters, lower=0.0):
     for _ in range(iters):
         x = np.maximum(x - step * grad(x), lower)
     return x
+
+
+def affine_map(grad, n):
+    """(A, b) with grad(u) = A u - b, for an affine ``grad`` on R^n (the
+    step objective's gradient under a quadratic law), probed once at 0 and
+    at the unit vectors."""
+    b = -np.asarray(grad(np.zeros(n)), dtype=float)
+    return np.column_stack([grad(e) + b for e in np.eye(n)]), b

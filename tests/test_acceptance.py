@@ -287,6 +287,7 @@ def test_criterion_8_asymptotics():
 def test_criterion_9_obstacle():
     g = disc.interval_grid(8)
     rng = np.random.default_rng(109)
+    probe = np.random.default_rng(9)  # apart, so rng draws the same data
     cfg = ss.StepConfig(tol=1e-8)
     ok = True
     worst_gap = 0.0
@@ -301,10 +302,14 @@ def test_criterion_9_obstacle():
         def grad(u):
             return ss.step_objective_grad(g, fm.quadratic(1), 0.0, h, w1, w2, u)
 
+        # the quadratic law's gradient is affine: the oracle iterates A u - b
+        a, b = orc.affine_map(grad, g.n_nodes)
+        for u in probe.standard_normal((20, g.n_nodes)):
+            assert np.max(np.abs(a @ u - b - grad(u))) <= 1e-14
         m = g.node_weights + g.boundary_mass_full
         lip = float(m.max()) + h * 4.0 * 8.0
-        ref = orc.projected_gradient_descent(grad, np.maximum(w1, 0.0),
-                                             1.0 / lip, 30000)
+        ref = orc.projected_gradient_descent(
+            lambda u: a @ u - b, np.maximum(w1, 0.0), 1.0 / lip, 30000)
         worst_gap = max(worst_gap, float(np.max(np.abs(sol.u - ref))))
     _report(9, "obstacle: feasible, complementary, matches projected-gradient "
                "oracle to 1e-6", ok and worst_gap <= 1e-6,

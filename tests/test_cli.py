@@ -394,3 +394,30 @@ def test_run_nonconvergence_exit_code(tmp_path):
     assert cli.run(cli.config_from_dict(raw)) == 3
     man = json.load(open(tmp_path / "manifest.json"))
     assert man["failure"]["kind"] == "NONCONVERGED"
+
+
+@pytest.mark.parametrize("name, where", [("f", "domain"), ("g", "boundary")])
+def test_a_non_finite_source_exits_2_naming_its_step(tmp_path, capsys, name, where):
+    # 1/x is infinite at the node x = 0, a boundary node too
+    path = tmp_path / "cfg.json"
+    json.dump({"preset": "plaplacian-1d",
+               "sources": {"y0": "sin(pi*x)", name: "1/x"}}, open(path, "w"))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: source {name} is not finite on step 1 "
+                   f"(t = 0.01)"]
+    man = json.load(open(out / "manifest.json"))
+    assert man["exit_code"] == 2 and not man["pass"]
+    assert man["failure"] == {"kind": "NonFiniteSource", "message": err[0][14:],
+                              "step_index": 1}
+
+
+def test_sources_report_how_they_are_sampled():
+    # expressions by blocks of steps, with or without t
+    assert all(hasattr(ex.make_source(text, 1), "at_times")
+               for text in ("sin(pi*x)*exp(-t)", "sin(pi*x)", "x**2"))
+    # a constant, a profile and a power of t: one call per time
+    assert not any(hasattr(fn, "at_times") for fn in (
+        ex.make_source(2.5, 1), ex.make_source({"profile": "step"}, 1),
+        ex.make_source("t**2*x", 1)))

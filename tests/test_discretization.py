@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wentzellflow import discretization as disc
+from wentzellflow import expressions as ex
 
 
 def test_interval_grid_basic():
@@ -159,6 +160,83 @@ def test_time_moments_match_time_average_of_f_and_f_squared(fn, where):
         mean, mean_sq = disc.time_moments(fn, i, h, g, where)
         assert np.array_equal(mean, disc.time_average(fn, i, h, g, where))
         assert np.array_equal(mean_sq, disc.time_average(fsq, i, h, g, where))
+
+
+_BLOCK_SOURCES = {
+    1: ["cos(t)", "sin(pi*x)", "sin(pi*x)*exp(-t)", "t**0.5*x + t**3", 2.5,
+        {"profile": "noise", "amplitude": 0.3}],
+    2: ["cos(t)", "x*y", "sin(pi*x)*cos(pi*y)*exp(-2*t) + t*y", 2.5,
+        {"profile": "step", "split": 0.3}],
+}
+
+
+def _per_time_moments(fn, i, h, pts):
+    """The moments of step i summed as they always were: one call of fn per
+    Gauss-Legendre time, each added in the order of the nodes."""
+    acc, acc_sq = np.zeros(pts.shape[0]), np.zeros(pts.shape[0])
+    mid, half = (i - 1) * h + h / 2.0, h / 2.0
+    for tau, w in zip(disc._GL5_NODES, disc._GL5_WEIGHTS):
+        v = np.empty(pts.shape[0])
+        v[...] = fn(mid + half * tau, pts)
+        acc += w * v
+        acc_sq += w * (v * v)
+    return acc / 2.0, acc_sq / 2.0
+
+
+@pytest.mark.parametrize("where", ["domain", "boundary"])
+@pytest.mark.parametrize("dim, spec", [(d, s) for d, specs in _BLOCK_SOURCES.items()
+                                       for s in specs], ids=repr)
+def test_block_moments_equal_the_per_step_moments(dim, spec, where):
+    g = disc.interval_grid(7) if dim == 1 else disc.rectangle_grid(4, 3)
+    fn = ex.make_source(spec, dim, seed=3)
+
+    def per_time(t, pts):
+        # a plain callable: no block entry
+        return fn(t, pts)
+
+    h, k = 0.037, 6
+    mean, mean_sq = disc.time_moments(fn, 3, h, g, where, steps=k)
+    assert mean.shape == mean_sq.shape == (k, g.n_nodes if where == "domain"
+                                           else g.boundary_nodes.size)
+    pts = g.nodes if where == "domain" else g.boundary_coords
+    for j in range(k):
+        step = disc.time_moments(fn, 3 + j, h, g, where)
+        plain = disc.time_moments(per_time, 3 + j, h, g, where)
+        ref = _per_time_moments(fn, 3 + j, h, pts)
+        for a, b, c, d in zip((mean[j], mean_sq[j]), step, plain, ref):
+            assert all(np.array_equal(a, x) for x in (b, c, d))
+
+
+@pytest.mark.parametrize("dim, text", [
+    (1, "sin(pi*x)*exp(-t)"), (1, "cos(t)"), (1, "exp(-t*x) - 2*t/(1 + x)"),
+    (2, "sin(pi*x)*cos(pi*y)*exp(-2*t) + t*y"), (2, "x**2*cos(t) - y*t")])
+def test_an_expression_at_many_times_equals_its_values_per_time(dim, text):
+    g = disc.interval_grid(7) if dim == 1 else disc.rectangle_grid(4, 3)
+    fn = ex.make_source(text, dim)
+    ts = 0.0185 + 0.037 * np.arange(300) / 5.0
+    per_time = np.array([fn(t, g.nodes) for t in ts])
+    assert np.array_equal(fn.at_times(ts, g.nodes), per_time)
+
+
+def test_a_power_of_t_keeps_the_call_per_time():
+    # a power of a scalar t may round otherwise than one of an array
+    assert ex.compile_expression("t**0.5*x + t**3", ["t", "x"]).powers == {"t"}
+    assert ex.compile_expression("x**2*cos(t)", ["t", "x"]).powers == {"x"}
+    assert not hasattr(ex.make_source("t**0.5*x + t**3", 1), "at_times")
+
+
+def test_block_moments_of_a_plain_callable_call_it_once_per_time():
+    g = disc.interval_grid(4)
+    times = []
+
+    def fn(t, pts):
+        times.append(t)
+        return np.cos(3.0 * t) + pts[:, 0]
+
+    mean, _ = disc.time_moments(fn, 2, 0.1, g, steps=3)
+    assert len(times) == 15 and 0.1 < min(times) and max(times) < 0.4
+    for j in range(3):
+        assert np.array_equal(mean[j], disc.time_average(fn, 2 + j, 0.1, g))
 
 
 def test_time_average_validates():

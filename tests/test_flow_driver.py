@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wentzellflow import discretization as disc
+from wentzellflow import expressions as ex
 from wentzellflow import flow_driver as fd
 from wentzellflow import flux_models as fm
 from wentzellflow import oracles as orc
@@ -114,6 +115,69 @@ def test_flow_propagates_nonconvergence_with_step_index():
     assert excinfo.value.step_index == 1
 
 
+def _sourced_problem(f, g_src, n=16, T=0.5):
+    g = disc.interval_grid(n)
+    return fd.ProblemData(g, np.sin(np.pi * g.nodes[:, 0]), f, g_src, T,
+                          fm.anisotropic_p_laplacian(4.0))
+
+
+def _same_trajectory(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("fields", "etas", "step_residuals",
+                         "step_certificates", "source_sq"))
+
+
+def test_blocks_of_steps_give_the_same_trajectory(monkeypatch):
+    prob = _sourced_problem(ex.make_source("sin(pi*x)*exp(-t)", 1),
+                            ex.make_source("cos(t)", 1))
+    whole = fd.run_flow(prob, 10)
+    # 3 steps a block on the 17 nodes, so the last block holds one step
+    monkeypatch.setattr(fd, "_SAMPLE_BUDGET", 3 * 5 * 17)
+    assert _same_trajectory(fd.run_flow(prob, 10), whole)
+
+
+@pytest.mark.parametrize("budget", [None, 4 * 5 * 17])
+def test_a_source_is_never_sampled_past_the_horizon(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(fd, "_SAMPLE_BUDGET", budget)
+    expr = ex.make_source("sin(pi*x)*exp(-t)", 1)
+
+    def f(t, pts):
+        if t > 0.5:
+            raise AssertionError(f"sampled at t = {t}")
+        return expr(t, pts)
+
+    traj = fd.run_flow(_sourced_problem(f, None), 10)
+    assert _same_trajectory(traj, fd.run_flow(_sourced_problem(expr, None), 10))
+
+
+def test_a_wrapped_source_gives_the_same_trajectory():
+    f = ex.make_source("sin(pi*x)*exp(-t)", 1)
+    g_src = ex.make_source("cos(t)", 1)
+    traj = fd.run_flow(_sourced_problem(f, g_src), 12)
+    wrapped = _sourced_problem(lambda t, p: f(t, p), lambda t, p: g_src(t, p))
+    assert _same_trajectory(fd.run_flow(wrapped, 12), traj)
+
+
+def test_flow_raises_on_a_non_finite_source_naming_its_step():
+    prob = _sourced_problem(ex.make_source("1/x", 1), None)
+    with pytest.raises(fd.NonFiniteSource, match=r"^source f is not finite "
+                       r"on step 1 \(t = 0.05\)$") as excinfo:
+        fd.run_flow(prob, 10)
+    assert excinfo.value.step_index == 1
+
+    # a boundary source that turns infinite after t = 0.25: step 3 of
+    # h = 0.1 is the first whose samples see it
+    def g_src(t, pts):
+        return np.full(pts.shape[0], np.inf if t > 0.25 else 1.0)
+
+    with pytest.raises(fd.NonFiniteSource, match=r"source g .* step 3 "
+                       r"\(t = 0.3\)") as excinfo:
+        fd.run_flow(_sourced_problem(None, g_src), 5)
+    assert excinfo.value.step_index == 3 and excinfo.value.source == "g"
+    assert isinstance(excinfo.value, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # stability
 
@@ -178,6 +242,78 @@ def test_gronwall_bound_reuses_the_flow_source_samples():
           + 2.0 * prob.T * abs(c10) * g.domain_measure)
     assert rep.gronwall_bound == 2.0 * np.exp(prob.T) * (nd ** 2 + nb ** 2 + c0)
     assert rep.gronwall_pass
+
+
+def _field_energy(grid, model, u):
+    return float(grid.cell_volumes @ model.potential(
+        0.0, grid.cell_centers, disc.gradient(grid, u)))
+
+
+def _per_field_report(traj):
+    """The stability quantities and the dissipation violation, field by
+    field with the ``discretization`` functions."""
+    grid, model, h = traj.grid, traj.problem.model, traj.h
+    p = model.growth.p if model.growth.regime == "strong" else 1.0
+    out = {"norms_domain": [disc.norm_domain(grid, u) for u in traj.fields],
+           "norms_boundary": [disc.norm_boundary(grid, disc.trace(grid, u))
+                              for u in traj.fields],
+           "grad_p_sum": 0.0, "potential_sum": 0.0, "diff_quot_domain": 0.0,
+           "diff_quot_boundary": 0.0, "violation": 0.0,
+           "energies": [_field_energy(grid, model, u) for u in traj.fields]}
+    for i in range(1, traj.n_steps + 1):
+        gy = disc.gradient(grid, traj.fields[i])
+        out["grad_p_sum"] += h * disc.grad_norm_p(grid, gy, p) ** p
+        jv = model.potential(i * h, grid.cell_centers, gy)
+        out["potential_sum"] += h * float(grid.cell_volumes @ jv)
+        step = traj.fields[i] - traj.fields[i - 1]
+        for key, dy in (("diff_quot", step / h), ("dd", step)):
+            nd = disc.norm_domain(grid, dy) ** 2
+            nb = disc.norm_boundary(grid, disc.trace(grid, dy)) ** 2
+            if key == "dd":
+                out["violation"] = max(out["violation"], out["energies"][i]
+                                       + (nd + nb) / h - out["energies"][i - 1])
+            else:
+                out["diff_quot_domain"] += h * nd
+                out["diff_quot_boundary"] += h * nb
+    return out
+
+
+def _time_dependent_law(flagged=True):
+    return fm.anisotropic_p_laplacian(
+        3.0, alpha=lambda t, xs: 1.0 + 0.5 * t + 0.25 * xs[:, 0],
+        alpha_bounds=(1.0, 2.0), time_lipschitz=0.5, time_dependent=flagged)
+
+
+@pytest.mark.parametrize("case", ["sourced-1d", "autonomous-2d", "sourced-2d",
+                                  "time-dependent", "reads-t-unflagged"])
+def test_diagnostics_equal_their_per_field_formulas(case):
+    if case.endswith("2d"):
+        g = disc.rectangle_grid(6, 5)
+        model = fm.anisotropic_p_laplacian(4.0, dimension=2)
+        spec = "sin(pi*x)*cos(pi*y)*exp(-t)" if case == "sourced-2d" else None
+        prob = fd.ProblemData(g, np.cos(np.pi * g.nodes[:, 0]) * g.nodes[:, 1],
+                              ex.make_source(spec, 2),
+                              ex.make_source(spec and "x*cos(t)", 2), 0.3, model)
+    else:
+        # a law whose alpha reads t has its potential taken at t = i h,
+        # whether or not it is marked time_dependent
+        model = (fm.anisotropic_p_laplacian(4.0) if case == "sourced-1d"
+                 else _time_dependent_law(case == "time-dependent"))
+        prob = _sourced_problem(ex.make_source("sin(pi*x)*exp(-t)", 1),
+                                ex.make_source("cos(t)", 1))
+        prob.model = model
+    traj = fd.run_flow(prob, 12)
+    ref = _per_field_report(traj)
+    rep = fd.stability_report(traj)
+    for key in ("grad_p_sum", "potential_sum", "diff_quot_domain",
+                "diff_quot_boundary"):
+        assert getattr(rep, key) == ref[key], key
+    assert rep.norms_domain.tolist() == ref["norms_domain"]
+    assert rep.norms_boundary.tolist() == ref["norms_boundary"]
+    assert traj.energies.tolist() == ref["energies"]
+    if prob.autonomous:
+        er = fd.energy_trace(traj)
+        assert er.max_dissipation_violation == ref["violation"]
 
 
 def test_energies_are_computed_once_and_shared(tmp_path, monkeypatch):
@@ -519,8 +655,9 @@ def _plain_flow(problem, n, cfg, obstacle=False, linear=False):
     prev = None
     lagged = ss._LaggedFactor()
     logs = []
+    sources = fd._step_sources(problem, n, h)
     for i in range(1, n + 1):
-        fbar, gbar, _ = fd._step_sources(problem, i, h)
+        fbar, gbar, _ = next(sources)
         w1 = y.copy() if fbar is None else y + h * fbar
         w2 = y[grid.boundary_nodes]
         if gbar is not None:

@@ -766,10 +766,14 @@ def test_obstacle_mixed_sign_vs_projected_gradient():
     def grad(u):
         return ss.step_objective_grad(g, fm.quadratic(1), 0.0, h, w1, w2, u)
 
+    # the quadratic law's gradient is affine: the oracle iterates A u - b
+    a, b = orc.affine_map(grad, 9)
+    for u in np.random.default_rng(16).standard_normal((20, 9)):
+        assert np.max(np.abs(a @ u - b - grad(u))) <= 1e-14
     m = g.node_weights + g.boundary_mass_full
     lip = float(m.max()) + h * 4.0 / (1.0 / 8.0)
-    ref = orc.projected_gradient_descent(grad, np.maximum(w1, 0.0),
-                                         1.0 / lip, 200000)
+    ref = orc.projected_gradient_descent(lambda u: a @ u - b,
+                                         np.maximum(w1, 0.0), 1.0 / lip, 200000)
     assert np.max(np.abs(sol.u - ref)) < 1e-6
     assert sol.u.min() >= 0.0
     assert sol.complementarity <= 1e-10

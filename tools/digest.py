@@ -7,9 +7,11 @@ Each tree is a checkout (a directory holding ``src/wentzellflow`` and
 ``perfbench/workloads.py`` and each seed, the tool runs one flow and prints
 the sha256 of its fields, fluxes (etas), step residuals, step certificates
 and step logs.  It then runs ``cli.run`` on the cli-sources-1d config and,
-with ``verbose=True``, on every preset, and prints the sha256 of each run's
-artifacts (every file the run wrote, by relative path), with the manifest's
-echo of ``out_dir`` removed, since that names the temporary directory.
+with ``verbose=True``, on every preset and on the configs of ``MODES`` (the
+convergence, contraction and asymptotics modes, and sourced flows in 1D and
+2D), and prints the sha256 of each run's artifacts (every file the run
+wrote, by relative path), with the manifest's echo of ``out_dir`` removed,
+since that names the temporary directory.
 
 Every tree runs in its own Python process with BLAS pinned to one thread,
 imports nothing from the other tree, writes only under a temporary
@@ -27,6 +29,33 @@ import os
 import subprocess
 import sys
 import tempfile
+
+
+# Configs past the presets, so that every CLI mode and each way of sampling
+# a source (an expression by blocks of steps; a constant, a profile, a power
+# of t or a source difference once per time) is covered.
+MODES = {
+    "convergence": {
+        "preset": "quadratic-1d", "mode": "convergence", "n": 20,
+        "sources": {"f": "sin(pi*x)*exp(-t)", "g": "t**2 - 1"},
+        "options": {"refinements": 2}},
+    "contraction": {
+        "preset": "plaplacian-1d", "mode": "contraction",
+        "sources": {"f": "sin(pi*x)*exp(-t)", "g": "cos(t)"},
+        "options": {"perturbation": {"f": "sin(pi*x)*exp(-t) + 0.1*cos(3*t)",
+                                     "y0": "sin(pi*x) + 0.01*cos(pi*x)"}}},
+    "asymptotics": {
+        "preset": "quadratic-1d", "mode": "asymptotics",
+        "sources": {"f": "cos(2*pi*x)", "g": "x - 0.5"}},
+    "flow-sources-2d": {
+        "preset": "quadratic-2d",
+        "sources": {"y0": "cos(pi*x)*cos(pi*y)",
+                    "f": "sin(pi*x)*cos(pi*y)*exp(-t)",
+                    "g": {"profile": "noise", "amplitude": 0.1}}},
+    "flow-sources-1d": {
+        "preset": "plaplacian-1d",
+        "sources": {"f": "cos(2*t)*x", "g": 0.5}},
+}
 
 
 def _sha(data):
@@ -100,12 +129,14 @@ def child(tree, seeds):
                     out[f"{name} seed={seed} artifacts"] = _artifact_digest(
                         case.out_dir)
                 case.cleanup()
-        for preset in cli.PRESETS:
-            out_dir = os.path.join(tmp, f"preset-{preset}")
-            cfg = cli.config_from_dict({"preset": preset, "out_dir": out_dir})
+        runs = {f"preset {name}": {"preset": name} for name in cli.PRESETS}
+        runs.update((f"mode {name}", raw) for name, raw in MODES.items())
+        for key, raw in runs.items():
+            out_dir = os.path.join(tmp, key.replace(" ", "-"))
+            cfg = cli.config_from_dict(dict(raw, out_dir=out_dir))
             code = cli.run(cfg, verbose=True)
-            out[f"preset {preset} exit"] = str(code)
-            out[f"preset {preset} artifacts"] = _artifact_digest(out_dir)
+            out[f"{key} exit"] = str(code)
+            out[f"{key} artifacts"] = _artifact_digest(out_dir)
     json.dump(out, sys.stdout)
 
 
